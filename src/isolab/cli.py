@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Thin adapters only: parse JSON, dispatch to the computational modules,
-emit a deterministic report.  Exit codes: 0 success, 1 input validation
+emit a deterministic report.  ``COMMANDS`` is the single list of document
+commands: each entry maps ``"group command"`` to a body that turns the
+parsed document into a report payload, plus the payload field whose
+falsity means a mathematical check failed.  ``verify all`` is the one
+command outside the table.  Exit codes: 0 success, 1 input validation
 failure, 2 a mathematical check failed, 3 internal error.
 
 Reports echo the orientation sign in use; the environment variable
@@ -14,9 +18,9 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Mapping
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from .exact_algebra import InternalError, UniPoly, ValidationError
+from .exact_algebra import InternalError, ValidationError
 from . import lie_isogeny as li
 from . import spectral_base as sb
 from . import covers_prym as cp
@@ -28,9 +32,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILED = 2
 EXIT_INTERNAL = 3
-
-_MISSING = object()
-
 
 class _Input:
     """Field-path-aware accessor over a parsed JSON document."""
@@ -45,22 +46,15 @@ class _Input:
         where = f"{self.path}.{field}" if self.path else field
         raise ValidationError(f"{where}: {message}")
 
-    def raw(self, field: str, default=_MISSING):
+    def raw(self, field: str):
         if field not in self.doc:
-            if default is not _MISSING:
-                return default
             self._fail(field, "missing required field")
         return self.doc[field]
 
-    def poly(self, field: str, var: str = "z") -> UniPoly:
+    def _parsed(self, field: str, parser: Callable, *args):
+        """``parser(raw value, *args)``, with its errors prefixed by the field path."""
         try:
-            return ser.poly_from_json(self.raw(field), var=var)
-        except ValidationError as exc:
-            self._fail(field, str(exc))
-
-    def matrix(self, field: str):
-        try:
-            return ser.matrix_from_json(self.raw(field))
+            return parser(self.raw(field), *args)
         except ValidationError as exc:
             self._fail(field, str(exc))
 
@@ -75,18 +69,6 @@ class _Input:
 
     def text(self, field: str) -> str:
         return str(self.raw(field))
-
-    def fiber(self, field: str) -> cp.FiberModel:
-        try:
-            return ser.fiber_from_json(self.raw(field))
-        except ValidationError as exc:
-            self._fail(field, str(exc))
-
-    def divisor(self, field: str, kind: str) -> cp.Divisor:
-        try:
-            return ser.divisor_from_json(self.raw(field), kind)
-        except ValidationError as exc:
-            self._fail(field, str(exc))
 
 
 def _load_document(args) -> _Input:
@@ -104,329 +86,257 @@ def _load_document(args) -> _Input:
         raise ValidationError(f"input is not valid JSON: {exc}") from exc
 
 
-def _emit(args, payload: dict) -> None:
-    envelope = {"command": args.command_path, "orientation": args.orientation, **payload}
-    print(json.dumps(envelope, sort_keys=True, indent=2))
+# -- field readers (each reads its fields in the order given) -----------------
 
 
-# -- iso ----------------------------------------------------------------------
+def _polys(doc: _Input, *fields: str):
+    return [doc._parsed(f, ser.poly_from_json) for f in fields]
 
 
-def cmd_iso_apply(args) -> int:
-    doc = _load_document(args)
+def _matrix(doc: _Input, field: str):
+    return doc._parsed(field, ser.matrix_from_json)
+
+
+def _fiber(doc: _Input, field: str) -> cp.FiberModel:
+    return doc._parsed(field, ser.fiber_from_json)
+
+
+def _divisor(doc: _Input, kind: str) -> cp.Divisor:
+    return doc._parsed("divisor", ser.divisor_from_json, kind)
+
+
+def _ints(doc: _Input, *fields: str):
+    return [doc.integer(f) for f in fields]
+
+
+def _sl2_pair(doc: _Input) -> sb.BaseSL2Pair:
+    return sb.BaseSL2Pair(*_polys(doc, "a1", "a2"))
+
+
+def _sl4_base(doc: _Input) -> sb.BaseSL4:
+    return sb.BaseSL4(*_polys(doc, "a2", "a3", "a4"))
+
+
+def _poly_report(**polys) -> dict:
+    return {key: ser.poly_to_json(p) for key, p in polys.items()}
+
+
+def _attrs(obj, *names: str) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+# -- command bodies: (document, orientation) -> report payload ----------------
+
+
+def _iso_apply(doc: _Input, orientation: int) -> dict:
     which = doc.text("map")
-    if which == "iso2":
-        result = li.iso2_group(doc.matrix("a1"), doc.matrix("a2"))
-    elif which == "d_iso2":
-        result = li.d_iso2(doc.matrix("a1"), doc.matrix("a2"))
-    elif which == "iso3":
-        result = li.iso3_group(doc.matrix("a"))
-    elif which == "d_iso3":
-        result = li.d_iso3(doc.matrix("a"))
-    else:
+    maps = {
+        "iso2": (li.iso2_group, "a1", "a2"),
+        "d_iso2": (li.d_iso2, "a1", "a2"),
+        "iso3": (li.iso3_group, "a"),
+        "d_iso3": (li.d_iso3, "a"),
+    }
+    if which not in maps:
         raise ValidationError("map: expected one of iso2, iso3, d_iso2, d_iso3")
-    _emit(args, {"result": ser.matrix_to_json(result)})
-    return EXIT_OK
+    fn, *fields = maps[which]
+    return {"result": ser.matrix_to_json(fn(*[_matrix(doc, f) for f in fields]))}
 
 
-def cmd_iso_alpha(args) -> int:
-    doc = _load_document(args)
-    adot = doc.matrix("a")
-    alpha = li.alpha_block(adot)
-    higgs = li.build_block_higgs_so33(adot)
-    _emit(
-        args,
-        {
-            "alpha": ser.matrix_to_json(alpha),
-            "block_field": ser.matrix_to_json(higgs.as_matrix()),
-        },
-    )
-    return EXIT_OK
+def _iso_alpha(doc: _Input, orientation: int) -> dict:
+    adot = _matrix(doc, "a")
+    return {
+        "alpha": ser.matrix_to_json(li.alpha_block(adot)),
+        "block_field": ser.matrix_to_json(li.build_block_higgs_so33(adot).as_matrix()),
+    }
 
 
-def cmd_iso_hodge(args) -> int:
-    doc = _load_document(args)
-    gram = doc.matrix("q")
-    split = li.hodge_split(li.QuadraticForm(gram), orientation=args.orientation)
-    _emit(
-        args,
-        {
-            "star": ser.matrix_to_json(split.star),
-            "plus_basis": [[ser.scalar_to_json(c) for c in v] for v in split.plus_basis],
-            "minus_basis": [[ser.scalar_to_json(c) for c in v] for v in split.minus_basis],
-            "q_plus": ser.matrix_to_json(split.q_plus.gram),
-            "q_minus": ser.matrix_to_json(split.q_minus.gram),
-        },
-    )
-    return EXIT_OK
+def _iso_hodge(doc: _Input, orientation: int) -> dict:
+    split = li.hodge_split(li.QuadraticForm(_matrix(doc, "q")), orientation=orientation)
+    return {
+        "star": ser.matrix_to_json(split.star),
+        "plus_basis": [[ser.scalar_to_json(c) for c in v] for v in split.plus_basis],
+        "minus_basis": [[ser.scalar_to_json(c) for c in v] for v in split.minus_basis],
+        "q_plus": ser.matrix_to_json(split.q_plus.gram),
+        "q_minus": ser.matrix_to_json(split.q_minus.gram),
+    }
 
 
-# -- base ---------------------------------------------------------------------
+def _base_map_so4(doc: _Input, orientation: int) -> dict:
+    result = sb.so4_base(_sl2_pair(doc), sign=orientation)
+    return _poly_report(b1=result.b1, pf=result.pf, quartic=result.quartic())
 
 
-def cmd_base_map_so4(args) -> int:
-    doc = _load_document(args)
-    pair = sb.BaseSL2Pair(doc.poly("a1"), doc.poly("a2"))
-    result = sb.so4_base(pair, sign=args.orientation)
-    _emit(
-        args,
-        {
-            "b1": ser.poly_to_json(result.b1),
-            "pf": ser.poly_to_json(result.pf),
-            "quartic": ser.poly_to_json(result.quartic()),
-        },
-    )
-    return EXIT_OK
+def _base_map_so6(doc: _Input, orientation: int) -> dict:
+    result = sb.so6_base(_sl4_base(doc), sign=orientation)
+    return _poly_report(b1=result.b1, b2=result.b2, pf=result.pf, sextic=result.sextic())
 
 
-def cmd_base_map_so6(args) -> int:
-    doc = _load_document(args)
-    base = sb.BaseSL4(doc.poly("a2"), doc.poly("a3"), doc.poly("a4"))
-    result = sb.so6_base(base, sign=args.orientation)
-    _emit(
-        args,
-        {
-            "b1": ser.poly_to_json(result.b1),
-            "b2": ser.poly_to_json(result.b2),
-            "pf": ser.poly_to_json(result.pf),
-            "sextic": ser.poly_to_json(result.sextic()),
-        },
-    )
-    return EXIT_OK
-
-
-def cmd_base_oracle(args) -> int:
-    doc = _load_document(args)
+def _base_oracle(doc: _Input, orientation: int) -> dict:
     kind = doc.text("kind")
     if kind == "so4":
-        pair = sb.BaseSL2Pair(doc.poly("a1"), doc.poly("a2"))
+        pair = _sl2_pair(doc)
         curve = sb.so4_oracle(pair)
-        matches = curve == sb.so4_base(pair, sign=args.orientation).quartic()
+        mapped = sb.so4_base(pair, sign=orientation).quartic()
     elif kind == "so6":
-        base = sb.BaseSL4(doc.poly("a2"), doc.poly("a3"), doc.poly("a4"))
+        base = _sl4_base(doc)
         curve = sb.so6_oracle(base)
-        matches = curve == sb.so6_base(base, sign=args.orientation).sextic()
+        mapped = sb.so6_base(base, sign=orientation).sextic()
     else:
         raise ValidationError("kind: expected so4 or so6")
-    _emit(args, {"curve": ser.poly_to_json(curve), "matches_base_map": matches})
-    return EXIT_OK if matches else EXIT_CHECK_FAILED
+    return {"curve": ser.poly_to_json(curve), "matches_base_map": curve == mapped}
 
 
-def cmd_base_genericity(args) -> int:
-    doc = _load_document(args)
-    base = sb.BaseSL4(doc.poly("a2"), doc.poly("a3"), doc.poly("a4"))
-    report = sb.genericity_report(base)
-    _emit(
-        args,
-        {
-            "gcd_a3_vs_a2sq_minus_a4": ser.poly_to_json(report.gcd_loose),
-            "gcd_a3_vs_a2sq_minus_4a4": ser.poly_to_json(report.gcd_tight),
-            "jacobian_full_rank": report.jacobian_full_rank,
-            "generic": report.generic,
-            "witness": report.witness,
-            "notes": list(report.notes),
-        },
-    )
-    return EXIT_OK
+def _base_genericity(doc: _Input, orientation: int) -> dict:
+    report = sb.genericity_report(_sl4_base(doc))
+    return {
+        "gcd_a3_vs_a2sq_minus_a4": ser.poly_to_json(report.gcd_loose),
+        "gcd_a3_vs_a2sq_minus_4a4": ser.poly_to_json(report.gcd_tight),
+        **_attrs(report, "jacobian_full_rank", "generic", "witness"),
+        "notes": list(report.notes),
+    }
 
 
-# -- cover --------------------------------------------------------------------
-
-
-def cmd_cover_product(args) -> int:
-    doc = _load_document(args)
-    pf = cp.fiber_product(doc.fiber("fiber1"), doc.fiber("fiber2"))
+def _cover_product(doc: _Input, orientation: int) -> dict:
+    pf = cp.fiber_product(_fiber(doc, "fiber1"), _fiber(doc, "fiber2"))
     inv = pf.product_involution()
-    _emit(
-        args,
-        {
-            "product": ser.pair_fiber_to_json(pf),
-            "involution": [
-                {"from": list(k), "to": list(v)} for k, v in sorted(inv.items())
-            ],
-        },
-    )
-    return EXIT_OK
+    return {
+        "product": ser.pair_fiber_to_json(pf),
+        "involution": [{"from": list(k), "to": list(v)} for k, v in sorted(inv.items())],
+    }
 
 
-def cmd_cover_sym(args) -> int:
-    doc = _load_document(args)
-    fiber = doc.fiber("fiber")
-    pf = cp.self_product_minus_diagonal(fiber)
+def _cover_sym(doc: _Input, orientation: int) -> dict:
+    pf = cp.self_product_minus_diagonal(_fiber(doc, "fiber"))
     sym = cp.symmetrize(pf)
-    _emit(
-        args,
-        {
-            "self_product": ser.pair_fiber_to_json(pf),
-            "symmetrized": ser.sym_fiber_to_json(sym),
-        },
-    )
-    return EXIT_OK
+    return {"self_product": ser.pair_fiber_to_json(pf), "symmetrized": ser.sym_fiber_to_json(sym)}
 
 
-def cmd_cover_ramcheck(args) -> int:
-    doc = _load_document(args)
-    fiber = doc.fiber("fiber")
-    ok, ledger = cp.ramification_check(fiber)
-    rendered = {}
-    for name, div in ledger.items():
-        kind = "sym" if name == "sym_cover_ramification" else (
-            "point" if name == "base_ramification" else "ordered"
-        )
-        rendered[name] = ser.divisor_to_json(div, kind)
-    _emit(args, {"identity_holds": ok, "ledger": rendered})
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+def _cover_ramcheck(doc: _Input, orientation: int) -> dict:
+    ok, ledger = cp.ramification_check(_fiber(doc, "fiber"))
+    kinds = {"sym_cover_ramification": "sym", "base_ramification": "point"}
+    rendered = {n: ser.divisor_to_json(d, kinds.get(n, "ordered")) for n, d in ledger.items()}
+    return {"identity_holds": ok, "ledger": rendered}
 
 
-# -- divisor ------------------------------------------------------------------
-
-
-def cmd_divisor_push(args) -> int:
-    doc = _load_document(args)
-    fiber = doc.fiber("fiber")
-    divisor = doc.divisor("divisor", "point")
-    pushed = cp.correspondence_push(divisor, fiber)
-    _emit(args, {"divisor": ser.divisor_to_json(pushed, "sym")})
-    return EXIT_OK
+def _divisor_push(doc: _Input, orientation: int) -> dict:
+    fiber = _fiber(doc, "fiber")
+    divisor = _divisor(doc, "point")
+    return {"divisor": ser.divisor_to_json(cp.correspondence_push(divisor, fiber), "sym")}
 
 
 def _norm_context(doc: _Input, covering: str):
     if covering == "pi":
-        return doc.fiber("fiber"), doc.divisor("divisor", "point")
+        return _fiber(doc, "fiber"), _divisor(doc, "point")
     if covering == "sigma":
-        fiber = doc.fiber("fiber")
-        sym = cp.symmetrize(cp.self_product_minus_diagonal(fiber))
-        return sym, doc.divisor("divisor", "sym")
+        sym = cp.symmetrize(cp.self_product_minus_diagonal(_fiber(doc, "fiber")))
+        return sym, _divisor(doc, "sym")
     if covering == "sigma4":
-        pf = cp.fiber_product(doc.fiber("fiber1"), doc.fiber("fiber2"))
-        return pf, doc.divisor("divisor", "ordered")
+        pf = cp.fiber_product(_fiber(doc, "fiber1"), _fiber(doc, "fiber2"))
+        return pf, _divisor(doc, "ordered")
     raise ValidationError("covering: expected pi, sigma, or sigma4")
 
 
-def cmd_divisor_norm(args) -> int:
-    doc = _load_document(args)
+def _divisor_norm(doc: _Input, orientation: int) -> dict:
     covering = doc.text("covering")
     carrier, divisor = _norm_context(doc, covering)
     result = cp.norm(divisor, carrier, covering)
     kind = {"pi": "point", "sigma": "orbit", "sigma4": "orbit"}[covering]
-    _emit(args, {"norm": ser.divisor_to_json(result, kind), "vanishes": result.is_zero})
-    return EXIT_OK
+    return {"norm": ser.divisor_to_json(result, kind), "vanishes": result.is_zero}
 
 
-def cmd_divisor_prym_test(args) -> int:
-    doc = _load_document(args)
+def _divisor_prym_test(doc: _Input, orientation: int) -> dict:
     covering = doc.text("covering")
     entries = doc.raw("entries")
     if not isinstance(entries, list):
         raise ValidationError("entries: expected an array of {fiber(s), divisor} objects")
-    family = []
-    for idx, entry in enumerate(entries):
-        sub = _Input(entry, path=f"entries[{idx}]")
-        family.append(_norm_context(sub, covering))
-    verdict = cp.prym_test(family, covering)
-    _emit(args, {"prym": verdict, "fibers_checked": len(family)})
-    return EXIT_OK if verdict else EXIT_CHECK_FAILED
+    family = [
+        _norm_context(_Input(entry, path=f"entries[{idx}]"), covering)
+        for idx, entry in enumerate(entries)
+    ]
+    return {"prym": cp.prym_test(family, covering), "fibers_checked": len(family)}
 
 
-# -- invariants ---------------------------------------------------------------
+def _invariants_map(doc: _Input, orientation: int) -> dict:
+    t = mi.toledo_map(mi.ToledoPair(*_ints(doc, "d1", "d2", "g")))
+    return {"c1": t.d1, "c2": t.d2}
 
 
-def cmd_invariants_map(args) -> int:
-    doc = _load_document(args)
-    t = mi.toledo_map(mi.ToledoPair(doc.integer("d1"), doc.integer("d2"), doc.integer("g")))
-    _emit(args, {"c1": t.d1, "c2": t.d2})
-    return EXIT_OK
+def _invariants_mw(doc: _Input, orientation: int) -> dict:
+    pair = mi.ToledoPair(*_ints(doc, "d1", "d2", "g"))
+    return {"within_bounds": mi.milnor_wood_check(pair, doc.text("group"))}
 
 
-def cmd_invariants_mw(args) -> int:
-    doc = _load_document(args)
-    pair = mi.ToledoPair(doc.integer("d1"), doc.integer("d2"), doc.integer("g"))
-    verdict = mi.milnor_wood_check(pair, doc.text("group"))
-    _emit(args, {"within_bounds": verdict})
-    return EXIT_OK
-
-
-def cmd_invariants_lift(args) -> int:
-    doc = _load_document(args)
+def _invariants_lift(doc: _Input, orientation: int) -> dict:
     group = doc.text("group")
     if group == "so22":
-        label = mi.ToledoPair(doc.integer("c1"), doc.integer("c2"), doc.integer("g"))
+        label = mi.ToledoPair(*_ints(doc, "c1", "c2", "g"))
     else:
-        label = (doc.integer("b1"), doc.integer("b2"))
-    _emit(args, {"lifts": mi.liftable(label, group)})
-    return EXIT_OK
+        label = tuple(_ints(doc, "b1", "b2"))
+    return {"lifts": mi.liftable(label, group)}
 
 
-def cmd_invariants_count(args) -> int:
-    doc = _load_document(args)
+def _invariants_count(doc: _Input, orientation: int) -> dict:
     report = mi.preimage_count(doc.text("isogeny"), doc.integer("g"))
-    _emit(
-        args,
-        {
-            "stated": report.stated,
-            "proof_count": report.proof_count,
-            "enumerated": report.enumerated,
-            "discrepancy": report.discrepancy,
-            "note": report.note,
-        },
-    )
-    return EXIT_OK
+    return _attrs(report, "stated", "proof_count", "enumerated", "discrepancy", "note")
 
 
-def cmd_invariants_census(args) -> int:
-    doc = _load_document(args)
+def _invariants_census(doc: _Input, orientation: int) -> dict:
     group = doc.text("group")
     census = mi.component_census(group, doc.integer("g"))
-    if group == "so33":
-        payload = {
-            "labels": [list(l) for l in census.labels],
-            "image_labels": [list(l) for l in census.image_labels],
-            "hitchin_components_source": census.hitchin_components_source,
-            "hitchin_components_target": census.hitchin_components_target,
-            "total_components": census.total_components,
-        }
-    else:
-        payload = {
-            "bound": census.bound,
-            "labels": [list(l) for l in census.labels],
-            "image_labels": [list(l) for l in census.image_labels],
-        }
-    _emit(args, payload)
-    return EXIT_OK
+    payload = {key: [list(l) for l in getattr(census, key)] for key in ("labels", "image_labels")}
+    if group != "so33":
+        return {"bound": census.bound, **payload}
+    totals = ("hitchin_components_source", "hitchin_components_target", "total_components")
+    return {**payload, **_attrs(census, *totals)}
 
 
-# -- higgs --------------------------------------------------------------------
-
-
-def cmd_higgs_assemble_so22(args) -> int:
-    doc = _load_document(args)
+def _higgs_assemble_so22(doc: _Input, orientation: int) -> dict:
     result = mi.assemble_so22(
-        doc.integer("n1_degree"),
-        doc.integer("n2_degree"),
-        doc.poly("beta1"),
-        doc.poly("gamma1"),
-        doc.poly("beta2"),
-        doc.poly("gamma2"),
+        *_ints(doc, "n1_degree", "n2_degree"), *_polys(doc, "beta1", "gamma1", "beta2", "gamma2")
     )
-    _emit(
-        args,
-        {
-            "alpha": ser.matrix_to_json(result.higgs.alpha),
-            "field": ser.matrix_to_json(result.higgs.as_matrix()),
-            "m1_degree": result.m1_degree,
-            "m2_degree": result.m2_degree,
-            "b1": ser.poly_to_json(result.base.b1),
-            "pf": ser.poly_to_json(result.base.pf),
-            "quartic": ser.poly_to_json(result.quartic),
-        },
-    )
-    return EXIT_OK
+    return {
+        "alpha": ser.matrix_to_json(result.higgs.alpha),
+        "field": ser.matrix_to_json(result.higgs.as_matrix()),
+        **_attrs(result, "m1_degree", "m2_degree"),
+        **_poly_report(b1=result.base.b1, pf=result.base.pf, quartic=result.quartic),
+    }
 
 
-# -- verify -------------------------------------------------------------------
+#: "group command" -> (body, verdict field or None).  Insertion order is the
+#: order of groups and commands in ``--help``.
+COMMANDS: Dict[str, Tuple[Callable[[_Input, int], dict], Optional[str]]] = {
+    "iso apply": (_iso_apply, None),
+    "iso alpha": (_iso_alpha, None),
+    "iso hodge": (_iso_hodge, None),
+    "base map-so4": (_base_map_so4, None),
+    "base map-so6": (_base_map_so6, None),
+    "base oracle": (_base_oracle, "matches_base_map"),
+    "base genericity": (_base_genericity, None),
+    "cover product": (_cover_product, None),
+    "cover sym": (_cover_sym, None),
+    "cover ramcheck": (_cover_ramcheck, "identity_holds"),
+    "divisor push": (_divisor_push, None),
+    "divisor norm": (_divisor_norm, None),
+    "divisor prym-test": (_divisor_prym_test, "prym"),
+    "invariants map": (_invariants_map, None),
+    "invariants mw": (_invariants_mw, None),
+    "invariants lift": (_invariants_lift, None),
+    "invariants count": (_invariants_count, None),
+    "invariants census": (_invariants_census, None),
+    "higgs assemble-so22": (_higgs_assemble_so22, None),
+}
 
 
-def cmd_verify_all(args) -> int:
+def _run_document(args) -> int:
+    """Load the document, run the command's body, print the report."""
+    body, verdict_field = COMMANDS[args.command_path]
+    payload = body(_load_document(args), args.orientation)
+    envelope = {"command": args.command_path, "orientation": args.orientation, **payload}
+    print(json.dumps(envelope, sort_keys=True, indent=2))
+    return EXIT_CHECK_FAILED if verdict_field and not payload[verdict_field] else EXIT_OK
+
+
+def _verify_all(args) -> int:
     report = run_all(seed=args.seed, samples=args.samples)
     if args.format == "json":
         payload = report.to_json()
@@ -464,40 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact computations for the rank-2 and rank-3 orthogonal isogenies",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    groups = {
-        "iso": (("apply", cmd_iso_apply), ("alpha", cmd_iso_alpha), ("hodge", cmd_iso_hodge)),
-        "base": (
-            ("map-so4", cmd_base_map_so4),
-            ("map-so6", cmd_base_map_so6),
-            ("oracle", cmd_base_oracle),
-            ("genericity", cmd_base_genericity),
-        ),
-        "cover": (
-            ("product", cmd_cover_product),
-            ("sym", cmd_cover_sym),
-            ("ramcheck", cmd_cover_ramcheck),
-        ),
-        "divisor": (
-            ("push", cmd_divisor_push),
-            ("norm", cmd_divisor_norm),
-            ("prym-test", cmd_divisor_prym_test),
-        ),
-        "invariants": (
-            ("map", cmd_invariants_map),
-            ("mw", cmd_invariants_mw),
-            ("lift", cmd_invariants_lift),
-            ("count", cmd_invariants_count),
-            ("census", cmd_invariants_census),
-        ),
-        "higgs": (("assemble-so22", cmd_higgs_assemble_so22),),
-    }
-    for group_name, commands in groups.items():
-        sub = top.add_parser(group_name).add_subparsers(dest="command", required=True)
-        for cmd_name, handler in commands:
-            cmd_parser = sub.add_parser(cmd_name)
-            _add_common(cmd_parser)
-            cmd_parser.set_defaults(handler=handler, command_path=f"{group_name} {cmd_name}")
+    groups: Dict[str, Any] = {}
+    for path in COMMANDS:
+        group_name, cmd_name = path.split()
+        if group_name not in groups:
+            group_parser = top.add_parser(group_name)
+            groups[group_name] = group_parser.add_subparsers(dest="command", required=True)
+        cmd_parser = groups[group_name].add_parser(cmd_name)
+        _add_common(cmd_parser)
+        cmd_parser.set_defaults(handler=_run_document, command_path=path)
 
     verify = top.add_parser("verify").add_subparsers(dest="command", required=True)
     verify_all = verify.add_parser("all")
@@ -506,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_all.add_argument(
         "--samples", type=int, default=None, help="override per-check sample counts"
     )
-    verify_all.set_defaults(handler=cmd_verify_all, command_path="verify all")
+    verify_all.set_defaults(handler=_verify_all, command_path="verify all")
     verify_all.set_defaults(format="text")
     return parser
 

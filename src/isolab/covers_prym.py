@@ -142,12 +142,6 @@ class PairFiber:
                 return m
         raise ValidationError(f"no point {key!r} in the product fiber")
 
-    def swap_involution(self) -> Dict[PairKey, PairKey]:
-        """tau: (a, b) -> (b, a); defined on self-products."""
-        if self.source is None:
-            raise ValidationError("the swap involution lives on self-products")
-        return {(a, b): (b, a) for (a, b), _ in self.points}
-
     def product_involution(self) -> Dict[PairKey, PairKey]:
         """The pair (sheet swap, sheet swap) on a product of two double covers."""
         if self.factors is None:

@@ -190,9 +190,6 @@ class UniPoly:
             return self.coeffs[0]
         return None
 
-    def is_constant(self) -> bool:
-        return self.degree <= 0
-
     # -- coercion ----------------------------------------------------------
 
     def _pair(self, other):

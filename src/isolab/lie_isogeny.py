@@ -117,15 +117,19 @@ class LieElement:
         return self.matrices[0]
 
 
+_Q4 = QuadraticForm(kronecker(OMEGA, OMEGA))
+_Q6 = QuadraticForm(RingMatrix.antidiagonal([1, -1, 1, 1, -1, 1]))
+
+
 def q4() -> QuadraticForm:
     """The 4-dimensional form omega (x) omega; antidiagonal (1, -1, -1, 1)."""
-    return QuadraticForm(kronecker(OMEGA, OMEGA))
+    return _Q4
 
 
 def q6() -> QuadraticForm:
     """The wedge-pairing form on the fixed wedge basis; antidiagonal
     (1, -1, 1, 1, -1, 1), determinant -1."""
-    return QuadraticForm(RingMatrix.antidiagonal([1, -1, 1, 1, -1, 1]))
+    return _Q6
 
 
 def _require_shape(m: RingMatrix, n: int, what: str):
@@ -134,8 +138,9 @@ def _require_shape(m: RingMatrix, n: int, what: str):
 
 
 def _require_unit_det(m: RingMatrix, what: str):
-    if m.det() != Fraction(1):
-        raise ValidationError(f"{what} requires determinant 1, got {m.det()}")
+    det = m.det()
+    if det != Fraction(1):
+        raise ValidationError(f"{what} requires determinant 1, got {det}")
 
 
 def _require_traceless(m: RingMatrix, what: str):

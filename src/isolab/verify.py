@@ -129,10 +129,6 @@ def rand_section(rng: random.Random, max_deg: int) -> UniPoly:
     return UniPoly("z", coeffs)
 
 
-def rand_matrix(rng: random.Random, n: int) -> RingMatrix:
-    return RingMatrix([[rand_fraction(rng) for _ in range(n)] for _ in range(n)])
-
-
 def rand_traceless(rng: random.Random, n: int) -> RingMatrix:
     rows = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
     rows[n - 1][n - 1] = -sum(rows[i][i] for i in range(n - 1))
@@ -484,31 +480,19 @@ def check_so22_assembly(rng: random.Random, samples: int) -> CheckResult:
     return CheckResult("rank-2 pair assembly", True, f"{samples} samples + frozen instance")
 
 
-CRITERIA: Tuple[Tuple[str, Callable[[random.Random, int], CheckResult]], ...] = (
-    ("1 rank-2 base map vs oracle", check_base_map_rank2),
-    ("2 rank-3 base map vs oracle", check_base_map_rank3),
-    ("3 derivative char polys vs oracles", check_charpoly_vs_oracles),
-    ("4 structure preservation", check_structure_preservation),
-    ("5 alpha block and Pfaffian", check_alpha_and_pfaffian),
-    ("6 star-operator split", check_hodge_split),
-    ("7 ramification divisor identity", check_ramification_identity),
-    ("8 Prym preservation", check_prym_preservation),
-    ("9 invariant calculus", check_invariant_calculus),
-    ("10 rank-2 pair assembly", check_so22_assembly),
+#: (name, check, default sample count).  The name salts the check's RNG.
+CRITERIA: Tuple[Tuple[str, Callable[[random.Random, int], CheckResult], int], ...] = (
+    ("1 rank-2 base map vs oracle", check_base_map_rank2, 100),
+    ("2 rank-3 base map vs oracle", check_base_map_rank3, 100),
+    ("3 derivative char polys vs oracles", check_charpoly_vs_oracles, 50),
+    ("4 structure preservation", check_structure_preservation, 50),
+    ("5 alpha block and Pfaffian", check_alpha_and_pfaffian, 50),
+    ("6 star-operator split", check_hodge_split, 50),
+    ("7 ramification divisor identity", check_ramification_identity, 1),
+    ("8 Prym preservation", check_prym_preservation, 25),
+    ("9 invariant calculus", check_invariant_calculus, 1),
+    ("10 rank-2 pair assembly", check_so22_assembly, 50),
 )
-
-_DEFAULT_SAMPLES = {
-    "1 rank-2 base map vs oracle": 100,
-    "2 rank-3 base map vs oracle": 100,
-    "3 derivative char polys vs oracles": 50,
-    "4 structure preservation": 50,
-    "5 alpha block and Pfaffian": 50,
-    "6 star-operator split": 50,
-    "7 ramification divisor identity": 1,
-    "8 Prym preservation": 25,
-    "9 invariant calculus": 1,
-    "10 rank-2 pair assembly": 50,
-}
 
 
 def run_all(seed: int = 0, samples: Optional[int] = None) -> VerifyReport:
@@ -518,10 +502,9 @@ def run_all(seed: int = 0, samples: Optional[int] = None) -> VerifyReport:
     instances and exhaustive enumerations always run in full).
     """
     results: List[CheckResult] = []
-    for name, fn in CRITERIA:
+    for name, fn, default_samples in CRITERIA:
         rng = random.Random(f"{seed}:{name}")
-        count = samples if samples is not None else _DEFAULT_SAMPLES[name]
-        results.append(fn(rng, count))
+        results.append(fn(rng, samples if samples is not None else default_samples))
     return VerifyReport(
         seed=seed,
         samples=samples if samples is not None else -1,

@@ -251,3 +251,103 @@ def test_verify_env_seed_override(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["seed"] == 11
+
+
+REGULAR_PAIR_FIBER_JSON = {
+    "base_label": "x",
+    "kind": "regular",
+    "points": [{"label": "p1", "mult": 1}, {"label": "p2", "mult": 1}],
+}
+BRANCH_PAIR_FIBER_JSON = {
+    "base_label": "x",
+    "kind": "generic_branch",
+    "points": [{"label": "q1", "mult": 2}],
+}
+
+
+def test_cover_product(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        capsys,
+        ["cover", "product"],
+        {"fiber1": REGULAR_PAIR_FIBER_JSON, "fiber2": BRANCH_PAIR_FIBER_JSON},
+        monkeypatch,
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "cover product",
+        "orientation": 1,
+        "product": {
+            "base_label": "x",
+            "diagonal_removed": False,
+            "points": [{"mult": 2, "pair": ["p1", "q1"]}, {"mult": 2, "pair": ["p2", "q1"]}],
+        },
+        "involution": [
+            {"from": ["p1", "q1"], "to": ["p2", "q1"]},
+            {"from": ["p2", "q1"], "to": ["p1", "q1"]},
+        ],
+    }
+
+
+def test_input_file_and_missing_file(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"a2": "-5", "a3": "0", "a4": "4"}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["base", "map-so6", "--input", str(path)])
+    assert code == 0
+    assert json.loads(out)["b2"] == "9"
+
+    code, out, err = run_cli(capsys, ["base", "map-so6", "--input", str(tmp_path / "absent.json")])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read input file")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("not json", "error: input is not valid JSON"), ("[1, 2]", "error: input: expected a JSON object")],
+)
+def test_stdin_must_hold_a_json_object(capsys, monkeypatch, text, message):
+    import io
+    import sys
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = main(["base", "map-so6"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(message)
+
+
+def test_nested_coefficient_in_z_exits_one_with_field_path(capsys, monkeypatch):
+    code, out, err = run_cli(
+        capsys, ["base", "map-so4"], {"a1": [["1", "2"]], "a2": "0"}, monkeypatch
+    )
+    assert code == 1 and out == ""
+    assert err == "error: a1: coefficient in 'z' cannot sit inside a polynomial in 'z'\n"
+
+
+def test_verify_all_default_text_rendering(capsys, monkeypatch):
+    monkeypatch.delenv("ISOLAB_SEED", raising=False)
+    code, out, _ = run_cli(capsys, ["verify", "all", "--samples", "1"])
+    assert code == 0
+    assert out == (
+        "seed 0; orientation +1 throughout; Pfaffian by first-row expansion with "
+        "Pf([[0,1],[-1,0]]) = +1; wedge form determinant -1; split-image Pfaffian "
+        "equals -det(alpha)\n"
+        "PASS  rank-2 base map vs oracle         1 samples + fixed instance\n"
+        "PASS  rank-3 base map vs oracle         1 samples + 2 fixed instances\n"
+        "PASS  derivative char polys vs oracles  1 rank-2 and 1 rank-3 samples\n"
+        "PASS  structure preservation            1 samples per law + kernels\n"
+        "PASS  alpha block and Pfaffian          1 samples, sign constant at -det(alpha)\n"
+        "PASS  star-operator split               1 congruence samples\n"
+        "PASS  ramification divisor identity     both fiber kinds, 6 = 4 + 2\n"
+        "PASS  Prym preservation                 104 zero-sum vectors exhausted\n"
+        "PASS  invariant calculus                toledo scan, bounds, lifting, counts "
+        "(discrepancy reported), censuses\n"
+        "PASS  rank-2 pair assembly              1 samples + frozen instance\n"
+        "all checks passed\n"
+    )
+
+
+def test_verify_non_integer_env_seed_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("ISOLAB_SEED", "seven")
+    code, out, err = run_cli(capsys, ["verify", "all", "--samples", "1"])
+    assert code == 1 and out == ""
+    assert err == "error: ISOLAB_SEED must be an integer\n"
