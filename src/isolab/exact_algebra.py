@@ -63,10 +63,11 @@ Ring = Union[Fraction, "UniPoly"]
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int, string "p/q", or Fraction to a canonical Fraction."""
+    """Coerce an int, string "p/q", or Fraction to a canonical Fraction;
+    booleans are not scalars."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -12,7 +12,7 @@ involution orbit.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Tuple, Union
+from typing import Any, Dict, List, Mapping, Union
 
 from .exact_algebra import RingMatrix, UniPoly, ValidationError, as_fraction
 from .covers_prym import (
@@ -92,9 +92,12 @@ def fiber_from_json(data: Any) -> FiberModel:
         raise ValidationError("a fiber is an object with base_label, kind, points")
     try:
         points = tuple((p["label"], int(p["mult"])) for p in data["points"])
-        return FiberModel(str(data["base_label"]), points, str(data["kind"]))
+        base_label, kind = str(data["base_label"]), str(data["kind"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed fiber: missing {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"malformed fiber: {exc}") from exc
+    return FiberModel(base_label, points, kind)
 
 
 def pair_fiber_to_json(pf: PairFiber) -> Dict[str, Any]:
@@ -135,16 +138,18 @@ def key_from_string(text: str, kind: str):
     if kind == "point":
         return text
     if kind == "ordered":
-        if not (text.startswith("(") and text.endswith(")")):
-            raise ValidationError(f"ordered pair keys look like (a,b), got {text!r}")
-        a, b = (s.strip() for s in text[1:-1].split(","))
-        return (a, b)
+        return _pair_parts(text, "(a,b)", "ordered")
     if kind == "sym":
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ValidationError(f"unordered pair keys look like [a,b], got {text!r}")
-        a, b = (s.strip() for s in text[1:-1].split(","))
-        return tuple(sorted((a, b)))
+        return tuple(sorted(_pair_parts(text, "[a,b]", "unordered")))
     raise ValidationError(f"unknown key kind {kind!r}")
+
+
+def _pair_parts(text: str, shape: str, what: str):
+    """The two stripped labels of a pair key written like ``shape``."""
+    parts = text[1:-1].split(",")
+    if not (text.startswith(shape[0]) and text.endswith(shape[-1])) or len(parts) != 2:
+        raise ValidationError(f"{what} pair keys look like {shape}, got {text!r}")
+    return tuple(s.strip() for s in parts)
 
 
 def divisor_to_json(d: Divisor, kind: str) -> Dict[str, int]:

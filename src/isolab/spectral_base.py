@@ -25,7 +25,6 @@ from typing import List, Optional, Tuple, Union
 
 from .exact_algebra import (
     InternalError,
-    RingMatrix,
     UniPoly,
     ValidationError,
     as_fraction,

@@ -16,16 +16,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .exact_algebra import (
-    RingMatrix,
-    UniPoly,
-    kronecker,
-    pfaffian,
-    resultant,
-    poly_gcd,
-)
+from .exact_algebra import RingMatrix, UniPoly, pfaffian
 from .lie_isogeny import (
     QuadraticForm,
     alpha_block,
@@ -37,7 +30,6 @@ from .lie_isogeny import (
     iso3_group,
     q4,
     q6,
-    to_split_basis,
 )
 from .spectral_base import (
     BaseSL2Pair,
@@ -61,6 +53,7 @@ from .covers_prym import (
 )
 from .moduli_invariants import (
     ToledoPair,
+    _reordered,
     assemble_so22,
     component_census,
     liftable,
@@ -181,6 +174,11 @@ BRANCH_FIBER = FiberModel.generic_branch("x", ("y1", "y2", "y3"))
 # -- criteria -----------------------------------------------------------------
 
 
+def _orthogonal_transpose(higgs) -> RingMatrix:
+    """-q2^{-1} phi12^T q1: the bottom-left block a Higgs field must have."""
+    return -(higgs.q2.inverse() * higgs.phi12.transpose() * higgs.q1)
+
+
 def check_base_map_rank2(rng: random.Random, samples: int) -> CheckResult:
     """Base map against the elimination oracle for the rank-2 isogeny."""
     fixed = BaseSL2Pair(-1, -4)
@@ -295,18 +293,21 @@ def check_structure_preservation(rng: random.Random, samples: int) -> CheckResul
 
 
 def check_alpha_and_pfaffian(rng: random.Random, samples: int) -> CheckResult:
-    """Split-basis conjugation yields the off-diagonal block form; the
-    6-dimensional Pfaffian squares to det(alpha)^2 with a constant sign."""
+    """The split-basis block Higgs field is [[0, alpha], [alpha^T, 0]] and
+    anti-symmetric for its orthogonal structures; the 6-dimensional
+    Pfaffian squares to det(alpha)^2 with a constant sign."""
     g6 = q6().gram
     for k in range(samples):
         adot = rand_symmetric_traceless(rng)
         x = d_iso3(adot)
         alpha = alpha_block(adot)
-        conj = to_split_basis(x)
-        if not (conj.block(0, 0, 3, 3).is_zero() and conj.block(3, 3, 3, 3).is_zero()):
+        higgs = build_block_higgs_so33(adot)
+        if not (higgs.phi11.is_zero() and higgs.phi22.is_zero()):
             return CheckResult("alpha block and Pfaffian", False, f"diagonal blocks sample {k}")
-        if conj.block(0, 3, 3, 3) != alpha or conj.block(3, 0, 3, 3) != alpha.transpose():
+        if higgs.phi12 != alpha or higgs.phi21 != alpha.transpose():
             return CheckResult("alpha block and Pfaffian", False, f"off-diagonal blocks sample {k}")
+        if higgs.phi21 != _orthogonal_transpose(higgs):
+            return CheckResult("alpha block and Pfaffian", False, f"block anti-symmetry sample {k}")
         pf = pfaffian(g6 * x)
         det_alpha = alpha.det()
         if pf * pf != det_alpha * det_alpha:
@@ -375,13 +376,16 @@ def check_ramification_identity(rng: random.Random, samples: int) -> CheckResult
 
 def check_prym_preservation(rng: random.Random, samples: int) -> CheckResult:
     """Pushed zero-sum divisors have vanishing quotient norm, exhaustively,
-    and the residual involutions are fixed-point free."""
+    and the residual involutions are fixed-point free involutions."""
     reg_sym = symmetrize(self_product_minus_diagonal(REGULAR_FIBER))
     br_sym = symmetrize(self_product_minus_diagonal(BRANCH_FIBER))
     for sym in (reg_sym, br_sym):
-        for key, image in sym.sigma().items():
+        sigma = sym.sigma()
+        for key, image in sigma.items():
             if key == image:
                 return CheckResult("Prym preservation", False, "involution fixed point")
+            if sigma.get(image) != key:
+                return CheckResult("Prym preservation", False, "involution does not square to one")
     checked = 0
     for weights in itertools.product(range(-2, 3), repeat=4):
         if sum(weights) != 0:
@@ -460,16 +464,25 @@ def check_invariant_calculus(rng: random.Random, samples: int) -> CheckResult:
 
 
 def check_so22_assembly(rng: random.Random, samples: int) -> CheckResult:
-    """Assembled quartic equals the induced base map; degree labels add and
+    """Assembled block is [[beta2, beta1], [gamma1, gamma2]] and
+    anti-symmetric for the reordered 4-dimensional form; assembled quartic
+    equals the induced base map and Pf = a1 - a2; degree labels add and
     subtract."""
     for k in range(samples):
         beta1, gamma1 = rand_section(rng, 2), rand_section(rng, 2)
         beta2, gamma2 = rand_section(rng, 2), rand_section(rng, 2)
         n1, n2 = rng.randint(-4, 4), rng.randint(-4, 4)
         result = assemble_so22(n1, n2, beta1, gamma1, beta2, gamma2)
+        higgs = result.higgs
+        if higgs.alpha != RingMatrix([[beta2, beta1], [gamma1, gamma2]]):
+            return CheckResult("rank-2 pair assembly", False, f"alpha sample {k}")
+        if higgs.phi21 != _orthogonal_transpose(higgs):
+            return CheckResult("rank-2 pair assembly", False, f"block anti-symmetry sample {k}")
         pair = BaseSL2Pair(-(beta1 * gamma1), -(beta2 * gamma2))
         if result.quartic != so4_base(pair).quartic():
             return CheckResult("rank-2 pair assembly", False, f"quartic sample {k}")
+        if result.base.pf != pair.a1 - pair.a2:
+            return CheckResult("rank-2 pair assembly", False, f"Pfaffian sample {k}")
         if (result.m1_degree, result.m2_degree) != (n1 + n2, n1 - n2):
             return CheckResult("rank-2 pair assembly", False, f"degree labels sample {k}")
     frozen = assemble_so22(0, 0, 1, 1, 1, -1)
@@ -477,6 +490,11 @@ def check_so22_assembly(rng: random.Random, samples: int) -> CheckResult:
         return CheckResult("rank-2 pair assembly", False, "frozen quartic instance")
     if frozen.higgs.alpha != RingMatrix([[1, 1], [1, -1]]):
         return CheckResult("rank-2 pair assembly", False, "frozen block instance")
+    form = _reordered(q4().gram)
+    if not form.block(0, 2, 2, 2).is_zero() or (
+        form.block(0, 0, 2, 2), form.block(2, 2, 2, 2)
+    ) != (frozen.higgs.q1, frozen.higgs.q2):
+        return CheckResult("rank-2 pair assembly", False, "reordered form shape")
     return CheckResult("rank-2 pair assembly", True, f"{samples} samples + frozen instance")
 
 

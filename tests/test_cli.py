@@ -351,3 +351,60 @@ def test_verify_non_integer_env_seed_exits_one(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["verify", "all", "--samples", "1"])
     assert code == 1 and out == ""
     assert err == "error: ISOLAB_SEED must be an integer\n"
+
+
+def _regular_fiber(*labels):
+    return {"base_label": "x", "kind": "regular", "points": [{"label": l, "mult": 1} for l in labels]}
+
+
+@pytest.mark.parametrize(
+    "argv,doc,message",
+    [
+        (
+            ["cover", "sym"],
+            {"fiber": {"base_label": "x", "kind": "regular", "points": [{"label": "y1", "mult": "x"}]}},
+            "error: fiber: malformed fiber: invalid literal",
+        ),
+        (
+            ["divisor", "norm"],
+            {"covering": "sigma", "fiber": BRANCH_FIBER_JSON, "divisor": {"[a,b,c]": 1}},
+            "error: divisor: unordered pair keys look like [a,b], got '[a,b,c]'",
+        ),
+        (
+            ["divisor", "norm"],
+            {
+                "covering": "sigma4",
+                "fiber1": _regular_fiber("p1", "p2"),
+                "fiber2": _regular_fiber("q1", "q2"),
+                "divisor": {"(a)": 1},
+            },
+            "error: divisor: ordered pair keys look like (a,b), got '(a)'",
+        ),
+        (
+            ["cover", "sym"],
+            {"fiber": {"base_label": "x", "kind": "generic_branch", "points": []}},
+            "error: fiber: a generic branch fiber has profile",
+        ),
+        (
+            ["divisor", "push"],
+            {"fiber": _regular_fiber("a,b", "c", "d", "e"), "divisor": {"c": 1}},
+            "error: fiber: fiber point labels may not contain",
+        ),
+        (
+            ["divisor", "norm"],
+            {"covering": "sigma", "fiber": _regular_fiber("a", "b", "c", "d[1]"), "divisor": {"[a,b]": 1}},
+            "error: fiber: fiber point labels may not contain",
+        ),
+        (
+            ["base", "map-so4"],
+            {"a1": True, "a2": "0"},
+            "error: a1: cannot interpret True as an exact scalar",
+        ),
+    ],
+    ids=["fiber-mult", "sym-key-three-parts", "ordered-key-one-part", "empty-branch-fiber",
+         "label-with-comma", "label-with-brackets", "boolean-scalar"],
+)
+def test_malformed_input_exits_one_with_field_path(capsys, monkeypatch, argv, doc, message):
+    code, out, err = run_cli(capsys, argv, doc, monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith(message)

@@ -40,6 +40,14 @@ def test_fiber_validation():
         FiberModel("x", (("a", 2), ("b", 1)), "regular")
     with pytest.raises(ValidationError):
         FiberModel("x", (("a", 1), ("b", 2)), GENERIC_BRANCH)
+    with pytest.raises(ValidationError, match="generic branch"):
+        FiberModel("x", (), GENERIC_BRANCH)
+
+
+@pytest.mark.parametrize("label", ["a,b", "(a", "a)", "[a", "a]"])
+def test_fiber_labels_exclude_key_delimiters(label):
+    with pytest.raises(ValidationError, match="may not contain"):
+        FiberModel.regular("x", (label, "b"))
 
 
 def test_fiber_product_regular():

@@ -9,6 +9,7 @@ from isolab.exact_algebra import (
     RingMatrix,
     UniPoly,
     ValidationError,
+    as_fraction,
     char_poly,
     discriminant,
     exact_div,
@@ -73,6 +74,12 @@ def naive_pfaffian(m: RingMatrix):
 
 
 # -- polynomials ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_as_fraction_rejects_booleans(value):
+    with pytest.raises(ValidationError):
+        as_fraction(value)
 
 
 def test_zero_polynomial_normalizes():

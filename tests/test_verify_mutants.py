@@ -1,0 +1,127 @@
+"""Every identity the verify suite certifies for the production builders
+can fail.
+
+The builders (``build_block_higgs_so33``, ``hodge_split``,
+``assemble_so22``, ``symmetrize``) no longer re-check their own results;
+each identity is checked once, by the criterion named below.  Each case
+swaps one builder, in ``isolab.verify``'s namespace, for a variant that
+breaks exactly one identity, and asserts that the covering criterion
+reports FAIL at that identity.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from isolab import verify
+from isolab.exact_algebra import RingMatrix, UniPoly
+
+IDENTITY4 = RingMatrix.identity(4)
+SWAP2 = RingMatrix([[0, 1], [1, 0]])
+
+
+def _higgs(**edits):
+    """Edit the blocks of an assembled so(2,2) field."""
+    return lambda r, *_: replace(
+        r, higgs=replace(r.higgs, **{k: f(r.higgs) for k, f in edits.items()})
+    )
+
+
+def _fixed_point(sym, *_):
+    (key, _), *rest = sym.sigma_pairs
+    return replace(sym, sigma_pairs=((key, key), *rest))
+
+
+def _rotated(sym, *_):
+    keys = tuple(k for k, _ in sym.sigma_pairs)
+    return replace(sym, sigma_pairs=tuple(zip(keys, keys[1:] + keys[:1])))
+
+
+def _congruence_only(edit):
+    """Leave the fixed identity-form instances alone, break the samples."""
+    return lambda s, q, *_: s if q.gram == IDENTITY4 else edit(s)
+
+
+# (criterion, builder in verify's namespace, wrong variant, expected detail)
+CASES = {
+    "so33 diagonal blocks vanish": (
+        5, "build_block_higgs_so33",
+        lambda h, *_: replace(h, phi11=h.phi11 + RingMatrix.identity(3)),
+        "diagonal blocks sample 0",
+    ),
+    "so33 phi12 is alpha_block": (
+        5, "build_block_higgs_so33",
+        lambda h, *_: replace(h, phi12=h.phi12.transpose()),
+        "off-diagonal blocks sample 0",
+    ),
+    "so33 phi21 is alpha^T": (
+        5, "build_block_higgs_so33",
+        lambda h, *_: replace(h, phi21=-h.phi21),
+        "off-diagonal blocks sample 0",
+    ),
+    "so33 block anti-symmetry": (
+        5, "build_block_higgs_so33",
+        lambda h, *_: replace(h, q2=h.q2.scale(2)),
+        "block anti-symmetry sample 0",
+    ),
+    "star squares to one": (
+        6, "hodge_split",
+        _congruence_only(lambda s: replace(s, star=s.star.scale(2))),
+        "involution sample 0",
+    ),
+    "star eigenspace ranks": (
+        6, "hodge_split",
+        _congruence_only(lambda s: replace(s, plus_basis=s.plus_basis[:2])),
+        "rank sample 0",
+    ),
+    "residual involution fixed-point free": (
+        8, "symmetrize", _fixed_point, "involution fixed point",
+    ),
+    "residual involution squares to one": (
+        8, "symmetrize", _rotated, "involution does not square to one",
+    ),
+    "so22 alpha blocks": (
+        10, "assemble_so22",
+        _higgs(phi12=lambda h: h.phi12 * SWAP2),
+        "alpha sample 0",
+    ),
+    "so22 block anti-symmetry": (
+        10, "assemble_so22",
+        _higgs(phi21=lambda h: -h.phi21),
+        "block anti-symmetry sample 0",
+    ),
+    "so22 quartic": (
+        10, "assemble_so22",
+        lambda r, *_: replace(r, quartic=UniPoly("eta", [0, 0, 0, 0, 1])),
+        "quartic sample 0",
+    ),
+    "so22 Pfaffian is a1 - a2": (
+        10, "assemble_so22",
+        lambda r, *_: replace(r, base=replace(r.base, pf=-r.base.pf)),
+        "Pfaffian sample 0",
+    ),
+    "so22 reordered form shape": (
+        10, "assemble_so22",
+        _higgs(q1=lambda h: h.q2, q2=lambda h: h.q1),
+        "reordered form shape",
+    ),
+}
+
+
+def _criterion(number):
+    (check,) = [fn for name, fn, _ in verify.CRITERIA if name.split()[0] == str(number)]
+    return check
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_wrong_builder_fails_its_criterion(case, monkeypatch):
+    number, builder, edit, detail = CASES[case]
+    check = _criterion(number)
+    assert check(random.Random(case), 2).passed
+
+    real = getattr(verify, builder)
+    monkeypatch.setattr(verify, builder, lambda *a, **kw: edit(real(*a, **kw), *a))
+    result = check(random.Random(case), 2)
+    assert not result.passed
+    assert result.detail == detail
