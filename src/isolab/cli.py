@@ -53,8 +53,9 @@ class _Input:
 
     def _parsed(self, field: str, parser: Callable, *args):
         """``parser(raw value, *args)``, with its errors prefixed by the field path."""
+        value = self.raw(field)
         try:
-            return parser(self.raw(field), *args)
+            return parser(value, *args)
         except ValidationError as exc:
             self._fail(field, str(exc))
 

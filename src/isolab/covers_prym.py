@@ -70,6 +70,8 @@ class FiberModel:
             raise ValidationError("fiber point labels must be distinct")
         if any(c in l for l in labels for c in _RESERVED):
             raise ValidationError(f"fiber point labels may not contain any of {_RESERVED!r}")
+        if any(l != l.strip() for l in labels):
+            raise ValidationError("fiber point labels may not begin or end with whitespace")
         if any(m < 1 for _, m in pts):
             raise ValidationError("multiplicities must be positive")
         if self.kind == REGULAR:

@@ -15,7 +15,8 @@ pure function, so everything here is safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _gcd_int, isqrt
+from math import isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -63,13 +64,16 @@ Ring = Union[Fraction, "UniPoly"]
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int, string "p/q", or Fraction to a canonical Fraction;
-    booleans are not scalars."""
+    """Coerce an int, string "p/q" or plain decimal, or Fraction to a
+    canonical Fraction; booleans are not scalars, and exponent notation is
+    refused so that a short string cannot request a huge integer."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValidationError(f"not a rational number: {value!r} (exponent notation is not accepted)")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -102,13 +106,6 @@ def _element_vars(elem) -> set:
             out |= _element_vars(c)
         return out
     return set()
-
-
-def _deg_in(elem, var: str) -> int:
-    """Degree of a ring element in ``var`` (0 if it does not appear)."""
-    if isinstance(elem, UniPoly) and elem.var == var:
-        return max(elem.degree, 0)
-    return 0
 
 
 class UniPoly:
@@ -446,23 +443,6 @@ def partial_derivative(elem, var: str):
     return UniPoly(elem.var, [partial_derivative(c, var) for c in elem.coeffs])
 
 
-def _newton_interpolate(var: str, nodes: Sequence[Fraction], values: Sequence):
-    """Reconstruct the polynomial in ``var`` through (node, value) pairs."""
-    n = len(nodes)
-    table = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            inv = Fraction(1, 1) / (nodes[i] - nodes[i - j])
-            table[i] = (table[i] - table[i - 1]) * inv
-    x = UniPoly.variable(var)
-    result: Ring = table[n - 1]
-    for i in range(n - 2, -1, -1):
-        result = result * (x - nodes[i]) + table[i]
-    if not isinstance(result, UniPoly):
-        result = UniPoly(var, [result])
-    return result
-
-
 def _det_bareiss_int(rows):
     """Integer Bareiss; divisions are exact by the Sylvester identity."""
     n = len(rows)
@@ -490,72 +470,126 @@ def _det_bareiss_int(rows):
     return sign * work[n - 1][n - 1]
 
 
-def _det_bareiss(rows):
-    """Fraction-free determinant; exact over any of the tower rings."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if all(isinstance(e, Fraction) for row in rows for e in row):
-        # clear denominators row by row and run the integer kernel
-        scale = 1
-        int_rows = []
-        for row in rows:
-            mult = 1
-            for e in row:
-                d = e.denominator
-                g = _gcd_int(mult, d)
-                mult = mult // g * d
-            scale *= mult
-            int_rows.append([int(e * mult) for e in row])
-        return Fraction(_det_bareiss_int(int_rows), scale)
-    work = [list(r) for r in rows]
-    sign = 1
-    prev: Ring = Fraction(1)
-    for k in range(n - 1):
-        if ring_is_zero(work[k][k]):
-            for i in range(k + 1, n):
-                if not ring_is_zero(work[i][k]):
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = work[i][j] * work[k][k] - work[i][k] * work[k][j]
-                work[i][j] = exact_div(num, prev)
-            work[i][k] = Fraction(0)
-        prev = work[k][k]
-    return sign * work[n - 1][n - 1]
+# The determinant kernel works on nested coefficient lists: at depth d an
+# element is a list, lowest degree first and without trailing zeros, of
+# depth d-1 elements in the outermost remaining variable; depth 0 is a
+# scalar.  Zero is [] above depth 0.
 
 
-def _det_any(rows):
-    """Determinant via Bareiss, with evaluation/interpolation on the outermost
-    variable when entries are polynomials.  The degree bound is the row-wise
-    sum of maximal entry degrees, which dominates every term of the Leibniz
-    expansion, so the interpolated result is exact."""
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _nested(elem, names):
+    """``elem`` over the variables ``names`` (outermost first), with
+    Fraction leaves."""
+    if not names:
+        return elem
+    if isinstance(elem, UniPoly) and elem.var == names[0]:
+        return [_nested(c, names[1:]) for c in elem.coeffs]
+    return [] if ring_is_zero(elem) else [_nested(elem, names[1:])]
+
+
+def _leaves(e, depth: int):
+    return [e] if depth == 0 else [x for c in e for x in _leaves(c, depth - 1)]
+
+
+def _scaled(e, depth: int, mult: int):
+    """Fraction leaves times ``mult``, a common multiple of their denominators."""
+    if depth == 0:
+        return e.numerator * (mult // e.denominator)
+    return [_scaled(c, depth - 1, mult) for c in e]
+
+
+def _from_nested(e, names, scale: int):
+    """The tower element of ``e / scale``."""
+    if not names:
+        return Fraction(e, scale)
+    poly = UniPoly(names[0], [_from_nested(c, names[1:], scale) for c in e])
+    collapsed = poly.constant_value()
+    return poly if collapsed is None else collapsed
+
+
+def _combine(polys, weights, depth: int):
+    """sum_k weights[k] * polys[k] over integer elements of ``depth``."""
+    if depth == 0:
+        return sum(map(mul, polys, weights))
+    zero = 0 if depth == 1 else []
+    width = max(map(len, polys), default=0)
+    return _trim([
+        _combine([p[j] if j < len(p) else zero for p in polys], weights, depth - 1)
+        for j in range(width)
+    ])
+
+
+def _interpolate(nodes, values, depth: int):
+    """The integer element of ``depth`` whose outermost variable takes
+    ``values`` at ``nodes``, by Newton divided differences.  Every division
+    is exact: the divided differences of a polynomial with integer
+    coefficients at integer nodes are integers.  Above depth 1 each
+    coefficient of the next variable is interpolated on its own."""
+    if depth > 1:
+        zero = 0 if depth == 2 else []
+        width = max(map(len, values))
+        columns = [
+            _interpolate(nodes, [v[j] if j < len(v) else zero for v in values], depth - 1)
+            for j in range(width)
+        ]
+        height = max(map(len, columns), default=0)
+        return _trim([
+            _trim([c[k] if k < len(c) else zero for c in columns]) for k in range(height)
+        ])
+    n = len(nodes)
+    table = list(values)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            table[i] = (table[i] - table[i - 1]) // (nodes[i] - nodes[i - j])
+    coeffs = [table[-1]]
+    for i in range(n - 2, -1, -1):
+        node = nodes[i]
+        coeffs = [hi - node * lo for hi, lo in zip([table[i]] + coeffs, coeffs + [0])]
+    return _trim(coeffs)
+
+
+def _det_int(rows, depth: int):
+    """Determinant of a matrix of integer elements of ``depth``: evaluate
+    the outermost variable at the nodes 0, 1, -1, 2, ..., recurse, and
+    interpolate.  The degree bound is the row-wise sum of maximal entry
+    degrees, which dominates every term of the Leibniz expansion."""
+    if depth == 0:
+        return _det_bareiss_int(rows)
+    bound = sum(max(max(map(len, row)), 1) - 1 for row in rows)
+    nodes = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(bound + 1)]
+    width = max(len(e) for row in rows for e in row)
+    values = []
+    for node in nodes:
+        powers = [node**k for k in range(width)]
+        evaluated = [[_combine(e, powers, depth - 1) for e in row] for row in rows]
+        values.append(_det_int(evaluated, depth - 1))
+    return _interpolate(nodes, values, depth)
+
+
+def _det(rows):
+    """Exact determinant over any ring of the tower.  Each row is scaled by
+    the lcm of its coefficient denominators, the integer determinant is
+    computed by ``_det_int``, and the product of the row scales is divided
+    out once at the end."""
     present = set()
     for row in rows:
         for e in row:
             present |= _element_vars(e)
-    if not present:
-        return _det_bareiss(rows)
-    var = max(present, key=lambda w: VAR_ORDER[w])
-    bound = sum(max((_deg_in(e, var) for e in row), default=0) for row in rows)
-    nodes = []
-    k = 0
-    while len(nodes) < bound + 1:
-        nodes.append(Fraction(k))
-        if k > 0 and len(nodes) < bound + 1:
-            nodes.append(Fraction(-k))
-        k += 1
-    values = []
-    for node in nodes:
-        evaluated = [[evaluate_var(e, var, node) for e in row] for row in rows]
-        values.append(_det_any(evaluated))
-    poly = _newton_interpolate(var, nodes, values)
-    collapsed = poly.constant_value()
-    return poly if collapsed is None else collapsed
+    names = tuple(sorted(present, key=VAR_ORDER.get, reverse=True))
+    depth = len(names)
+    scale = 1
+    int_rows = []
+    for row in rows:
+        nested = [_nested(e, names) for e in row]
+        mult = lcm(*(x.denominator for e in nested for x in _leaves(e, depth)))
+        scale *= mult
+        int_rows.append([_scaled(e, depth, mult) for e in nested])
+    return _from_nested(_det_int(int_rows, depth), names, scale)
 
 
 class RingMatrix:
@@ -712,12 +746,7 @@ class RingMatrix:
     def det(self):
         if not self.is_square:
             raise ValidationError("determinant requires a square matrix")
-        return _det_any(self.entries)
-
-    def det_bareiss(self):
-        if not self.is_square:
-            raise ValidationError("determinant requires a square matrix")
-        return _det_bareiss(self.entries)
+        return _det(self.entries)
 
     def inverse(self) -> "RingMatrix":
         self._require_rational("matrix inversion")
@@ -881,9 +910,7 @@ def _sylvester(f: UniPoly, g: UniPoly) -> list:
 
 def resultant(f: UniPoly, g: UniPoly, var: str = None):
     """Resultant in the eliminated indeterminate ``var`` (default: the
-    polynomials' shared top variable), via the Sylvester determinant
-    (evaluated by exact interpolation when the coefficients are themselves
-    polynomials)."""
+    polynomials' shared top variable), via the Sylvester determinant."""
     f, g = _as_poly_pair(f, g)
     if var is not None and f.var != var:
         raise ValidationError(
@@ -898,7 +925,7 @@ def resultant(f: UniPoly, g: UniPoly, var: str = None):
         return f.coeffs[0] ** n
     if n == 0:
         return g.coeffs[0] ** m
-    return _det_any(_sylvester(f, g))
+    return _det(_sylvester(f, g))
 
 
 def discriminant(f: UniPoly):

@@ -91,12 +91,13 @@ def fiber_from_json(data: Any) -> FiberModel:
     if not isinstance(data, Mapping):
         raise ValidationError("a fiber is an object with base_label, kind, points")
     try:
-        points = tuple((p["label"], int(p["mult"])) for p in data["points"])
+        points = tuple((p["label"], p["mult"]) for p in data["points"])
         base_label, kind = str(data["base_label"]), str(data["kind"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed fiber: missing {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"malformed fiber: {exc}") from exc
+    for _, mult in points:
+        if isinstance(mult, bool) or not isinstance(mult, int):
+            raise ValidationError(f"malformed fiber: invalid literal {mult!r} for mult; expected a JSON integer")
     return FiberModel(base_label, points, kind)
 
 

@@ -408,3 +408,39 @@ def test_malformed_input_exits_one_with_field_path(capsys, monkeypatch, argv, do
     code, out, err = run_cli(capsys, argv, doc, monkeypatch)
     assert code == 1 and out == ""
     assert err.startswith(message)
+
+
+def test_missing_fiber_field_names_its_path_once(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["divisor", "norm"], {"covering": "sigma4", "divisor": {}}, monkeypatch)
+    assert code == 1 and out == ""
+    assert err == "error: fiber1: missing required field\n"
+
+
+@pytest.mark.parametrize("mult", [1.9, True, "1", 2.0])
+def test_fiber_mult_must_be_a_json_integer(capsys, monkeypatch, mult):
+    doc = {"fiber": {"base_label": "x", "kind": "regular", "points": [
+        {"label": l, "mult": mult if l == "y1" else 1} for l in ("y1", "y2", "y3", "y4")
+    ]}}
+    code, out, err = run_cli(capsys, ["cover", "sym"], doc, monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: fiber: malformed fiber: invalid literal {mult!r} for mult")
+
+
+def test_exponent_notation_exits_one_with_field_path(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["base", "map-so6"], {"a2": "1e400", "a3": "0", "a4": "0"}, monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("error: a2: not a rational number: '1e400'")
+
+
+def test_plain_decimals_and_ratios_are_read_exactly(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, ["base", "map-so6"], {"a2": "0.5", "a3": "-3/4", "a4": 2}, monkeypatch)
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["b1"], doc["b2"], doc["pf"]) == ("1", "-31/4", "-3/4")
+
+
+def test_fiber_label_with_surrounding_whitespace_exits_one(capsys, monkeypatch):
+    doc = {"fiber": _regular_fiber(" a", "b", "c", "d"), "divisor": {"a": 1, "b": -1}}
+    code, out, err = run_cli(capsys, ["divisor", "push"], doc, monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("error: fiber: fiber point labels may not begin or end with whitespace")

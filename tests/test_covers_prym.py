@@ -50,6 +50,12 @@ def test_fiber_labels_exclude_key_delimiters(label):
         FiberModel.regular("x", (label, "b"))
 
 
+@pytest.mark.parametrize("label", [" a", "a ", "\ta", "a\n"])
+def test_fiber_labels_exclude_surrounding_whitespace(label):
+    with pytest.raises(ValidationError, match="whitespace"):
+        FiberModel.regular("x", (label, "b"))
+
+
 def test_fiber_product_regular():
     pf = fiber_product(REG2A, REG2B)
     assert pf.degree == 4 and all(m == 1 for _, m in pf.points)

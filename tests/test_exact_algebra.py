@@ -20,11 +20,31 @@ from isolab.exact_algebra import (
     poly_sqrt,
     resultant,
 )
+from isolab.exact_algebra import _sylvester
 
 Z = UniPoly.variable("z")
 ETA = UniPoly.variable("eta")
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def tower(names):
+    """Elements of Q[names[0]][names[1]]...: rationals with non-trivial
+    denominators, zero included, and polynomials of degree 0 to 2 in each
+    variable whose coefficients are drawn one level down."""
+    scalars = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    if not names:
+        return scalars
+    lower = tower(names[:-1])
+    return st.one_of(lower, st.lists(lower, min_size=1, max_size=3).map(lambda cs: UniPoly(names[-1], cs)))
+
+
+def x_poly(coeffs, min_degree, max_degree):
+    """Polynomials in x of the given degree range with a nonzero lead."""
+    lead = coeffs.filter(lambda c: c != 0)
+    return st.tuples(st.lists(coeffs, min_size=min_degree, max_size=max_degree), lead).map(
+        lambda t: UniPoly("x", t[0] + [t[1]])
+    )
 
 
 def naive_det(m: RingMatrix):
@@ -80,6 +100,17 @@ def naive_pfaffian(m: RingMatrix):
 def test_as_fraction_rejects_booleans(value):
     with pytest.raises(ValidationError):
         as_fraction(value)
+
+
+@pytest.mark.parametrize("text", ["1e400", "1E5", "2.5e-3", "1/2e3"])
+def test_as_fraction_rejects_exponent_notation(text):
+    with pytest.raises(ValidationError, match="exponent notation"):
+        as_fraction(text)
+
+
+@pytest.mark.parametrize("text,value", [("3/4", Fraction(3, 4)), ("-7", Fraction(-7)), ("0.5", Fraction(1, 2))])
+def test_as_fraction_reads_ratios_integers_and_plain_decimals(text, value):
+    assert as_fraction(text) == value
 
 
 def test_zero_polynomial_normalizes():
@@ -169,6 +200,12 @@ def test_resultant_vanishes_iff_common_root(c1, c2, root):
     assert vanishes == common
 
 
+@given(x_poly(tower(["z", "eta"]), 1, 3), x_poly(tower(["z", "eta"]), 0, 2))
+@settings(max_examples=40, deadline=None)
+def test_resultant_matches_permutation_expansion_over_polynomials(f, g):
+    assert resultant(f, g) == naive_det(RingMatrix(_sylvester(f, g)))
+
+
 def test_resultant_rejects_zero_input():
     with pytest.raises(ValidationError):
         resultant(UniPoly("x"), UniPoly("x", [1, 1]))
@@ -191,7 +228,21 @@ def test_det_matches_permutation_expansion(rows):
 
 def test_interpolated_det_matches_bareiss_over_polynomials():
     m = RingMatrix([[Z, Z + 1, 2], [0, Z * Z, 1], [3, Z, Z - 4]])
-    assert m.det() == m.det_bareiss() == naive_det(m)
+    assert m.det() == naive_det(m)
+
+
+@given(st.lists(st.lists(tower(["z", "eta"]), min_size=3, max_size=3), min_size=3, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_det_matches_permutation_expansion_over_polynomials(rows):
+    m = RingMatrix(rows)
+    assert m.det() == naive_det(m)
+
+
+@given(st.lists(st.lists(tower(["z", "eta", "v"]), min_size=2, max_size=2), min_size=2, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_det_matches_permutation_expansion_over_three_variables(rows):
+    m = RingMatrix(rows)
+    assert m.det() == naive_det(m)
 
 
 def test_inverse_round_trip():
