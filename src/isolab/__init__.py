@@ -3,7 +3,7 @@
 Subpackages by concern:
 
 * ``exact_algebra``: rational scalars, polynomial tower, matrices,
-  resultants, division-free characteristic polynomials, Pfaffians.
+  resultants, characteristic polynomials det(eta*I - M), Pfaffians.
 * ``lie_isogeny``: the two isogenies and their derivatives, invariant
   forms, split-basis blocks, star-operator decomposition.
 * ``spectral_base``: induced Hitchin-base maps and their elimination

@@ -14,6 +14,7 @@ pure function, so everything here is safe to share between threads.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
@@ -64,7 +65,7 @@ Ring = Union[Fraction, "UniPoly"]
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int, string "p/q" or plain decimal, or Fraction to a
+    """Coerce an int, ASCII string "p/q" or plain decimal, or Fraction to a
     canonical Fraction; booleans are not scalars, and exponent notation is
     refused so that a short string cannot request a huge integer."""
     if isinstance(value, Fraction):
@@ -72,12 +73,11 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        if "e" in value or "E" in value:
-            raise ValidationError(f"not a rational number: {value!r} (exponent notation is not accepted)")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a rational number: {value!r}") from exc
+        # Fraction alone would also read Unicode digits, "_" separators and exponents.
+        if not re.fullmatch(r"\s*[+-]?(?:\d+(?:/0*[1-9]\d*)?|\d*\.\d+|\d+\.)\s*", value, re.ASCII):
+            hint = " (exponent notation is not accepted)" if "e" in value.lower() else ""
+            raise ValidationError(f"not a rational number: {value!r}{hint}")
+        return Fraction(value)
     raise ValidationError(f"cannot interpret {value!r} as an exact scalar")
 
 
@@ -809,8 +809,8 @@ class RingMatrix:
     # -- characteristic polynomial -------------------------------------------
 
     def char_poly(self) -> UniPoly:
-        """det(eta*I - M) by the division-free trace recursion (Faddeev-LeVerrier);
-        valid over any coefficient ring of the tower below ``eta``."""
+        """det(eta*I - M) through the shared determinant kernel, ``eta``
+        outermost; valid over any coefficient ring of the tower below ``eta``."""
         if not self.is_square:
             raise ValidationError("characteristic polynomial requires a square matrix")
         for row in self.entries:
@@ -820,15 +820,10 @@ class RingMatrix:
                     raise ValidationError(
                         f"matrix entries must live below the spectral variable, found {sorted(bad)}"
                     )
-        n = self.rows
-        ident = RingMatrix.identity(n)
-        mk = self
-        cs = [-(mk.trace())]
-        for k in range(2, n + 1):
-            mk = self * (mk + ident.scale(cs[-1]))
-            cs.append(mk.trace() * Fraction(-1, k))
-        coeffs = list(reversed(cs)) + [Fraction(1)]
-        return UniPoly("eta", coeffs)
+        return _det([
+            [UniPoly("eta", [-e, 1]) if i == j else -e for j, e in enumerate(row)]
+            for i, row in enumerate(self.entries)
+        ])
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)

@@ -432,6 +432,13 @@ def test_exponent_notation_exits_one_with_field_path(capsys, monkeypatch):
     assert err.startswith("error: a2: not a rational number: '1e400'")
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff11\uff12"])
+def test_non_ascii_digits_and_underscores_exit_one_with_field_path(text, capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["base", "map-so6"], {"a2": text, "a3": "0", "a4": "0"}, monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: a2: not a rational number: {text!r}")
+
+
 def test_plain_decimals_and_ratios_are_read_exactly(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["base", "map-so6"], {"a2": "0.5", "a3": "-3/4", "a4": 2}, monkeypatch)
     doc = json.loads(out)

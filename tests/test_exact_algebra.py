@@ -113,6 +113,20 @@ def test_as_fraction_reads_ratios_integers_and_plain_decimals(text, value):
     assert as_fraction(text) == value
 
 
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "\uff11\uff12", "1/2_0", "0.2_5", "\u00a03", "1 / 2", "1/0", ""])
+def test_as_fraction_accepts_only_ascii_ratios_and_decimals(text):
+    with pytest.raises(ValidationError, match="not a rational number"):
+        as_fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [(" 3/4 ", Fraction(3, 4)), ("+2", Fraction(2)), ("\t-7\n", Fraction(-7)), (".5", Fraction(1, 2)), ("5.", Fraction(5))],
+)
+def test_as_fraction_keeps_signs_short_decimals_and_surrounding_whitespace(text, value):
+    assert as_fraction(text) == value
+
+
 def test_zero_polynomial_normalizes():
     p = UniPoly("z", [0, 0, 0])
     assert p.is_zero and p.degree == -1
@@ -269,6 +283,42 @@ def test_char_poly_of_polynomial_block():
 def test_char_poly_rejects_spectral_variable_entries():
     with pytest.raises(ValidationError):
         char_poly(RingMatrix([[ETA, 0], [0, ETA]]))
+
+
+def test_char_poly_rejects_entries_above_the_spectral_variable():
+    with pytest.raises(ValidationError, match=r"\['v'\]"):
+        char_poly(RingMatrix([[UniPoly.variable("v"), 0], [0, 1]]))
+
+
+def test_char_poly_of_1x1():
+    assert char_poly(RingMatrix([[Fraction(-3, 2)]])) == ETA + Fraction(3, 2)
+    assert char_poly(RingMatrix([[Z * Z]])) == ETA - Z * Z
+
+
+def square_matrices(entries, max_size):
+    return st.integers(1, max_size).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+def assert_char_poly_is_det_of_eta_minus(rows):
+    m = RingMatrix(rows)
+    shifted = RingMatrix([[ETA - e if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(m.entries)])
+    p = char_poly(m)
+    assert isinstance(p, UniPoly) and p.var == "eta" and p.degree == m.rows and p.lead == 1
+    assert p == naive_det(shifted)
+
+
+@given(square_matrices(st.one_of(st.just(Fraction(0)), rationals), 4))
+@settings(max_examples=40, deadline=None)
+def test_char_poly_matches_permutation_expansion(rows):
+    assert_char_poly_is_det_of_eta_minus(rows)
+
+
+@given(square_matrices(st.one_of(st.just(Fraction(0)), tower(["z"])), 3))
+@settings(max_examples=40, deadline=None)
+def test_char_poly_matches_permutation_expansion_over_polynomials(rows):
+    assert_char_poly_is_det_of_eta_minus(rows)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
