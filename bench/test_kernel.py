@@ -1,4 +1,5 @@
-"""Kernel timings for ``isolab.exact_algebra``, run with pytest-benchmark.
+"""Timings of the ``isolab.exact_algebra`` kernel and of the oracle layer,
+run with pytest-benchmark.
 
 From the root of a source checkout (pytest-benchmark is the ``bench``
 extra in ``pyproject.toml``):
@@ -13,17 +14,26 @@ fails instead of timing well:
 * the characteristic polynomial of ``d_iso3(A)`` is the pairwise-sum
   sextic of the quartic of ``A`` (the ``so6`` base map);
 * Res_x(P(x), P(eta - x)) = 16 P(eta/2) S(eta)^2, with S that sextic;
-* Pf(q6 * d_iso3(A)) = -det(alpha(A)) for symmetric traceless ``A``.
+* Pf(q6 * d_iso3(A)) = -det(alpha(A)) for symmetric traceless ``A``;
+* ``so6_oracle`` gives the sextic of ``so6_base``, on the coefficient
+  heights of the benchmark's ``oracle-high`` workload
+  (``perfbench/workloads.py``).
 """
 
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from isolab.exact_algebra import RingMatrix, UniPoly, char_poly, pfaffian, resultant
 from isolab.lie_isogeny import alpha_block, d_iso3, q6
-from isolab.spectral_base import sextic_of_quartic
+from isolab.spectral_base import BaseSL4, sextic_of_quartic, so6_base, so6_oracle
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
+from workloads import height_triple  # noqa: E402
 
 ETA = UniPoly.variable("eta")
 
@@ -88,3 +98,11 @@ def test_pfaffian_6x6(benchmark):
     matrix = q6().gram * d_iso3(sym)
     pf = benchmark(pfaffian, matrix)
     assert pf == -alpha_block(sym).det()
+
+
+@pytest.mark.parametrize("degree", [0, 3, 6])
+def test_so6_oracle(benchmark, degree):
+    sections = height_triple(random.Random(f"so6_oracle:{degree}"), degree)
+    base = BaseSL4(*(UniPoly("z", coeffs) for coeffs in sections))
+    sextic = benchmark(so6_oracle, base)
+    assert sextic == so6_base(base).sextic()

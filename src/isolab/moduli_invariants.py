@@ -41,7 +41,20 @@ __all__ = [
     "preimage_count",
     "assemble_so22",
     "component_census",
+    "MAX_GENUS",
+    "check_genus",
 ]
+
+#: Largest genus the invariant calculus accepts: 2^(4g) then has at most 78
+#: decimal digits and a so22 census at most (4g - 3)^2 = 64,009 labels.
+MAX_GENUS = 64
+
+
+def check_genus(g) -> int:
+    """``g`` itself when it is an integer with 2 <= g <= MAX_GENUS."""
+    if isinstance(g, bool) or not isinstance(g, int) or not 2 <= g <= MAX_GENUS:
+        raise ValidationError(f"genus must be an integer between 2 and {MAX_GENUS}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -53,8 +66,7 @@ class ToledoPair:
     g: int
 
     def __post_init__(self):
-        if self.g < 2:
-            raise ValidationError("genus must be at least 2")
+        check_genus(self.g)
 
 
 @dataclass(frozen=True)
@@ -160,8 +172,7 @@ class PreimageCount:
 
 def preimage_count(which: str, g: int) -> PreimageCount:
     """Stated and enumerated preimage counts; enumeration runs for g <= 3."""
-    if g < 2:
-        raise ValidationError("genus must be at least 2")
+    check_genus(g)
     torsion_order = 2 ** (2 * g)
     enumerable = g <= 3
     if which == "rank3":
@@ -309,8 +320,7 @@ def component_census(which: str, g: int) -> Tuple[CensusSO33, ...]:
     equal-pair labels but is counted separately).  For the 4-dimensional
     form the labels are the degree pairs within the bound and the image is
     the parity-matched sublattice."""
-    if g < 2:
-        raise ValidationError("genus must be at least 2")
+    check_genus(g)
     if which == "so33":
         labels = tuple(itertools.product((0, 1), repeat=2))
         image = tuple(l for l in labels if l[0] == l[1])

@@ -1,5 +1,6 @@
 """Hitchin-base types, the induced base maps of the two isogenies, and the
-independent resultant oracles that certify them.
+independent oracles that certify them: a resultant for the rank-2 quartic,
+power sums of the pairwise root sums for the rank-3 sextic.
 
 The base curve is modeled on a single affine chart with coordinate ``z``;
 sections of powers of the canonical bundle are plain polynomials in ``z``.
@@ -13,25 +14,24 @@ Spectral curves are monic polynomials in the fiber variable ``eta``:
 The sign of the stored Pfaffian ``pf`` is an explicit parameter; it never
 affects the curve itself.  The constant term of the sextic is ``-pf^2``
 under this library's wedge-form convention (determinant -1); the quartic's
-is ``+pf^2`` (determinant +1).  Both are certified against the resultant
-oracles below rather than posited.
+is ``+pf^2`` (determinant +1).  Both are certified against the oracles
+below rather than posited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import List, Optional, Tuple, Union
 
 from .exact_algebra import (
-    InternalError,
     UniPoly,
     ValidationError,
     as_fraction,
     discriminant,
     exact_div,
     poly_gcd,
-    poly_sqrt,
     resultant,
     ring_is_zero,
     squarefree_part,
@@ -193,34 +193,26 @@ def so6_base(b: BaseSL4, sign: int = 1) -> BaseSO6:
 
 
 def so6_oracle(b: BaseSL4) -> UniPoly:
-    """Independent sextic whose roots are the pairwise sums of the quartic's
-    roots: R(eta) = Res_x(P(x), P(eta - x)) collects all ordered sums, the
-    exact division by 16 P(eta/2) removes the equal-index factor (the trace
-    of the quartic is zero, so prod(eta - 2 lambda_a) = 16 P(eta/2)), and
-    the exact square root collapses the remaining double count."""
-    coeffs = [b.a4, b.a3, b.a2, Fraction(0), Fraction(1)]
-    px = UniPoly("x", coeffs)
-    shift = UniPoly("x", [UniPoly.variable("eta"), Fraction(-1)])  # eta - x
-    shifted = _compose(coeffs, shift)
-    try:
-        big = resultant(px, shifted, var="x")
-        if not isinstance(big, UniPoly) or big.var != "eta":
-            big = UniPoly("eta", [big])
-        half_eta = UniPoly("eta", [Fraction(0), Fraction(1, 2)])
-        denom = 16 * _compose(coeffs, half_eta)
-        quotient = exact_div(big, denom)
-        sextic = poly_sqrt(quotient)
-    except ValidationError as exc:
-        raise InternalError(f"pairwise-sum oracle failed: {exc}") from exc
-    return sextic
+    """Independent sextic whose roots are the pairwise sums lambda_a + lambda_b
+    (a < b) of the roots of P = eta^4 + a2 eta^2 + a3 eta + a4: the naive
+    composed sum of Bostan, Flajolet, Salvy and Schost (2006), which never
+    uses the closed form of ``so6_base``.
 
-
-def _compose(coeffs, value):
-    """Evaluate the polynomial with the given coefficient list at ``value``."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * value + c
-    return acc
+    Newton's identities k c_k + sum_(i<k) c_i p_(k-i) = 0 give the power sums
+    p_k of the roots of P.  The power sums of the pairwise sums are
+    S_k = (sum_j C(k, j) p_j p_(k-j) - 2^k p_k) / 2: all ordered pairs,
+    minus the equal-index terms, halved.  The same identities, solved for
+    c_k, rebuild the monic sextic from S_1..S_6."""
+    c = [1, Fraction(0), b.a2, b.a3, b.a4, Fraction(0), Fraction(0)]  # c[k]: eta^(4-k) in P
+    p = [4]
+    for k in range(1, 7):
+        p.append(-sum((c[i] * p[k - i] for i in range(1, k)), k * c[k]))
+    s = [(sum(comb(k, j) * p[j] * p[k - j] for j in range(k + 1)) - 2**k * p[k]) * Fraction(1, 2)
+         for k in range(7)]
+    sextic = [1]  # leading coefficient first
+    for k in range(1, 7):
+        sextic.append(sum((sextic[i] * s[k - i] for i in range(k)), Fraction(0)) * Fraction(-1, k))
+    return UniPoly("eta", sextic[::-1])
 
 
 def quartic_of_char_pair(p1: UniPoly, p2: UniPoly) -> UniPoly:

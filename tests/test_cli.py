@@ -451,3 +451,41 @@ def test_fiber_label_with_surrounding_whitespace_exits_one(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["divisor", "push"], doc, monkeypatch)
     assert code == 1 and out == ""
     assert err.startswith("error: fiber: fiber point labels may not begin or end with whitespace")
+
+
+@pytest.mark.parametrize(
+    "argv,doc,field",
+    [
+        (["invariants", "count"], {"isogeny": "rank2", "g": "1_0"}, "g"),
+        (["invariants", "count"], {"isogeny": "rank2", "g": "\u0663"}, "g"),
+        (["invariants", "count"], {"isogeny": "rank2", "g": "10"}, "g"),
+        (["invariants", "map"], {"d1": "2", "d2": 1, "g": 2}, "d1"),
+        (["higgs", "assemble-so22"], {"n1_degree": 1, "n2_degree": "1_0"}, "n2_degree"),
+    ],
+    ids=["g-underscore", "g-arabic-indic-digit", "g-numeric-string", "d1-numeric-string",
+         "degree-underscore"],
+)
+def test_integer_fields_must_be_json_integers(capsys, monkeypatch, argv, doc, field):
+    code, out, err = run_cli(capsys, argv, doc, monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["invariants", "count"], {"isogeny": "rank2", "g": 4000}),
+        (["invariants", "census"], {"group": "so22", "g": 65}),
+        (["invariants", "map"], {"d1": 0, "d2": 0, "g": 65}),
+    ],
+    ids=["count-g-4000", "census-above-budget", "map-above-budget"],
+)
+def test_genus_above_the_budget_exits_one_with_field_path(capsys, monkeypatch, argv, doc):
+    code, out, err = run_cli(capsys, argv, doc, monkeypatch)
+    assert code == 1 and out == ""
+    assert err == "error: g: genus must be an integer between 2 and 64\n"
+
+
+def test_genus_budget_is_inclusive(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, ["invariants", "count"], {"isogeny": "rank2", "g": 64}, monkeypatch)
+    assert code == 0 and json.loads(out)["stated"] == 2**129

@@ -4,6 +4,7 @@ import pytest
 
 from isolab.exact_algebra import RingMatrix, UniPoly, ValidationError
 from isolab.moduli_invariants import (
+    MAX_GENUS,
     ToledoPair,
     TorsionVector,
     W2Label,
@@ -101,6 +102,17 @@ def test_preimage_count_rank2_reports_discrepancy():
     assert report.enumerated == 256
     assert report.discrepancy
     assert "32" in report.note and "16" in report.note and "256" in report.note
+
+
+@pytest.mark.parametrize("g", [1, MAX_GENUS + 1, 4000, True, 2.0, "3"])
+def test_genus_outside_the_budget_is_refused(g):
+    for make in (
+        lambda: preimage_count("rank2", g),
+        lambda: component_census("so22", g),
+        lambda: ToledoPair(0, 0, g),
+    ):
+        with pytest.raises(ValidationError, match="genus must be an integer between 2 and 64"):
+            make()
 
 
 def test_component_census_so33():

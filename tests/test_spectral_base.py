@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from isolab.exact_algebra import InternalError, RingMatrix, UniPoly, ValidationError
+from isolab.exact_algebra import UniPoly, ValidationError, exact_div, poly_sqrt, resultant
 from isolab.lie_isogeny import d_iso3
 from isolab.spectral_base import (
     BaseSL2Pair,
@@ -55,6 +57,33 @@ def test_so6_base_fixed_instances():
 def test_so6_oracle_fixed_instances():
     assert so6_oracle(BaseSL4(-5, 0, 4)) == ETA**6 - 10 * ETA**4 + 9 * ETA**2
     assert so6_oracle(BaseSL4(0, 1, 0)) == ETA**6 - 1
+
+
+#: Sections of degree <= 2: the empty list is the zero section, a single
+#: coefficient a constant one.
+sections = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=3).map(
+    lambda cs: UniPoly("z", cs)
+)
+
+
+@given(sections, sections, sections)
+@example(Z, UniPoly("z"), Z - 1)  # a3 = 0
+@example(Z + 1, Z * Z, UniPoly("z"))  # a4 = 0
+@example(UniPoly("z", [-5]), UniPoly("z", [2]), UniPoly("z", [4]))  # constant sections
+@settings(max_examples=20, deadline=None)
+def test_so6_oracle_is_the_square_root_of_the_pairwise_resultant(a2, a3, a4):
+    """Elimination, kept here as a reference for the power-sum oracle:
+    Res_x(P(x), P(eta - x)) has as roots all ordered sums lambda_a + lambda_b,
+    so it equals 16 P(eta/2) (the equal-index sums 2 lambda_a) times the
+    square of the pairwise-sum sextic."""
+    base = BaseSL4(a2, a3, a4)
+    coeffs = [a4, a3, a2, Fraction(0), Fraction(1)]
+    shifted = sum((c * UniPoly("x", [ETA, -1]) ** k for k, c in enumerate(coeffs)), Fraction(0))
+    ordered_sums = resultant(UniPoly("x", coeffs), shifted, var="x")
+    equal_index = 16 * sum((c * (ETA * Fraction(1, 2)) ** k for k, c in enumerate(coeffs)), Fraction(0))
+    sextic = so6_oracle(base)
+    assert ordered_sums == equal_index * sextic * sextic
+    assert poly_sqrt(exact_div(ordered_sums, equal_index)) == sextic
 
 
 def test_so6_base_matches_oracle_on_random_sections(rng_factory):

@@ -7,6 +7,11 @@ each identity is checked once, by the criterion named below.  Each case
 swaps one builder, in ``isolab.verify``'s namespace, for a variant that
 breaks exactly one identity, and asserts that the covering criterion
 reports FAIL at that identity.
+
+The rank-3 base map ``so6_base`` is swapped in ``isolab.spectral_base``
+as well, where its oracle lives: an oracle that derived its sextic from
+the base map would then agree with the wrong map, and criterion 2 would
+pass.
 """
 
 import random
@@ -14,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from isolab import verify
+from isolab import spectral_base, verify
 from isolab.exact_algebra import RingMatrix, UniPoly
 
 IDENTITY4 = RingMatrix.identity(4)
@@ -106,6 +111,26 @@ CASES = {
         _higgs(q1=lambda h: h.q2, q2=lambda h: h.q1),
         "reordered form shape",
     ),
+    "so6 b2 off by a4": (
+        2, "so6_base",
+        lambda m, b, *_: replace(m, b2=m.b2 + b.a4),
+        "fixed instance (-5, 0, 4) failed",
+    ),
+    "so6 b2 = a2^2 + 4 a4": (
+        2, "so6_base",
+        lambda m, b, *_: replace(m, b2=b.a2 * b.a2 + 4 * b.a4),
+        "fixed instance (-5, 0, 4) failed",
+    ),
+    "so6 b1 = a2": (
+        2, "so6_base",
+        lambda m, b, *_: replace(m, b1=b.a2),
+        "fixed instance (-5, 0, 4) failed",
+    ),
+    "so6 b2 off by a2 a3": (  # zero on both fixed instances: only the oracle sees it
+        2, "so6_base",
+        lambda m, b, *_: replace(m, b2=m.b2 + b.a2 * b.a3),
+        "sample 0 sign 1 mismatch",
+    ),
 }
 
 
@@ -121,7 +146,10 @@ def test_wrong_builder_fails_its_criterion(case, monkeypatch):
     assert check(random.Random(case), 2).passed
 
     real = getattr(verify, builder)
-    monkeypatch.setattr(verify, builder, lambda *a, **kw: edit(real(*a, **kw), *a))
+    wrong = lambda *a, **kw: edit(real(*a, **kw), *a)
+    for module in (verify, spectral_base):
+        if getattr(module, builder, None) is real:
+            monkeypatch.setattr(module, builder, wrong)
     result = check(random.Random(case), 2)
     assert not result.passed
     assert result.detail == detail
