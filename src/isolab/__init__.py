@@ -7,7 +7,7 @@ Subpackages by concern:
 * ``lie_isogeny``: the two isogenies and their derivatives, invariant
   forms, split-basis blocks, star-operator decomposition.
 * ``spectral_base``: induced Hitchin-base maps and their elimination
-  oracles, branch loci, smoothness reports.
+  oracles, smoothness reports.
 * ``covers_prym``: fiberwise spectral-cover combinatorics, divisors,
   norm maps, the 4-fold-to-6-fold correspondence.
 * ``moduli_invariants``: degree labels, bounds, lifting criteria,

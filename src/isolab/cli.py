@@ -80,9 +80,10 @@ def _load_document(args) -> _Input:
         except OSError as exc:
             raise ValidationError(f"cannot read input file: {exc}") from exc
     try:
-        return _Input(json.loads(text))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except ValueError as exc:  # also an integer literal beyond the int() digit limit
         raise ValidationError(f"input is not valid JSON: {exc}") from exc
+    return _Input(doc)
 
 
 # -- field readers (each reads its fields in the order given) -----------------

@@ -36,7 +36,6 @@ __all__ = [
     "poly_sqrt",
     "squarefree_part",
     "resultant",
-    "discriminant",
     "char_poly",
     "pfaffian",
     "kronecker",
@@ -77,7 +76,10 @@ def as_fraction(value) -> Fraction:
         if not re.fullmatch(r"\s*[+-]?(?:\d+(?:/0*[1-9]\d*)?|\d*\.\d+|\d+\.)\s*", value, re.ASCII):
             hint = " (exponent notation is not accepted)" if "e" in value.lower() else ""
             raise ValidationError(f"not a rational number: {value!r}{hint}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError as exc:  # more digits than int() converts
+            raise ValidationError(f"rational number too long ({len(value.strip())} characters)") from exc
     raise ValidationError(f"cannot interpret {value!r} as an exact scalar")
 
 
@@ -391,12 +393,6 @@ def _as_poly_pair(f, g):
     return f, g
 
 
-def ring_sqrt(elem):
-    if isinstance(elem, UniPoly):
-        return poly_sqrt(elem)
-    return fraction_sqrt(elem)
-
-
 def poly_sqrt(p: UniPoly) -> UniPoly:
     """Exact polynomial square root; error if the input is not a perfect square."""
     if not isinstance(p, UniPoly):
@@ -406,7 +402,7 @@ def poly_sqrt(p: UniPoly) -> UniPoly:
     if p.degree % 2 == 1:
         raise ValidationError("odd-degree polynomial is not a perfect square")
     m = p.degree // 2
-    top = ring_sqrt(p.lead)
+    top = poly_sqrt(p.lead)
     q = [Fraction(0)] * (m + 1)
     q[m] = top
     for k in range(m - 1, -1, -1):
@@ -627,10 +623,6 @@ class RingMatrix:
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RingMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
-    @classmethod
     def diagonal(cls, values: Sequence) -> "RingMatrix":
         n = len(values)
         return cls([[values[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
@@ -646,21 +638,12 @@ class RingMatrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int):
-        return self.entries[i]
-
-    def column(self, j: int):
-        return tuple(r[j] for r in self.entries)
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RingMatrix":
-        return RingMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
-
     def block(self, r0: int, c0: int, height: int, width: int) -> "RingMatrix":
-        return self.submatrix(range(r0, r0 + height), range(c0, c0 + width))
+        return RingMatrix([[self.entries[i][j] for j in range(c0, c0 + width)] for i in range(r0, r0 + height)])
 
     def map_entries(self, fn) -> "RingMatrix":
         return RingMatrix([[fn(e) for e in row] for row in self.entries])
@@ -753,19 +736,11 @@ class RingMatrix:
         if not self.is_square:
             raise ValidationError("inverse requires a square matrix")
         n = self.rows
-        work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                raise ValidationError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = Fraction(1) / work[col][col]
-            work[col] = [e * inv for e in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return RingMatrix([row[n:] for row in work])
+        ident = RingMatrix.identity(n).entries
+        reduced, pivots = RingMatrix([row + ident[i] for i, row in enumerate(self.entries)]).rref()
+        if pivots != tuple(range(n)):
+            raise ValidationError("matrix is singular")
+        return reduced.block(0, n, n, n)
 
     def rref(self):
         """Reduced row echelon form and pivot columns (rational entries)."""
@@ -802,9 +777,6 @@ class RingMatrix:
                 vec[pc] = -reduced.entries[r][fc]
             basis.append(tuple(vec))
         return basis
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     # -- characteristic polynomial -------------------------------------------
 
@@ -922,15 +894,3 @@ def resultant(f: UniPoly, g: UniPoly, var: str = None):
         return g.coeffs[0] ** m
     return _det(_sylvester(f, g))
 
-
-def discriminant(f: UniPoly):
-    """(-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
-    if not isinstance(f, UniPoly) or f.degree < 1:
-        raise ValidationError("discriminant requires a non-constant polynomial")
-    n = f.degree
-    deriv = f.derivative()
-    if deriv.is_zero:
-        raise ValidationError("polynomial derivative vanished unexpectedly")
-    res = resultant(f, deriv)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * exact_div(res, f.lead)

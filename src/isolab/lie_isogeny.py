@@ -33,7 +33,6 @@ from .exact_algebra import (
 
 __all__ = [
     "QuadraticForm",
-    "LieElement",
     "HodgeSplit",
     "HiggsBlockField",
     "OMEGA",
@@ -68,51 +67,6 @@ class QuadraticForm:
             raise ValidationError("quadratic form requires a symmetric Gram matrix")
         if ring_is_zero(self.gram.det()):
             raise ValidationError("quadratic form must be non-degenerate")
-
-
-@dataclass(frozen=True)
-class LieElement:
-    """Matrices tagged with the algebra they are asserted to lie in.
-
-    ``sl2xsl2`` elements are pairs of traceless 2x2 matrices; every other
-    tag carries a single matrix (traceless for ``sl4``, skew with respect
-    to the module's fixed form for ``so4``/``so6``)."""
-
-    matrices: Tuple[RingMatrix, ...]
-    algebra_tag: str  # sl2xsl2 | sl4 | so4 | so6
-
-    def __post_init__(self):
-        tag = self.algebra_tag
-        mats = tuple(self.matrices) if isinstance(self.matrices, (tuple, list)) else (self.matrices,)
-        object.__setattr__(self, "matrices", mats)
-        if tag == "sl2xsl2":
-            if len(mats) != 2:
-                raise ValidationError("sl2xsl2 elements are pairs of matrices")
-            for m in mats:
-                if (m.rows, m.cols) != (2, 2) or not ring_is_zero(m.trace()):
-                    raise ValidationError("sl2xsl2 factors are traceless 2x2 matrices")
-            return
-        if len(mats) != 1:
-            raise ValidationError(f"{tag} elements carry a single matrix")
-        m = mats[0]
-        if tag == "sl4":
-            if (m.rows, m.cols) != (4, 4) or not ring_is_zero(m.trace()):
-                raise ValidationError("sl4 elements are traceless 4x4 matrices")
-        elif tag in ("so4", "so6"):
-            n = 4 if tag == "so4" else 6
-            if (m.rows, m.cols) != (n, n):
-                raise ValidationError(f"{tag} elements are {n}x{n}")
-            q = q4().gram if tag == "so4" else q6().gram
-            if not (m.transpose() * q + q * m).is_zero():
-                raise ValidationError(f"{tag} elements must be skew with respect to the fixed form")
-        else:
-            raise ValidationError(f"unknown algebra tag {tag!r}")
-
-    @property
-    def matrix(self) -> RingMatrix:
-        if len(self.matrices) != 1:
-            raise ValidationError("this element is a pair; use .matrices")
-        return self.matrices[0]
 
 
 _Q4 = QuadraticForm(kronecker(OMEGA, OMEGA))

@@ -165,8 +165,7 @@ def divisor_from_json(data: Any, kind: str) -> Divisor:
     weights = {}
     for text, w in data.items():
         key = key_from_string(str(text), kind)
-        try:
-            weights[key] = int(w)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"divisor weight for {text!r} must be an integer") from exc
+        if isinstance(w, bool) or not isinstance(w, int):
+            raise ValidationError(f"divisor weight for {text!r} must be an integer")
+        weights[key] = w
     return Divisor(weights)

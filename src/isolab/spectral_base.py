@@ -23,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .exact_algebra import (
     UniPoly,
     ValidationError,
     as_fraction,
-    discriminant,
     exact_div,
     poly_gcd,
     resultant,
@@ -44,7 +43,6 @@ __all__ = [
     "BaseSL4",
     "BaseSO4",
     "BaseSO6",
-    "BranchLocusReport",
     "GenericityReport",
     "as_section",
     "so4_base",
@@ -53,7 +51,6 @@ __all__ = [
     "so6_oracle",
     "quartic_of_char_pair",
     "sextic_of_quartic",
-    "branch_locus",
     "genericity_report",
 ]
 
@@ -80,10 +77,6 @@ class BaseSL2Pair:
     def __post_init__(self):
         object.__setattr__(self, "a1", as_section(self.a1))
         object.__setattr__(self, "a2", as_section(self.a2))
-
-    def curves(self) -> Tuple[UniPoly, UniPoly]:
-        eta = UniPoly.variable("eta")
-        return (eta * eta + self.a1, eta * eta + self.a2)
 
 
 @dataclass(frozen=True)
@@ -237,49 +230,6 @@ def _extract_quartic(p: UniPoly) -> BaseSL4:
     if p.var != "eta" or p.degree != 4 or p.lead != 1 or not ring_is_zero(p.coeff(3)):
         raise ValidationError("expected a monic traceless quartic in eta")
     return BaseSL4(a2=p.coeff(2), a3=p.coeff(1), a4=p.coeff(0))
-
-
-@dataclass(frozen=True)
-class BranchLocusReport:
-    """Discriminant of the curve in the fiber variable, as a polynomial in z."""
-
-    disc: UniPoly
-    non_reduced: bool
-
-
-BaseLike = Union[UniPoly, BaseSL2Pair, BaseSL4, BaseSO4, BaseSO6]
-
-
-def branch_locus(base: BaseLike) -> BranchLocusReport:
-    """Discriminant (in eta) of the associated curve polynomial; its simple
-    zeros are the generic branch points.  A single section ``a`` stands for
-    the double cover eta^2 + a.  For a pair of double covers the result is
-    the product of the two discriminants.  An identically-zero discriminant
-    is flagged as a non-reduced curve."""
-    if isinstance(base, BaseSL2Pair):
-        d1, d2 = (discriminant(c) for c in base.curves())
-        poly = as_section(d1) * as_section(d2)
-    else:
-        if isinstance(base, UniPoly) and base.var != "eta":
-            eta = UniPoly.variable("eta")
-            curve = eta * eta + as_section(base)
-        elif isinstance(base, BaseSL4):
-            curve = base.curve()
-        elif isinstance(base, BaseSO4):
-            curve = base.quartic()
-        elif isinstance(base, BaseSO6):
-            curve = base.sextic()
-        else:
-            raise ValidationError(f"cannot take a branch locus of {base!r}")
-        if _fiber_poly_is_degenerate(curve):
-            return BranchLocusReport(UniPoly("z"), True)
-        poly = as_section(discriminant(curve))
-    return BranchLocusReport(poly, poly.is_zero)
-
-
-def _fiber_poly_is_degenerate(curve: UniPoly) -> bool:
-    # a curve polynomial that is a perfect power of eta has discriminant 0
-    return all(ring_is_zero(curve.coeff(k)) for k in range(curve.degree))
 
 
 @dataclass(frozen=True)

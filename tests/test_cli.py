@@ -489,3 +489,36 @@ def test_genus_above_the_budget_exits_one_with_field_path(capsys, monkeypatch, a
 def test_genus_budget_is_inclusive(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["invariants", "count"], {"isogeny": "rank2", "g": 64}, monkeypatch)
     assert code == 0 and json.loads(out)["stated"] == 2**129
+
+
+@pytest.mark.parametrize("weight", [float("inf"), 1.9, True, "3", "1_0", "\u0663"])
+def test_divisor_weights_must_be_json_integers(capsys, monkeypatch, weight):
+    doc = {"fiber": BRANCH_FIBER_JSON, "divisor": {"y1": weight}}
+    code, out, err = run_cli(capsys, ["divisor", "push"], doc, monkeypatch)
+    assert code == 1 and out == ""
+    assert err == "error: divisor: divisor weight for 'y1' must be an integer\n"
+
+
+def test_integer_literal_beyond_the_digit_limit_exits_one(capsys, monkeypatch):
+    import io
+    import sys
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"d1": ' + "7" * 5000 + ', "d2": 1, "g": 2}'))
+    code = main(["invariants", "map"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: input is not valid JSON: Exceeds the limit")
+
+
+def test_rational_beyond_the_digit_limit_exits_one_with_field_path(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["base", "map-so4"], {"a1": "7" * 5000, "a2": "0"}, monkeypatch)
+    assert code == 1 and out == ""
+    assert err == "error: a1: rational number too long (5000 characters)\n"
+
+
+def test_iso_hodge_polynomial_form_is_refused_by_the_inverse(capsys, monkeypatch):
+    z = ["0", "1"]
+    q = [["1", z, "0", "0"], [z, ["1", "0", "1"], "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    code, out, err = run_cli(capsys, ["iso", "hodge"], {"q": q}, monkeypatch)
+    assert code == 1 and out == ""
+    assert err == "error: matrix inversion requires rational entries\n"

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isolab.exact_algebra import (
@@ -11,7 +11,6 @@ from isolab.exact_algebra import (
     ValidationError,
     as_fraction,
     char_poly,
-    discriminant,
     exact_div,
     exterior_square,
     kronecker,
@@ -44,6 +43,12 @@ def x_poly(coeffs, min_degree, max_degree):
     lead = coeffs.filter(lambda c: c != 0)
     return st.tuples(st.lists(coeffs, min_size=min_degree, max_size=max_degree), lead).map(
         lambda t: UniPoly("x", t[0] + [t[1]])
+    )
+
+
+def square_matrices(entries, max_size):
+    return st.integers(1, max_size).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
     )
 
 
@@ -225,11 +230,6 @@ def test_resultant_rejects_zero_input():
         resultant(UniPoly("x"), UniPoly("x", [1, 1]))
 
 
-def test_discriminant_of_quadratic():
-    assert discriminant(ETA * ETA + Z) == -4 * Z
-    assert discriminant(UniPoly("z", [1, 2, 1])) == 0  # (z+1)^2
-
-
 # -- determinants --------------------------------------------------------------
 
 
@@ -266,6 +266,36 @@ def test_inverse_round_trip():
         RingMatrix([[1, 1], [1, 1]]).inverse()
 
 
+@given(square_matrices(rationals, 6))
+@settings(max_examples=40, deadline=None)
+def test_inverse_is_two_sided(rows):
+    m = RingMatrix(rows)
+    assume(m.det() != 0)
+    inv, ident = m.inverse(), RingMatrix.identity(m.rows)
+    assert m * inv == ident and inv * m == ident
+
+
+@given(square_matrices(rationals, 6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_rank_deficient_inverse_is_singular(rows, data):
+    n = len(rows)
+    k = data.draw(st.integers(0, n - 1))
+    weights = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    others = [(w, row) for i, (w, row) in enumerate(zip(weights, rows)) if i != k]
+    rows[k] = [sum((w * row[j] for w, row in others), Fraction(0)) for j in range(n)]
+    with pytest.raises(ValidationError, match="^matrix is singular$"):
+        RingMatrix(rows).inverse()
+
+
+def test_inverse_guards_in_order():
+    with pytest.raises(ValidationError, match="^matrix inversion requires rational entries$"):
+        RingMatrix([[Z, 0], [0, 1]]).inverse()
+    with pytest.raises(ValidationError, match="^matrix inversion requires rational entries$"):
+        RingMatrix([[Z, 0]]).inverse()
+    with pytest.raises(ValidationError, match="^inverse requires a square matrix$"):
+        RingMatrix([[1, 0]]).inverse()
+
+
 # -- characteristic polynomial ---------------------------------------------------
 
 
@@ -295,12 +325,6 @@ def test_char_poly_of_1x1():
     assert char_poly(RingMatrix([[Z * Z]])) == ETA - Z * Z
 
 
-def square_matrices(entries, max_size):
-    return st.integers(1, max_size).flatmap(
-        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
-    )
-
-
 def assert_char_poly_is_det_of_eta_minus(rows):
     m = RingMatrix(rows)
     shifted = RingMatrix([[ETA - e if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(m.entries)])
@@ -326,7 +350,7 @@ def test_cayley_hamilton(n, rng_factory):
     rng = rng_factory(n)
     m = RingMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)])
     p = char_poly(m)
-    acc = RingMatrix.zeros(n, n)
+    acc = RingMatrix([[0] * n] * n)
     power = RingMatrix.identity(n)
     for c in p.coeffs:
         acc = acc + power.scale(c)
@@ -340,7 +364,7 @@ def test_cayley_hamilton(n, rng_factory):
 def test_pfaffian_2x2_and_zero():
     c = Fraction(7, 3)
     assert pfaffian(RingMatrix([[0, c], [-c, 0]])) == c
-    assert pfaffian(RingMatrix.zeros(4, 4)) == 0
+    assert pfaffian(RingMatrix([[0] * 4] * 4)) == 0
 
 
 def test_pfaffian_4x4_closed_form():
@@ -367,7 +391,7 @@ def test_pfaffian_validation():
     with pytest.raises(ValidationError):
         pfaffian(RingMatrix.identity(4))
     with pytest.raises(ValidationError):
-        pfaffian(RingMatrix.zeros(3, 3))
+        pfaffian(RingMatrix([[0] * 3] * 3))
 
 
 # -- kronecker and exterior square -----------------------------------------------

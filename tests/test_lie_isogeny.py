@@ -9,7 +9,6 @@ from isolab.exact_algebra import (
     pfaffian,
 )
 from isolab.lie_isogeny import (
-    LieElement,
     QuadraticForm,
     alpha_block,
     build_block_higgs_so33,
@@ -81,32 +80,24 @@ def test_kernels_contain_nothing_else_diagonal():
 def test_derivative_diagonal_examples():
     x = d_iso2(RingMatrix.diagonal([1, -1]), RingMatrix.diagonal([2, -2]))
     assert x == RingMatrix.diagonal([3, -1, 1, -3])
-    assert d_iso2(RingMatrix.zeros(2, 2), RingMatrix.zeros(2, 2)).is_zero()
+    assert d_iso2(RingMatrix([[0, 0], [0, 0]]), RingMatrix([[0, 0], [0, 0]])).is_zero()
     y = d_iso3(RingMatrix.diagonal([1, -1, 2, -2]))
     assert y == RingMatrix.diagonal([0, 3, -1, 1, -3, 0])
-    assert d_iso3(RingMatrix.zeros(4, 4)).is_zero()
+    assert d_iso3(RingMatrix([[0] * 4] * 4)).is_zero()
 
 
 def test_derivatives_reject_trace():
     with pytest.raises(ValidationError):
-        d_iso2(RingMatrix.identity(2), RingMatrix.zeros(2, 2))
+        d_iso2(RingMatrix.identity(2), RingMatrix([[0, 0], [0, 0]]))
     with pytest.raises(ValidationError):
         d_iso3(RingMatrix.identity(4))
 
 
-def test_lie_element_tags(rng_factory):
-    rng = rng_factory("tags")
-    pair = LieElement((rand_traceless(rng, 2), rand_traceless(rng, 2)), "sl2xsl2")
-    image = d_iso2(*pair.matrices)
-    tagged = LieElement((image,), "so4")
-    assert tagged.matrix == image
-    LieElement((d_iso3(rand_traceless(rng, 4)),), "so6")
-    with pytest.raises(ValidationError):
-        LieElement((RingMatrix.identity(4),), "sl4")
-    with pytest.raises(ValidationError):
-        LieElement((RingMatrix.identity(4),), "so4")
-    with pytest.raises(ValidationError):
-        LieElement((rand_traceless(rng, 2),), "sl2xsl2")
+def test_identity_is_neither_traceless_nor_skew():
+    ident4 = RingMatrix.identity(4)
+    assert ident4.trace() != 0
+    for ident, gram in ((ident4, q4().gram), (RingMatrix.identity(6), q6().gram)):
+        assert not (ident.transpose() * gram + gram * ident).is_zero()
 
 
 def test_derivative_skewness_random(rng_factory):
@@ -142,7 +133,7 @@ def test_alpha_block_fixed_instances():
     assert alpha_block(RingMatrix.diagonal([1, 1, -1, -1])) == RingMatrix(
         [[0, 0, 2], [0, 0, 0], [0, 0, 0]]
     )
-    assert alpha_block(RingMatrix.zeros(4, 4)).is_zero()
+    assert alpha_block(RingMatrix([[0] * 4] * 4)).is_zero()
     with pytest.raises(ValidationError):
         alpha_block(RingMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
 

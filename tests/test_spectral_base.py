@@ -9,9 +9,7 @@ from isolab.lie_isogeny import d_iso3
 from isolab.spectral_base import (
     BaseSL2Pair,
     BaseSL4,
-    BaseSO4,
     BaseSO6,
-    branch_locus,
     genericity_report,
     so4_base,
     so4_oracle,
@@ -119,30 +117,6 @@ def test_companion_link_to_the_wedge_representation(rng_factory):
     for _ in range(5):
         comp, base = rand_companion_quartic(rng)
         assert d_iso3(comp).char_poly() == so6_oracle(base)
-
-
-def test_branch_locus_single_cover():
-    report = branch_locus(Z * Z - 1)
-    assert report.disc == -4 * (Z * Z - 1)
-    assert not report.non_reduced
-
-
-def test_branch_locus_pair_is_product_of_discriminants():
-    report = branch_locus(BaseSL2Pair(Z, Z - 1))
-    assert report.disc == 16 * Z * (Z - 1)
-    assert not report.non_reduced
-
-
-def test_branch_locus_flags_non_reduced():
-    report = branch_locus(BaseSL4(0, 0, 0))
-    assert report.non_reduced and report.disc.is_zero
-
-
-def test_branch_locus_orthogonal_curves():
-    q = branch_locus(BaseSO4(b1=Z, pf=1))
-    assert not q.non_reduced
-    s = branch_locus(BaseSO6(b1=Z, b2=0, pf=1))
-    assert not s.non_reduced
 
 
 def test_genericity_generic_instance():
