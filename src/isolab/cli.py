@@ -79,9 +79,11 @@ def _load_document(args) -> _Input:
                 text = handle.read()
         except OSError as exc:
             raise ValidationError(f"cannot read input file: {exc}") from exc
+    # ValueError also covers an integer literal beyond the int() digit limit;
+    # RecursionError is nesting deeper than the decoder's recursion allows
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # also an integer literal beyond the int() digit limit
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"input is not valid JSON: {exc}") from exc
     return _Input(doc)
 

@@ -127,13 +127,18 @@ class FiberModel:
 @dataclass(frozen=True)
 class PairFiber:
     """A fiber of a product of covers: ordered label pairs with total
-    covering multiplicities over the base point."""
+    covering multiplicities over the base point.  ``factors`` are the two
+    fibers multiplied; a self-product stores ``(f, f)``."""
 
     base_label: str
     points: Tuple[Tuple[PairKey, int], ...]
-    diagonal_removed: bool
-    factors: Optional[Tuple[FiberModel, FiberModel]] = None
-    source: Optional[FiberModel] = None
+    factors: Tuple[FiberModel, FiberModel]
+
+    @property
+    def diagonal_removed(self) -> bool:
+        """Self-products are built without their diagonal component; two
+        distinct covers have no diagonal to remove."""
+        return self.factors[0] == self.factors[1]
 
     @property
     def degree(self) -> int:
@@ -151,7 +156,7 @@ class PairFiber:
 
     def product_involution(self) -> Dict[PairKey, PairKey]:
         """The pair (sheet swap, sheet swap) on a product of two double covers."""
-        if self.factors is None:
+        if self.diagonal_removed:
             raise ValidationError("the product involution lives on two-factor products")
         s1 = self.factors[0].sheet_involution()
         s2 = self.factors[1].sheet_involution()
@@ -162,15 +167,8 @@ class PairFiber:
         point: the total multiplicity divided by the target point's."""
         if which not in (1, 2):
             raise ValidationError("projection index must be 1 or 2")
-        if self.source is not None:
-            target = self.source
-        elif self.factors is not None:
-            target = self.factors[which - 1]
-        else:
-            raise InternalError("product fiber lost its construction data")
-        label = key[which - 1]
         total = self.multiplicity(key)
-        down = target.multiplicity(label)
+        down = self.factors[which - 1].multiplicity(key[which - 1])
         if total % down != 0:
             raise InternalError("inconsistent multiplicities in the product fiber")
         return total // down
@@ -194,7 +192,7 @@ class SymFiber:
     base_label: str
     points: Tuple[Tuple[PairKey, int], ...]
     sigma_pairs: Tuple[Tuple[PairKey, PairKey], ...]
-    source: Optional[PairFiber] = None
+    source: PairFiber
 
     @property
     def degree(self) -> int:
@@ -219,8 +217,6 @@ class SymFiber:
     def quotient_multiplicity(self, key: PairKey) -> int:
         """Multiplicity of the quotient map from the self-product at a point
         upstairs: pair multiplicity divided by the symmetrized one."""
-        if self.source is None:
-            raise InternalError("symmetrized fiber lost its source")
         up = self.source.multiplicity(key if key in self.source.keys else (key[1], key[0]))
         down = self.multiplicity(tuple(sorted(key)))
         if up % down != 0:
@@ -229,8 +225,6 @@ class SymFiber:
 
     def quotient_ramification(self) -> "Divisor":
         """Ramification divisor of the quotient map, on the self-product."""
-        if self.source is None:
-            raise InternalError("symmetrized fiber lost its source")
         weights: Dict[Key, int] = {}
         for key, _ in self.source.points:
             e = self.quotient_multiplicity(key)
@@ -240,8 +234,6 @@ class SymFiber:
 
     def quotient_pullback(self, divisor: "Divisor") -> "Divisor":
         """Pull a divisor on the symmetrized fiber back to the self-product."""
-        if self.source is None:
-            raise InternalError("symmetrized fiber lost its source")
         weights: Dict[Key, int] = {}
         for key, _ in self.source.points:
             w = divisor.get(tuple(sorted(key)))
@@ -330,7 +322,7 @@ def fiber_product(f1: FiberModel, f2: FiberModel) -> PairFiber:
     for l1, m1 in f1.points:
         for l2, m2 in f2.points:
             points.append(((l1, l2), m1 * m2))
-    return PairFiber(f1.base_label, tuple(points), False, factors=(f1, f2))
+    return PairFiber(f1.base_label, tuple(points), (f1, f2))
 
 
 def self_product_minus_diagonal(f: FiberModel) -> PairFiber:
@@ -343,7 +335,7 @@ def self_product_minus_diagonal(f: FiberModel) -> PairFiber:
         raise ValidationError("self product expects a degree-4 fiber")
     if f.kind == REGULAR:
         pts = [((a, b), 1) for a in f.labels for b in f.labels if a != b]
-        return PairFiber(f.base_label, tuple(pts), True, source=f)
+        return PairFiber(f.base_label, tuple(pts), (f, f))
     if f.kind != GENERIC_BRANCH or len(f.labels) != 3:
         raise ValidationError("non-generic fiber")
     y1, y2, y3 = f.labels
@@ -356,7 +348,7 @@ def self_product_minus_diagonal(f: FiberModel) -> PairFiber:
         ((y2, y3), 1),
         ((y3, y2), 1),
     ]
-    return PairFiber(f.base_label, tuple(pts), True, source=f)
+    return PairFiber(f.base_label, tuple(pts), (f, f))
 
 
 def symmetrize(pf: PairFiber) -> SymFiber:
@@ -372,8 +364,6 @@ def symmetrize(pf: PairFiber) -> SymFiber:
     """
     if not pf.diagonal_removed:
         raise ValidationError("symmetrization expects the diagonal component removed")
-    if pf.source is None:
-        raise ValidationError("symmetrization expects a self-product fiber")
     totals: Dict[PairKey, int] = {}
     for (a, b), m in pf.points:
         key = tuple(sorted((a, b)))
@@ -383,8 +373,8 @@ def symmetrize(pf: PairFiber) -> SymFiber:
         if totals[key] % 2 != 0:
             raise InternalError("swap orbit with odd total multiplicity")
         points.append((key, totals[key] // 2))
-    sigma = _sym_involution(pf.source, [k for k, _ in points])
-    return SymFiber(pf.base_label, tuple(points), tuple(sorted(sigma.items())), source=pf)
+    sigma = _sym_involution(pf.factors[0], [k for k, _ in points])
+    return SymFiber(pf.base_label, tuple(points), tuple(sorted(sigma.items())), pf)
 
 
 def _sym_involution(source: FiberModel, keys) -> Dict[PairKey, PairKey]:
@@ -479,7 +469,7 @@ def norm(divisor: Divisor, carrier, covering: str) -> Divisor:
             raise ValidationError("the sigma covering pushes down a symmetrized fiber")
         inv = carrier.sigma()
     elif covering == "sigma4":
-        if not isinstance(carrier, PairFiber) or carrier.factors is None:
+        if not isinstance(carrier, PairFiber) or carrier.diagonal_removed:
             raise ValidationError("the sigma4 covering pushes down a two-factor product fiber")
         inv = carrier.product_involution()
         for k, img in inv.items():

@@ -40,8 +40,6 @@ __all__ = [
     "pfaffian",
     "kronecker",
     "exterior_square",
-    "evaluate_var",
-    "partial_derivative",
 ]
 
 
@@ -279,14 +277,7 @@ class UniPoly:
 
     __hash__ = None
 
-    # -- calculus and substitution -------------------------------------------
-
-    def evaluate(self, value):
-        """Horner evaluation; ``value`` may be any ring element."""
-        result: Ring = Fraction(0)
-        for c in reversed(self.coeffs):
-            result = result * value + c
-        return result
+    # -- calculus -------------------------------------------------------------
 
     def derivative(self) -> "UniPoly":
         return UniPoly(self.var, [k * c for k, c in enumerate(self.coeffs)][1:])
@@ -415,28 +406,6 @@ def poly_sqrt(p: UniPoly) -> UniPoly:
     if root * root == p:
         return root
     raise ValidationError("polynomial is not a perfect square")
-
-
-def evaluate_var(elem, var: str, value):
-    """Substitute ``value`` for ``var`` anywhere in the coefficient tower."""
-    if not isinstance(elem, UniPoly):
-        return elem
-    if elem.var == var:
-        return elem.evaluate(value)
-    if VAR_ORDER[elem.var] < VAR_ORDER[var]:
-        return elem
-    return UniPoly(elem.var, [evaluate_var(c, var, value) for c in elem.coeffs])
-
-
-def partial_derivative(elem, var: str):
-    """Partial derivative with respect to one tower variable."""
-    if not isinstance(elem, UniPoly):
-        return Fraction(0)
-    if elem.var == var:
-        return elem.derivative()
-    if VAR_ORDER[elem.var] < VAR_ORDER[var]:
-        return Fraction(0)
-    return UniPoly(elem.var, [partial_derivative(c, var) for c in elem.coeffs])
 
 
 def _det_bareiss_int(rows):

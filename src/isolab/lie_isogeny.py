@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .exact_algebra import (
     RingMatrix,
@@ -43,7 +43,7 @@ __all__ = [
     "d_iso2",
     "d_iso3",
     "alpha_block",
-    "split_basis_matrix",
+    "SPLIT_BASIS",
     "to_split_basis",
     "build_block_higgs_so33",
     "hodge_split",
@@ -156,7 +156,7 @@ def d_iso3(adot: RingMatrix) -> RingMatrix:
 
 def alpha_block(adot: RingMatrix) -> RingMatrix:
     """The 3x3 block of the rank-3 derivative of a symmetric traceless
-    matrix, written in the fixed split basis (see ``split_basis_matrix``)."""
+    matrix, written in the fixed split basis (see ``SPLIT_BASIS``)."""
     _require_shape(adot, 4, "alpha block")
     _require_traceless(adot, "alpha block")
     if not adot.is_symmetric():
@@ -188,16 +188,17 @@ _SPLIT_COLUMNS = (
 )
 
 
-def split_basis_matrix() -> RingMatrix:
-    """Change of basis P with P^T Q6 P = 2 diag(I3, -I3)."""
-    return RingMatrix([[col[r] for col in _SPLIT_COLUMNS] for r in range(6)])
+#: Change of basis P with P^T Q6 P = 2 diag(I3, -I3).
+SPLIT_BASIS = RingMatrix([[col[r] for col in _SPLIT_COLUMNS] for r in range(6)])
+_SPLIT_BASIS_INV = SPLIT_BASIS.inverse()
+#: The wedge form restricted to each summand of the split: 2 I3 and -2 I3.
+_SPLIT_FORM = RingMatrix.diagonal([2, 2, 2])
 
 
 def to_split_basis(x: RingMatrix) -> RingMatrix:
     """Conjugate a 6x6 matrix into the fixed split basis."""
     _require_shape(x, 6, "split-basis conjugation")
-    p = split_basis_matrix()
-    return p.inverse() * x * p
+    return _SPLIT_BASIS_INV * x * SPLIT_BASIS
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,6 @@ class HiggsBlockField:
     phi22: RingMatrix
     q1: RingMatrix
     q2: RingMatrix
-    degrees: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         n1, n2 = self.phi11.rows, self.phi22.rows
@@ -254,11 +254,7 @@ def build_block_higgs_so33(adot: RingMatrix) -> HiggsBlockField:
     phi12 = conj.block(0, 3, 3, 3)
     phi21 = conj.block(3, 0, 3, 3)
     phi22 = conj.block(3, 3, 3, 3)
-    p = split_basis_matrix()
-    restricted = p.transpose() * q6().gram * p
-    q1 = restricted.block(0, 0, 3, 3)
-    q2 = restricted.block(3, 3, 3, 3)
-    return HiggsBlockField(phi11, phi12, phi21, phi22, q1, q2)
+    return HiggsBlockField(phi11, phi12, phi21, phi22, _SPLIT_FORM, -_SPLIT_FORM)
 
 
 @dataclass(frozen=True)
@@ -283,30 +279,21 @@ def _canonical_basis(vectors):
     return tuple(vec for _, vec in cleaned)
 
 
-def hodge_split(q, orientation: int = 1) -> HodgeSplit:
+def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     """Build the involution star = (induced form)^{-1} . Q6, normalized by
     the square root of det(q) (the choice of compatible determinant
     trivialization), and return its +/-1 eigenspace data.
 
-    ``q`` is the 4x4 orthogonal structure (a QuadraticForm or raw Gram
-    matrix); its determinant must be a nonzero rational square so that the
-    normalization exists over the rationals.  Orientation -1 flips the
-    star and therefore swaps the two eigenspaces.  That star squares to the
+    ``q`` is the 4x4 orthogonal structure; its determinant must be a
+    rational square so that the normalization exists over the rationals.
+    Orientation -1 flips the star and therefore swaps the two eigenspaces.  That star squares to the
     identity with rank-3 eigenspaces is certified by verify criterion 6.
     """
-    if isinstance(q, QuadraticForm):
-        gram = q.gram
-    else:
-        gram = q
+    gram = q.gram
     if orientation not in (1, -1):
         raise ValidationError("orientation must be +1 or -1")
     _require_shape(gram, 4, "star-operator construction")
-    if not gram.is_symmetric():
-        raise ValidationError("star-operator construction requires a symmetric form")
-    det = gram.det()
-    if det == 0:
-        raise ValidationError("star-operator construction requires a non-degenerate form")
-    scale = fraction_sqrt(det)  # ValidationError if det is not a rational square
+    scale = fraction_sqrt(gram.det())  # ValidationError if det is not a rational square
     induced = exterior_square(gram)
     star = induced.inverse() * q6().gram
     star = star.scale(Fraction(orientation) * scale)

@@ -275,7 +275,6 @@ def assemble_so22(
         phi22=permuted.block(2, 2, 2, 2),
         q1=_Q_PAIR,
         q2=-_Q_PAIR,
-        degrees=(n1_degree + n2_degree, n1_degree - n2_degree),
     )
     a1 = -(beta1 * gamma1)
     a2 = -(beta2 * gamma2)

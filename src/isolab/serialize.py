@@ -11,6 +11,7 @@ involution orbit.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Union
 
@@ -40,7 +41,11 @@ __all__ = [
 
 
 def scalar_to_json(value: Fraction) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError as exc:  # a result can outgrow the int() digit limit its inputs kept to
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(f"a result exceeds the integer conversion limit of {limit} digits") from exc
 
 
 def poly_to_json(p: Union[UniPoly, Fraction, int]) -> Any:

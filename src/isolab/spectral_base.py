@@ -29,13 +29,10 @@ from .exact_algebra import (
     UniPoly,
     ValidationError,
     as_fraction,
-    exact_div,
     poly_gcd,
     resultant,
     ring_is_zero,
     squarefree_part,
-    evaluate_var,
-    partial_derivative,
 )
 
 __all__ = [
@@ -236,11 +233,11 @@ def _extract_quartic(p: UniPoly) -> BaseSL4:
 class GenericityReport:
     """Smoothness report for the desingularized sextic cover.
 
-    ``gcd_loose`` and ``gcd_tight`` are the informational common-factor
-    checks gcd(a3, a2^2 - a4) and gcd(a3, a2^2 - 4 a4); the authoritative
-    verdict comes from the symbolic full-rank analysis of the defining
-    map's Jacobian on the locus where the symmetrized fiber coordinate
-    vanishes."""
+    ``gcd_loose`` and ``gcd_tight`` are the common-factor checks
+    gcd(a3, a2^2 - a4) and gcd(a3, a2^2 - 4 a4); the tight one decides the
+    full rank of the defining map's Jacobian on the locus where the
+    symmetrized fiber coordinate vanishes (see ``genericity_report``), the
+    loose one is informational."""
 
     gcd_loose: UniPoly
     gcd_tight: UniPoly
@@ -250,26 +247,28 @@ class GenericityReport:
     notes: Tuple[str, ...]
 
 
-def _defining_map(b: BaseSL4):
-    """The local defining map F(z, u, v) of the symmetrized double-cover
-    component inside the rank-1 (+) rank-2 total space, as polynomials in
-    the tower u > v > z."""
-    u = UniPoly.variable("u")
-    v = UniPoly.variable("v")
-    a2, a3, a4 = b.a2, b.a3, b.a4
-    f1 = 8 * u**3 - 4 * u * v + 2 * a2 * u + a3
-    f2 = 8 * u**4 + 2 * a2 * u**2 - 8 * u**2 * v - a2 * v + a3 * u + v**2 + a4
-    return f1, f2
-
-
 def genericity_report(b: BaseSL4) -> GenericityReport:
     """Decide whether the symmetrized sextic cover is smooth along the
     fixed locus of its fiber involution.
 
-    The Jacobian of the defining map is restricted to u = 0 symbolically;
-    rank deficiency is then an exact elimination problem in (z, v), solved
-    with monic remainder reduction and gcd refinement.  The two gcd
-    shortcuts are reported for information only.
+    The symmetrized double-cover component is cut out of the rank-1 (+)
+    rank-2 total space by F = (f1, f2) in the coordinates (z, u, v):
+
+        f1 = 8 u^3 - 4 u v + 2 a2 u + a3
+        f2 = 8 u^4 + 2 a2 u^2 - 8 u^2 v - a2 v + a3 u + v^2 + a4
+
+    The fixed locus is u = 0, where the curve is {a3(z) = 0, B(z, v) = 0}
+    with B = v^2 - a2 v + a4, and the Jacobian in (z, u, v) is
+
+        [[a3',          2 a2 - 4 v,  0       ],
+         [a4' - a2' v,  a3,          2 v - a2]].
+
+    Its (u, v) minor is -2 (2 v - a2)^2, so the rank can drop only at
+    v = a2/2.  There the (z, v) minor a3' (2 v - a2) vanishes, the (z, u)
+    minor reduces to a3' a3 = 0, and B = -(a2^2 - 4 a4)/4.  So the rank
+    drops exactly over the common zeros of a3 and a2^2 - 4 a4: the verdict
+    is gcd(a3, a2^2 - 4 a4) = 1, and the witness is the squarefree product
+    of those zeros.
     """
     a2, a3, a4 = b.a2, b.a3, b.a4
     gcd_loose = poly_gcd(a3, a2 * a2 - a4)
@@ -280,101 +279,19 @@ def genericity_report(b: BaseSL4) -> GenericityReport:
         notes.append("a3 vanishes identically: the curve is singular along the zero section")
         return GenericityReport(gcd_loose, gcd_tight, False, False, "a3 == 0", tuple(notes))
 
-    f1, f2 = _defining_map(b)
-    at0 = lambda e: evaluate_var(e, "u", Fraction(0))
-    jac = [
-        [at0(partial_derivative(f, w)) for w in ("z", "u", "v")]
-        for f in (f1, f2)
-    ]
-    # the u = 0 points of the curve satisfy a3(z) = 0 and B(z, v) = 0
-    locus_b = _as_v_poly(at0(f2))
-    minors = [
-        _as_v_poly(jac[0][c1] * jac[1][c2] - jac[0][c2] * jac[1][c1])
-        for (c1, c2) in ((0, 1), (0, 2), (1, 2))
-    ]
-    degenerate_witness = _rank_drop_locus(a3, locus_b, minors)
-    full_rank = degenerate_witness is None
+    full_rank = gcd_tight.degree == 0
     if not full_rank:
         notes.append("Jacobian loses rank over a common zero of the reported witness")
-    if gcd_tight.degree > 0:
         notes.append("a3 and a2^2 - 4 a4 share a zero")
     if gcd_loose.degree > 0:
         notes.append("a3 and a2^2 - a4 share a zero")
+    # gcd_tight is monic, so its squarefree part is the monic product of the
+    # distinct rank-drop zeros
     return GenericityReport(
         gcd_loose,
         gcd_tight,
         full_rank,
         full_rank,
-        None if full_rank else str(degenerate_witness),
+        None if full_rank else str(squarefree_part(gcd_tight)),
         tuple(notes),
     )
-
-
-def _as_v_poly(elem) -> UniPoly:
-    if isinstance(elem, UniPoly) and elem.var == "v":
-        return elem
-    return UniPoly("v", [elem])
-
-
-def _gcd_many(polys) -> UniPoly:
-    acc = None
-    for p in polys:
-        p = as_section(p) if not isinstance(p, UniPoly) else p
-        acc = p if acc is None else poly_gcd(acc, p)
-    return acc
-
-
-def _strip_common_factors(h: UniPoly, avoid: UniPoly) -> UniPoly:
-    """Remove from ``h`` every factor shared with ``avoid``."""
-    while h.degree > 0:
-        g = poly_gcd(h, avoid)
-        if g.degree == 0:
-            break
-        h = exact_div(h, g)
-    return h
-
-
-def _rank_drop_locus(a3: UniPoly, locus_b: UniPoly, minors) -> Optional[UniPoly]:
-    """Exact emptiness test for {a3(z) = 0, B(z,v) = 0, all minors = 0}.
-
-    B is monic of degree 2 in v, so each minor reduces mod B to a polynomial
-    at most linear in v.  At a fixed z the reduced minors either all vanish
-    identically (every root of B qualifies), or some reduced minor is
-    genuinely linear and all of them must share its root, which must in turn
-    be a root of B.  Both cases are closed conditions on z, checked with gcds
-    against the squarefree part of a3.  Returns a nonconstant polynomial
-    whose roots witness the rank drop, or None when the locus is empty.
-    """
-    s = squarefree_part(a3)
-    if s.degree == 0:
-        return None  # a3 has no zeros at all on the chart
-    reduced = []
-    for m in minors:
-        _, r = m.div_mod(locus_b)
-        alpha = _z_coeff(r, 1)
-        beta = _z_coeff(r, 0)
-        reduced.append((alpha, beta))
-    # every reduced minor vanishes identically at z0
-    all_flat = _gcd_many([s] + [c for pair in reduced for c in pair])
-    if all_flat.degree > 0:
-        return all_flat
-    # some reduced minor is linear at z0 with a shared root lying on B
-    for i, (alpha_i, beta_i) in enumerate(reduced):
-        if alpha_i.is_zero:
-            continue
-        conditions = [s]
-        for j, (alpha_j, beta_j) in enumerate(reduced):
-            if j != i:
-                conditions.append(alpha_i * beta_j - alpha_j * beta_i)
-        r_i = UniPoly("v", [beta_i, alpha_i])
-        on_b = resultant(locus_b, r_i, var="v")
-        conditions.append(as_section(on_b))
-        h = _strip_common_factors(_gcd_many(conditions), alpha_i)
-        if h.degree > 0:
-            return h
-    return None
-
-
-def _z_coeff(r: UniPoly, k: int) -> UniPoly:
-    c = r.coeff(k) if isinstance(r, UniPoly) else (r if k == 0 else Fraction(0))
-    return c if isinstance(c, UniPoly) else UniPoly("z", [c])

@@ -39,7 +39,7 @@ def test_labels_cover_every_criterion():
 def test_acceptance(name, criterion):
     _, check, samples = criterion
     rng = random.Random(f"{SEED}:{name}")
-    result = check(rng, samples)
-    verdict = "PASS" if result.passed else "FAIL"
-    print(f"{verdict}  {name}  [{result.detail}]")
-    assert result.passed, f"{name}: {result.detail}"
+    passed, detail = check(rng, samples)
+    verdict = "PASS" if passed else "FAIL"
+    print(f"{verdict}  {name}  [{detail}]")
+    assert passed, f"{name}: {detail}"

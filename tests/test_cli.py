@@ -510,6 +510,24 @@ def test_integer_literal_beyond_the_digit_limit_exits_one(capsys, monkeypatch):
     assert captured.err.startswith("error: input is not valid JSON: Exceeds the limit")
 
 
+def test_nesting_beyond_the_decoder_recursion_exits_one(capsys, monkeypatch):
+    import io
+    import sys
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100_000))
+    code = main(["base", "map-so6"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: input is not valid JSON: maximum recursion depth exceeded")
+
+
+def test_result_beyond_the_digit_limit_exits_one(capsys, monkeypatch):
+    # pf^2, the quartic's constant term, has about 8,000 digits
+    code, out, err = run_cli(capsys, ["base", "map-so4"], {"a1": "7" * 4000, "a2": "0"}, monkeypatch)
+    assert code == 1 and out == ""
+    assert err == "error: a result exceeds the integer conversion limit of 4300 digits\n"
+
+
 def test_rational_beyond_the_digit_limit_exits_one_with_field_path(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["base", "map-so4"], {"a1": "7" * 5000, "a2": "0"}, monkeypatch)
     assert code == 1 and out == ""

@@ -191,7 +191,7 @@ def test_resultant_linear_factor_is_evaluation():
     g = UniPoly("x", [Fraction(1, 2), -3, 0, 1])
     c = Fraction(-5, 3)
     lin = UniPoly("x", [-c, 1])
-    assert resultant(lin, g) == g.evaluate(c)
+    assert resultant(lin, g) == sum(a * c**k for k, a in enumerate(g.coeffs))
 
 
 def test_resultant_pair_of_shifted_quadratics():

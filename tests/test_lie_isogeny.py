@@ -10,6 +10,7 @@ from isolab.exact_algebra import (
 )
 from isolab.lie_isogeny import (
     QuadraticForm,
+    SPLIT_BASIS,
     alpha_block,
     build_block_higgs_so33,
     d_iso2,
@@ -19,7 +20,6 @@ from isolab.lie_isogeny import (
     iso3_group,
     q4,
     q6,
-    split_basis_matrix,
     to_split_basis,
 )
 from isolab.spectral_base import quartic_of_char_pair, sextic_of_quartic
@@ -139,8 +139,7 @@ def test_alpha_block_fixed_instances():
 
 
 def test_split_basis_diagonalizes_the_form():
-    p = split_basis_matrix()
-    restricted = p.transpose() * q6().gram * p
+    restricted = SPLIT_BASIS.transpose() * q6().gram * SPLIT_BASIS
     expected = RingMatrix.diagonal([2, 2, 2, -2, -2, -2])
     assert restricted == expected
 

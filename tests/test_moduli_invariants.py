@@ -142,7 +142,6 @@ def test_assemble_companion_factor():
 def test_assemble_degree_labels():
     result = assemble_so22(2, 1, 1, 1, 1, 1)
     assert (result.m1_degree, result.m2_degree) == (3, 1)
-    assert result.higgs.degrees == (3, 1)
 
 
 def test_assemble_frozen_instance():

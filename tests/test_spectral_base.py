@@ -145,6 +145,86 @@ def test_genericity_loose_gcd_alone_does_not_degenerate():
     assert report.gcd_tight.degree == 0
 
 
+def _cover_equations(a2, a3, a4, u, v):
+    """(f1, f2): the symmetrized double-cover component in (z, u, v)."""
+    f1 = 8 * u**3 - 4 * u * v + 2 * a2 * u + a3
+    f2 = 8 * u**4 + 2 * a2 * u**2 - 8 * u**2 * v - a2 * v + a3 * u + v**2 + a4
+    return f1, f2
+
+
+def _at(section, t):
+    """section(t), written out so the check shares no evaluation code."""
+    return sum((c * t**k for k, c in enumerate(section.coeffs)), Fraction(0))
+
+
+def _jacobian_at(base, z0, v0):
+    """The 2x3 Jacobian of (f1, f2) in (z, u, v) at (z0, 0, v0): each column
+    is the slope at x = 0 of the restriction to the line through the point
+    along one coordinate, x itself being the parameter."""
+    x = UniPoly.variable("x")
+    columns = []
+    for dz, du, dv in ((x, 0, 0), (0, x, 0), (0, 0, x)):
+        sections = [_at(p, z0 + dz) for p in (base.a2, base.a3, base.a4)]
+        restricted = _cover_equations(*sections, du, v0 + dv)
+        columns.append([f.coeff(1) if isinstance(f, UniPoly) else Fraction(0) for f in restricted])
+    return [[col[i] for col in columns] for i in range(2)]
+
+
+def _rank_at_most_one(jac):
+    return all(jac[0][i] * jac[1][j] == jac[0][j] * jac[1][i] for i in range(3) for j in range(i + 1, 3))
+
+
+def _interpolate(points):
+    """The polynomial in z of least degree through the (r, value) points."""
+    total = UniPoly("z")
+    for i, (r, value) in enumerate(points):
+        term = UniPoly("z", [value])
+        for j, (s, _) in enumerate(points):
+            if j != i:
+                term = term * (Z - s) * (1 / (r - s))
+        total = total + term
+    return total
+
+
+def test_genericity_fails_exactly_at_planted_degenerate_roots(rng_factory):
+    """a3 = c prod(z - r_i); at each r_i the fiber of B = v^2 - a2 v + a4 is
+    planted either as a double root (a2^2 = 4 a4) or as two distinct
+    rational roots v1 != v2.  The verdict and the witness must follow the
+    degenerate roots, and the Jacobian, computed here from the defining map
+    itself, must lose rank exactly at them."""
+    rng = rng_factory("planted")
+    q = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+    for _ in range(30):
+        roots = rng.sample([Fraction(k, 2) for k in range(-8, 9)], rng.randint(1, 4))
+        fibers = {}
+        for r in roots:
+            if rng.random() < 0.5:
+                fibers[r] = [q()] * 2
+            else:
+                v1, v2 = q(), q()
+                fibers[r] = [v1, v2 if v2 != v1 else v1 + 1]
+        a3 = rng.choice([-2, Fraction(1, 3), 5]) * UniPoly("z", [1])
+        for r in roots:
+            a3 = a3 * (Z - r)
+        # add multiples of a3: the values at the roots are all that is planted
+        a2 = _interpolate([(r, v1 + v2) for r, (v1, v2) in fibers.items()]) + q() * a3
+        a4 = _interpolate([(r, v1 * v2) for r, (v1, v2) in fibers.items()]) + q() * Z * a3
+        base = BaseSL4(a2, a3, a4)
+        degenerate = [r for r, (v1, v2) in fibers.items() if v1 == v2]
+
+        report = genericity_report(base)
+        assert report.generic == report.jacobian_full_rank == (not degenerate)
+        expected = UniPoly("z", [1])
+        for r in degenerate:
+            expected = expected * (Z - r)
+        assert report.witness == (str(expected) if degenerate else None)
+
+        for r, vs in fibers.items():
+            for v in vs:
+                assert _cover_equations(*(_at(p, r) for p in (a2, a3, a4)), 0, v) == (0, 0)
+                assert _rank_at_most_one(_jacobian_at(base, r, v)) == (r in degenerate)
+
+
 def test_orientation_sign_validation():
     with pytest.raises(ValidationError):
         so4_base(BaseSL2Pair(1, 2), sign=2)
