@@ -17,7 +17,11 @@ fails instead of timing well:
 * Pf(q6 * d_iso3(A)) = -det(alpha(A)) for symmetric traceless ``A``;
 * ``so6_oracle`` gives the sextic of ``so6_base``, on the coefficient
   heights of the benchmark's ``oracle-high`` workload
-  (``perfbench/workloads.py``).
+  (``perfbench/workloads.py``);
+* ``poly_gcd(f h, g h)`` is the planted monic ``h``, and the gcds that
+  ``genericity_report`` reports are trivial exactly when the Sylvester
+  resultant of the same pair is nonzero, on sections whose coefficients
+  come from the same heights.
 """
 
 import os
@@ -27,13 +31,13 @@ from fractions import Fraction
 
 import pytest
 
-from isolab.exact_algebra import RingMatrix, UniPoly, char_poly, pfaffian, resultant
+from isolab.exact_algebra import RingMatrix, UniPoly, char_poly, pfaffian, poly_gcd, resultant
 from isolab.lie_isogeny import alpha_block, d_iso3, q6
-from isolab.spectral_base import BaseSL4, sextic_of_quartic, so6_base, so6_oracle
+from isolab.spectral_base import BaseSL4, genericity_report, sextic_of_quartic, so6_base, so6_oracle
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
-from workloads import height_triple  # noqa: E402
+from workloads import HEIGHTS, height_triple  # noqa: E402
 
 ETA = UniPoly.variable("eta")
 
@@ -106,3 +110,26 @@ def test_so6_oracle(benchmark, degree):
     base = BaseSL4(*(UniPoly("z", coeffs) for coeffs in sections))
     sextic = benchmark(so6_oracle, base)
     assert sextic == so6_base(base).sextic()
+
+
+def _height_section(rng, degree):
+    """A section of exactly ``degree`` with signed coefficients from HEIGHTS;
+    ``height_triple`` draws without repetition, so it stops at degree 6."""
+    return UniPoly("z", [rng.choice((1, -1)) * rng.choice(HEIGHTS) for _ in range(degree + 1)])
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+def test_genericity_report(benchmark, degree):
+    rng = random.Random(f"genericity:{degree}")
+    base = BaseSL4(*(_height_section(rng, degree) for _ in range(3)))
+    report = benchmark(genericity_report, base)
+    for gcd, other in ((report.gcd_tight, 4 * base.a4), (report.gcd_loose, base.a4)):
+        assert (gcd.degree == 0) == (resultant(base.a3, base.a2 * base.a2 - other) != 0)
+
+
+def test_poly_gcd_planted_factor(benchmark):
+    rng = random.Random("poly_gcd")
+    f, g = _height_section(rng, 16), _height_section(rng, 16)
+    h = _height_section(rng, 8)
+    h = h * (Fraction(1) / h.lead)
+    assert benchmark(poly_gcd, f * h, g * h) == h

@@ -8,18 +8,26 @@ over one base point.  Only the two generic ramification profiles are
 supported: all points simple ("regular"), or exactly one double point
 listed first ("generic branch").  Anything else raises, deliberately.
 
-Multiplicity bookkeeping is derived, not postulated: the multiplicity of
-a projection at a point of a product fiber is the quotient of the total
-covering multiplicities, and ramification weights are multiplicity minus
-one.  Points of product fibers are keyed by ordered label pairs, points
-of symmetrized fibers by sorted label pairs, and points of an involution
-quotient by the lexicographically smaller key of the orbit.
+Multiplicity bookkeeping is derived, not postulated, from one rule for a
+fiber map ``up -> down`` sending a point k to image(k): its ramification
+index is e(k) = m_up(k) / m_down(image(k)), and the pullback of a divisor
+D weighs k with D(image(k)) * e(k).  Both projections of a product and
+the quotient of a self-product by the swap are such maps; ramification
+weights are multiplicity (or index) minus one.  The residual involution
+of a symmetrized self-product sends a pair {a, b} to its complement in
+the fiber's points counted with multiplicity: on a branch fiber
+{y1, y1} <-> {y2, y3} and {y1, y2} <-> {y1, y3}.  Points of product
+fibers are keyed by ordered label pairs, points of symmetrized fibers by
+sorted label pairs, and points of an involution quotient by the
+lexicographically smaller key of the orbit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .exact_algebra import InternalError, ValidationError
 
@@ -54,8 +62,33 @@ Key = Union[str, PairKey]
 _RESERVED = ",()[]"
 
 
+class _PointTable:
+    """The point table ``points`` of a fiber: (key, multiplicity) pairs over
+    the base point ``base_label``."""
+
+    points: Tuple[Tuple[Key, int], ...]
+
+    @property
+    def degree(self) -> int:
+        return sum(m for _, m in self.points)
+
+    @property
+    def keys(self) -> Tuple[Key, ...]:
+        return tuple(k for k, _ in self.points)
+
+    def multiplicity(self, key: Key) -> int:
+        for k, m in self.points:
+            if k == key:
+                return m
+        raise ValidationError(f"no point {key!r} in {self._where}")
+
+    def ramification_divisor(self) -> "Divisor":
+        """Weights are multiplicity minus one."""
+        return Divisor({k: m - 1 for k, m in self.points})
+
+
 @dataclass(frozen=True)
-class FiberModel:
+class FiberModel(_PointTable):
     """One fiber of a ramified cover: labeled points with multiplicities."""
 
     base_label: str
@@ -95,23 +128,11 @@ class FiberModel:
         pts = [(labels[0], 2)] + [(l, 1) for l in labels[1:]]
         return cls(base_label, tuple(pts), GENERIC_BRANCH)
 
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.points)
+    labels = _PointTable.keys
 
     @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(l for l, _ in self.points)
-
-    def multiplicity(self, label: str) -> int:
-        for l, m in self.points:
-            if l == label:
-                return m
-        raise ValidationError(f"no point {label!r} in fiber over {self.base_label!r}")
-
-    def ramification_divisor(self) -> "Divisor":
-        """Weights are multiplicity minus one."""
-        return Divisor({l: m - 1 for l, m in self.points if m > 1})
+    def _where(self) -> str:
+        return f"fiber over {self.base_label!r}"
 
     def sheet_involution(self) -> Dict[str, str]:
         """The sheet swap of a double cover: defined for degree-2 fibers only."""
@@ -125,7 +146,7 @@ class FiberModel:
 
 
 @dataclass(frozen=True)
-class PairFiber:
+class PairFiber(_PointTable):
     """A fiber of a product of covers: ordered label pairs with total
     covering multiplicities over the base point.  ``factors`` are the two
     fibers multiplied; a self-product stores ``(f, f)``."""
@@ -134,25 +155,13 @@ class PairFiber:
     points: Tuple[Tuple[PairKey, int], ...]
     factors: Tuple[FiberModel, FiberModel]
 
+    _where = "the product fiber"
+
     @property
     def diagonal_removed(self) -> bool:
         """Self-products are built without their diagonal component; two
         distinct covers have no diagonal to remove."""
         return self.factors[0] == self.factors[1]
-
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.points)
-
-    @property
-    def keys(self) -> Tuple[PairKey, ...]:
-        return tuple(k for k, _ in self.points)
-
-    def multiplicity(self, key: PairKey) -> int:
-        for k, m in self.points:
-            if k == key:
-                return m
-        raise ValidationError(f"no point {key!r} in the product fiber")
 
     def product_involution(self) -> Dict[PairKey, PairKey]:
         """The pair (sheet swap, sheet swap) on a product of two double covers."""
@@ -162,30 +171,15 @@ class PairFiber:
         s2 = self.factors[1].sheet_involution()
         return {(a, b): (s1[a], s2[b]) for (a, b), _ in self.points}
 
-    def projection_multiplicity(self, key: PairKey, which: int) -> int:
-        """Multiplicity of the projection to factor ``which`` (1 or 2) at a
-        point: the total multiplicity divided by the target point's."""
+    def pullback(self, divisor: "Divisor", which: int) -> "Divisor":
+        """Pull a divisor on factor ``which`` (1 or 2) back along its projection."""
         if which not in (1, 2):
             raise ValidationError("projection index must be 1 or 2")
-        total = self.multiplicity(key)
-        down = self.factors[which - 1].multiplicity(key[which - 1])
-        if total % down != 0:
-            raise InternalError("inconsistent multiplicities in the product fiber")
-        return total // down
-
-    def pullback(self, divisor: "Divisor", which: int) -> "Divisor":
-        """Pull a divisor on the factor back along a projection: the weight
-        at a point is the source weight times the projection multiplicity."""
-        weights: Dict[Key, int] = {}
-        for key, _ in self.points:
-            w = divisor.get(key[which - 1])
-            if w:
-                weights[key] = w * self.projection_multiplicity(key, which)
-        return Divisor(weights)
+        return _pullback(divisor, self, self.factors[which - 1], itemgetter(which - 1))
 
 
 @dataclass(frozen=True)
-class SymFiber:
+class SymFiber(_PointTable):
     """A fiber of the symmetrized self-product: unordered label pairs with
     covering multiplicities, plus the residual fiber involution."""
 
@@ -194,52 +188,42 @@ class SymFiber:
     sigma_pairs: Tuple[Tuple[PairKey, PairKey], ...]
     source: PairFiber
 
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.points)
-
-    @property
-    def keys(self) -> Tuple[PairKey, ...]:
-        return tuple(k for k, _ in self.points)
-
-    def multiplicity(self, key: PairKey) -> int:
-        for k, m in self.points:
-            if k == key:
-                return m
-        raise ValidationError(f"no point {key!r} in the symmetrized fiber")
+    _where = "the symmetrized fiber"
 
     def sigma(self) -> Dict[PairKey, PairKey]:
         return dict(self.sigma_pairs)
 
-    def ramification_divisor(self) -> "Divisor":
-        return Divisor({k: m - 1 for k, m in self.points if m > 1})
-
-    def quotient_multiplicity(self, key: PairKey) -> int:
-        """Multiplicity of the quotient map from the self-product at a point
-        upstairs: pair multiplicity divided by the symmetrized one."""
-        up = self.source.multiplicity(key if key in self.source.keys else (key[1], key[0]))
-        down = self.multiplicity(tuple(sorted(key)))
-        if up % down != 0:
-            raise InternalError("inconsistent multiplicities in the symmetrized fiber")
-        return up // down
-
     def quotient_ramification(self) -> "Divisor":
         """Ramification divisor of the quotient map, on the self-product."""
-        weights: Dict[Key, int] = {}
-        for key, _ in self.source.points:
-            e = self.quotient_multiplicity(key)
-            if e > 1:
-                weights[key] = e - 1
-        return Divisor(weights)
+        return Divisor({k: _index(self.source, self, _unordered, k) - 1 for k in self.source.keys})
 
     def quotient_pullback(self, divisor: "Divisor") -> "Divisor":
         """Pull a divisor on the symmetrized fiber back to the self-product."""
-        weights: Dict[Key, int] = {}
-        for key, _ in self.source.points:
-            w = divisor.get(tuple(sorted(key)))
-            if w:
-                weights[key] = w * self.quotient_multiplicity(key)
-        return Divisor(weights)
+        return _pullback(divisor, self.source, self, _unordered)
+
+
+def _unordered(key: PairKey) -> PairKey:
+    return tuple(sorted(key))
+
+
+def _index(up: _PointTable, down: _PointTable, image: Callable, key: Key) -> int:
+    """Ramification index e(k) = m_up(k) / m_down(image(k)) of the fiber map
+    ``image`` from ``up`` to ``down`` at the point ``key`` upstairs."""
+    e, rest = divmod(up.multiplicity(key), down.multiplicity(image(key)))
+    if rest:
+        raise InternalError("inconsistent multiplicities along a fiber map")
+    return e
+
+
+def _pullback(divisor: "Divisor", up: _PointTable, down: _PointTable, image: Callable) -> "Divisor":
+    """The weight at a point k upstairs is D(image(k)) * e(k)."""
+    return Divisor({k: divisor.get(image(k)) * _index(up, down, image, k) for k in up.keys})
+
+
+def _require_support(divisor: "Divisor", keys) -> None:
+    for key in divisor.support():
+        if key not in keys:
+            raise ValidationError(f"divisor point {key!r} is not in the fiber")
 
 
 class Divisor:
@@ -357,42 +341,28 @@ def symmetrize(pf: PairFiber) -> SymFiber:
     The multiplicity of an unordered pair is the total upstairs
     multiplicity of its orbit divided by 2 (the swap either exchanges two
     points or fixes one with local ramification).  The residual involution
-    pairs complementary unordered pairs on a regular fiber and exchanges
-    the double-double point with the simple-simple one on a branch fiber.
-    That this involution is fixed-point free and squares to the identity
-    is certified by verify criterion 8.
+    sends a pair to its complement in the fiber's points, counted with
+    multiplicity.  That this involution is fixed-point free and squares to
+    the identity is certified by verify criterion 8.
     """
     if not pf.diagonal_removed:
         raise ValidationError("symmetrization expects the diagonal component removed")
-    totals: Dict[PairKey, int] = {}
-    for (a, b), m in pf.points:
-        key = tuple(sorted((a, b)))
-        totals[key] = totals.get(key, 0) + m
+    totals = Counter()
+    for key, m in pf.points:
+        totals[_unordered(key)] += m
     points = []
     for key in sorted(totals):
         if totals[key] % 2 != 0:
             raise InternalError("swap orbit with odd total multiplicity")
         points.append((key, totals[key] // 2))
-    sigma = _sym_involution(pf.factors[0], [k for k, _ in points])
-    return SymFiber(pf.base_label, tuple(points), tuple(sorted(sigma.items())), pf)
+    fiber = Counter(dict(pf.factors[0].points))
+    sigma = tuple((k, _unordered((fiber - Counter(k)).elements())) for k, _ in points)
+    return SymFiber(pf.base_label, tuple(points), sigma, pf)
 
 
-def _sym_involution(source: FiberModel, keys) -> Dict[PairKey, PairKey]:
-    if source.kind == REGULAR:
-        all_labels = set(source.labels)
-        out = {}
-        for key in keys:
-            comp = tuple(sorted(all_labels - set(key)))
-            out[key] = comp
-        return out
-    y1, y2, y3 = source.labels
-    pairs = {
-        tuple(sorted((y1, y1))): tuple(sorted((y2, y3))),
-        tuple(sorted((y2, y3))): tuple(sorted((y1, y1))),
-        tuple(sorted((y1, y2))): tuple(sorted((y1, y3))),
-        tuple(sorted((y1, y3))): tuple(sorted((y1, y2))),
-    }
-    return {k: pairs[k] for k in keys}
+def _pulled_back_ramification(pf: PairFiber) -> Tuple[Divisor, Divisor]:
+    """Each factor's ramification divisor pulled back along its projection."""
+    return tuple(pf.pullback(f.ramification_divisor(), i) for i, f in enumerate(pf.factors, 1))
 
 
 def ramification_check(f: FiberModel) -> Tuple[bool, Dict[str, Divisor]]:
@@ -404,44 +374,36 @@ def ramification_check(f: FiberModel) -> Tuple[bool, Dict[str, Divisor]]:
     """
     pf = self_product_minus_diagonal(f)
     sym = symmetrize(pf)
-    ram = f.ramification_divisor()
-    lhs = pf.pullback(ram, 1) + pf.pullback(ram, 2)
+    left, right = _pulled_back_ramification(pf)
     r0 = sym.quotient_ramification()
     r6 = sym.ramification_divisor()
-    rhs = sym.quotient_pullback(r6) + r0.scale(2)
     ledger = {
-        "base_ramification": ram,
-        "pulled_back_left": pf.pullback(ram, 1),
-        "pulled_back_right": pf.pullback(ram, 2),
-        "lhs": lhs,
+        "base_ramification": f.ramification_divisor(),
+        "pulled_back_left": left,
+        "pulled_back_right": right,
+        "lhs": left + right,
         "sym_cover_ramification": r6,
         "quotient_ramification": r0,
-        "rhs": rhs,
+        "rhs": sym.quotient_pullback(r6) + r0.scale(2),
     }
-    return lhs == rhs, ledger
+    return ledger["lhs"] == ledger["rhs"], ledger
 
 
 def correspondence_push(divisor: Divisor, f: FiberModel) -> Divisor:
     """Push a divisor on a 4-fold cover fiber to the symmetrized 6-fold
     cover fiber: pull back along both projections of the self-product, then
-    divide by the quotient map (the combined divisor is swap-invariant, so
-    the division is exact).  On a regular fiber the weight on the unordered
-    pair {a, b} is D(a) + D(b); on a branch fiber the projections' extra
+    divide by the quotient map at one representative of each swap orbit
+    (the combined divisor is swap-invariant, as verify criterion 8
+    certifies).  On a regular fiber the weight on the unordered pair
+    {a, b} is D(a) + D(b); on a branch fiber the projections' extra
     multiplicity doubles the simple-point contributions against y1."""
-    for label in divisor.support():
-        if label not in f.labels:
-            raise ValidationError(f"divisor point {label!r} is not in the fiber")
+    _require_support(divisor, f.labels)
     pf = self_product_minus_diagonal(f)
     sym = symmetrize(pf)
     combined = pf.pullback(divisor, 1) + pf.pullback(divisor, 2)
     weights: Dict[Key, int] = {}
-    for key, _ in sym.points:
-        up = key  # one representative upstairs
-        e = sym.quotient_multiplicity(up)
-        w = combined.get(up)
-        other = (up[1], up[0])
-        if other != up and combined.get(other) != w:
-            raise InternalError("combined pullback is not swap-invariant")
+    for key in sym.keys:
+        w, e = combined.get(key), _index(pf, sym, _unordered, key)
         if w % e != 0:
             raise InternalError("combined pullback does not descend to the quotient")
         weights[key] = w // e
@@ -459,9 +421,7 @@ def norm(divisor: Divisor, carrier, covering: str) -> Divisor:
     if covering == "pi":
         if not isinstance(carrier, FiberModel):
             raise ValidationError("the pi covering pushes down a cover fiber")
-        for label in divisor.support():
-            if label not in carrier.labels:
-                raise ValidationError(f"divisor point {label!r} is not in the fiber")
+        _require_support(divisor, carrier.labels)
         total = sum(divisor.get(l) for l in carrier.labels)
         return Divisor({carrier.base_label: total})
     if covering == "sigma":
@@ -477,9 +437,7 @@ def norm(divisor: Divisor, carrier, covering: str) -> Divisor:
                 raise ValidationError("paired involution has a fixed point on this fiber")
     else:
         raise ValidationError(f"unknown covering {covering!r}")
-    for key in divisor.support():
-        if key not in inv:
-            raise ValidationError(f"divisor point {key!r} is not in the fiber")
+    _require_support(divisor, inv)
     weights: Dict[Key, int] = {}
     for key in inv:
         rep = min(key, inv[key])
@@ -504,11 +462,9 @@ def mumford_divisor(n: Divisor, sym: SymFiber) -> MumfordResult:
     construction.  The parity of deg(N) is reported, since it selects one
     of the two components downstairs."""
     inv = sym.sigma()
-    for key in n.support():
-        if key not in inv:
-            raise ValidationError(f"divisor point {key!r} is not in the fiber")
-        if inv[key] == key:
-            raise ValidationError("involution fixes a point of the support")
+    _require_support(n, inv)
+    if any(inv[key] == key for key in n.support()):
+        raise ValidationError("involution fixes a point of the support")
     pushed = Divisor({inv[k]: w for k, w in n.items()})
     result = n - pushed
     parity = "even" if n.degree() % 2 == 0 else "odd"
@@ -522,9 +478,7 @@ def sigma_orbit_split(divisor: Divisor, sym: SymFiber) -> Tuple[Divisor, Divisor
     points of each orbit; the defect is supported exactly where the weight
     differs from the weight at the image point."""
     inv = sym.sigma()
-    for key in divisor.support():
-        if key not in inv:
-            raise ValidationError(f"divisor point {key!r} is not in the fiber")
+    _require_support(divisor, inv)
     invariant: Dict[Key, int] = {}
     for key in inv:
         avg2 = divisor.get(key) + divisor.get(inv[key])
@@ -549,12 +503,6 @@ class TwistLedger:
     identity_holds: bool
 
 
-def _sample_deg4(kind: str) -> FiberModel:
-    if kind == REGULAR:
-        return FiberModel.regular("x", ("y1", "y2", "y3", "y4"))
-    return FiberModel.generic_branch("x", ("y1", "y2", "y3"))
-
-
 def twist_ledger(context: str) -> TwistLedger:
     """Compute the degree bookkeeping used when composing the ramification
     identity with the square-root and quotient twists.
@@ -570,22 +518,13 @@ def twist_ledger(context: str) -> TwistLedger:
       3 = 2 + 1 per branch fiber.
     """
     if context == "so4":
-        reg1 = FiberModel.regular("x", ("p1", "p2"))
         reg2 = FiberModel.regular("x", ("q1", "q2"))
-        br1 = FiberModel.generic_branch("x", ("p",))
-        prod_reg = fiber_product(reg1, reg2)
-        prod_br = fiber_product(br1, reg2)
-
-        def degrees(pf: PairFiber, f1: FiberModel, f2: FiberModel):
-            own = sum(pf.multiplicity(k) - 1 for k in pf.keys)
-            pulled = (
-                pf.pullback(f1.ramification_divisor(), 1)
-                + pf.pullback(f2.ramification_divisor(), 2)
-            ).degree()
-            return own, pulled
-
-        reg = degrees(prod_reg, reg1, reg2)
-        br = degrees(prod_br, br1, reg2)
+        rows = []
+        for f1 in (FiberModel.regular("x", ("p1", "p2")), FiberModel.generic_branch("x", ("p",))):
+            pf = fiber_product(f1, reg2)
+            pulled = sum(d.degree() for d in _pulled_back_ramification(pf))
+            rows.append((pf.ramification_divisor().degree(), pulled))
+        reg, br = rows
         return TwistLedger(
             context="so4",
             columns=("product_ramification", "pulled_back_factors"),
@@ -594,38 +533,32 @@ def twist_ledger(context: str) -> TwistLedger:
             identity="product_ramification == pulled_back_factors",
             identity_holds=(reg[0] == reg[1] and br[0] == br[1]),
         )
-    if context not in ("sl4", "so6"):
+    columns = {
+        "sl4": ("pulled_back_ramifications", "pullback_of_sym_ramification", "twice_quotient_ramification"),
+        "so6": ("half_pulled_back", "half_sym_pullback", "quotient_ramification"),
+    }
+    if context not in columns:
         raise ValidationError(f"unknown twist context {context!r}")
-    rows = {}
-    for kind in (REGULAR, GENERIC_BRANCH):
-        f = _sample_deg4(kind)
+    rows = []
+    for f in (
+        FiberModel.regular("x", ("y1", "y2", "y3", "y4")),
+        FiberModel.generic_branch("x", ("y1", "y2", "y3")),
+    ):
         pf = self_product_minus_diagonal(f)
         sym = symmetrize(pf)
-        ram = f.ramification_divisor()
-        lhs = (pf.pullback(ram, 1) + pf.pullback(ram, 2)).degree()
+        lhs = sum(d.degree() for d in _pulled_back_ramification(pf))
         mid = sym.quotient_pullback(sym.ramification_divisor()).degree()
         r0 = sym.quotient_ramification().degree()
-        rows[kind] = (lhs, mid, r0)
-    if context == "sl4":
-        reg = (rows[REGULAR][0], rows[REGULAR][1], 2 * rows[REGULAR][2])
-        br = (rows[GENERIC_BRANCH][0], rows[GENERIC_BRANCH][1], 2 * rows[GENERIC_BRANCH][2])
-        return TwistLedger(
-            context="sl4",
-            columns=("pulled_back_ramifications", "pullback_of_sym_ramification", "twice_quotient_ramification"),
-            regular=reg,
-            branch=br,
-            identity="first == second + third",
-            identity_holds=(reg[0] == reg[1] + reg[2] and br[0] == br[1] + br[2]),
-        )
-    halves = {}
-    for kind, (lhs, mid, r0) in rows.items():
-        if lhs % 2 or mid % 2:
+        if context == "sl4":
+            rows.append((lhs, mid, 2 * r0))
+        elif lhs % 2 or mid % 2:
             raise InternalError("square-root twist degrees must be even")
-        halves[kind] = (lhs // 2, mid // 2, r0)
-    reg, br = halves[REGULAR], halves[GENERIC_BRANCH]
+        else:
+            rows.append((lhs // 2, mid // 2, r0))
+    reg, br = rows
     return TwistLedger(
-        context="so6",
-        columns=("half_pulled_back", "half_sym_pullback", "quotient_ramification"),
+        context=context,
+        columns=columns[context],
         regular=reg,
         branch=br,
         identity="first == second + third",

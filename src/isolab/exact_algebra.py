@@ -4,12 +4,12 @@ The ground field is the rationals (`fractions.Fraction`).  Polynomials are
 univariate, but their coefficients may themselves be polynomials in a
 strictly lower variable of the fixed tower
 
-    z  <  eta  <  v  <  u  <  x
+    z  <  eta  <  x
 
 ``z`` is the affine coordinate on the base curve, ``eta`` the spectral
-(fiber) variable, and ``v``, ``u``, ``x`` are scratch variables used by
-elimination routines.  Every value is immutable and every operation is a
-pure function, so everything here is safe to share between threads.
+(fiber) variable, and ``x`` the variable that resultants eliminate.
+Every value is immutable and every operation is a pure function, so
+everything here is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class InternalError(RuntimeError):
 
 
 #: Fixed variable tower, innermost first.
-VAR_ORDER = {"z": 0, "eta": 1, "v": 2, "u": 3, "x": 4}
+VAR_ORDER = {"z": 0, "eta": 1, "x": 2}
 
 #: Basis order for the second exterior power of a 4-dimensional space:
 #: e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4 (lexicographic on index pairs).

@@ -365,11 +365,14 @@ def check_ramification_identity(rng: random.Random, samples: int) -> Tuple[bool,
 
 
 def check_prym_preservation(rng: random.Random, samples: int) -> Tuple[bool, str]:
-    """Pushed zero-sum divisors have vanishing quotient norm, exhaustively,
-    and the residual involutions are fixed-point free involutions."""
-    reg_sym = symmetrize(self_product_minus_diagonal(REGULAR_FIBER))
-    br_sym = symmetrize(self_product_minus_diagonal(BRANCH_FIBER))
-    for sym in (reg_sym, br_sym):
+    """Pushed zero-sum divisors pull back to swap-symmetric divisors on the
+    self-product and have vanishing quotient norm, exhaustively, and the
+    residual involutions are fixed-point free involutions."""
+    fibers = []
+    for name, fiber in (("regular", REGULAR_FIBER), ("branch", BRANCH_FIBER)):
+        pf = self_product_minus_diagonal(fiber)
+        fibers.append((name, fiber, pf, symmetrize(pf)))
+    for *_, sym in fibers:
         sigma = sym.sigma()
         for key, image in sigma.items():
             if key == image:
@@ -377,20 +380,17 @@ def check_prym_preservation(rng: random.Random, samples: int) -> Tuple[bool, str
             if sigma.get(image) != key:
                 return False, "involution does not square to one"
     checked = 0
-    for weights in itertools.product(range(-2, 3), repeat=4):
-        if sum(weights) != 0:
-            continue
-        d = Divisor(dict(zip(REGULAR_FIBER.labels, weights)))
-        if not norm(correspondence_push(d, REGULAR_FIBER), reg_sym, "sigma").is_zero:
-            return False, f"regular fiber weights {weights}"
-        checked += 1
-    for weights in itertools.product(range(-2, 3), repeat=3):
-        if sum(weights) != 0:
-            continue
-        d = Divisor(dict(zip(BRANCH_FIBER.labels, weights)))
-        if not norm(correspondence_push(d, BRANCH_FIBER), br_sym, "sigma").is_zero:
-            return False, f"branch fiber weights {weights}"
-        checked += 1
+    for name, fiber, pf, sym in fibers:
+        for weights in itertools.product(range(-2, 3), repeat=len(fiber.labels)):
+            if sum(weights) != 0:
+                continue
+            d = Divisor(dict(zip(fiber.labels, weights)))
+            combined = pf.pullback(d, 1) + pf.pullback(d, 2)
+            if any(combined.get((a, b)) != combined.get((b, a)) for a, b in pf.keys):
+                return False, f"{name} fiber weights {weights}: pullback differs under the swap"
+            if not norm(correspondence_push(d, fiber), sym, "sigma").is_zero:
+                return False, f"{name} fiber weights {weights}"
+            checked += 1
     # linearity of the push on random pairs
     for k in range(samples):
         w1 = {l: rng.randint(-3, 3) for l in REGULAR_FIBER.labels}

@@ -137,6 +137,41 @@ def test_cover_sym(capsys, monkeypatch):
     assert mults == {("y1", "y1"): 1, ("y1", "y2"): 2, ("y1", "y3"): 2, ("y2", "y3"): 1}
 
 
+def test_cover_sym_with_the_double_point_sorting_last(capsys, monkeypatch):
+    fiber = {
+        "base_label": "x",
+        "kind": "generic_branch",
+        "points": [{"label": "q", "mult": 2}, {"label": "a", "mult": 1}, {"label": "m", "mult": 1}],
+    }
+    code, out, _ = run_cli(capsys, ["cover", "sym"], {"fiber": fiber}, monkeypatch)
+    assert code == 0
+
+    def points(*rows):
+        return [{"pair": list(pair), "mult": m} for pair, m in rows]
+
+    assert json.loads(out) == {
+        "command": "cover sym",
+        "orientation": 1,
+        "self_product": {
+            "base_label": "x",
+            "diagonal_removed": True,
+            "points": points(
+                ("qq", 2), ("qa", 2), ("aq", 2), ("qm", 2), ("mq", 2), ("am", 1), ("ma", 1)
+            ),
+        },
+        "symmetrized": {
+            "base_label": "x",
+            "points": points(("am", 1), ("aq", 2), ("mq", 2), ("qq", 1)),
+            "involution": [
+                {"from": ["a", "m"], "to": ["q", "q"]},
+                {"from": ["a", "q"], "to": ["m", "q"]},
+                {"from": ["m", "q"], "to": ["a", "q"]},
+                {"from": ["q", "q"], "to": ["a", "m"]},
+            ],
+        },
+    }
+
+
 def test_divisor_push_and_norm(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys,

@@ -135,6 +135,38 @@ def test_symmetrize_branch_multiplicities_and_sigma():
     assert all(sigma[k] != k for k in sigma)
 
 
+@pytest.mark.parametrize(
+    "fiber",
+    [
+        FiberModel.regular("x", ("d", "b", "c", "a")),
+        FiberModel.generic_branch("x", ("q", "a", "m")),
+        FiberModel.generic_branch("x", ("m", "q", "a")),
+    ],
+    ids=["regular", "branch-double-last", "branch-double-middle"],
+)
+def test_residual_involution_is_the_multiset_complement(fiber):
+    """With labels out of sorted order, sigma sends each unordered pair to
+    the rest of the fiber's points counted with multiplicity."""
+    sym = sym_of(fiber)
+    sigma = sym.sigma()
+    assert sorted(sigma) == sorted(sym.keys)
+    for key, image in sigma.items():
+        rest = [l for l, m in fiber.points for _ in range(m)]
+        for label in key:
+            rest.remove(label)
+        assert image == tuple(sorted(rest))
+
+
+def test_residual_involution_with_the_double_point_sorting_last():
+    sigma = sym_of(FiberModel.generic_branch("x", ("q", "a", "m"))).sigma()
+    assert sigma == {
+        ("q", "q"): ("a", "m"),
+        ("a", "m"): ("q", "q"),
+        ("a", "q"): ("m", "q"),
+        ("m", "q"): ("a", "q"),
+    }
+
+
 def test_symmetrize_requires_diagonal_removal():
     pf = fiber_product(REG2A, REG2B)
     with pytest.raises(ValidationError):

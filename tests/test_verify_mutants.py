@@ -2,8 +2,10 @@
 can fail.
 
 The builders (``build_block_higgs_so33``, ``hodge_split``,
-``assemble_so22``, ``symmetrize``) no longer re-check their own results;
-each identity is checked once, by the criterion named below.  Each case
+``assemble_so22``, ``symmetrize``) no longer re-check their own results,
+and ``correspondence_push`` no longer re-checks that the self-product
+table of ``self_product_minus_diagonal`` is swap-symmetric; each identity
+is checked once, by the criterion named below.  Each case
 swaps one builder, in ``isolab.verify``'s namespace, for a variant that
 breaks exactly one identity, and asserts that the covering criterion
 reports FAIL at that identity.
@@ -41,6 +43,13 @@ def _fixed_point(sym, *_):
 def _rotated(sym, *_):
     keys = tuple(k for k, _ in sym.sigma_pairs)
     return replace(sym, sigma_pairs=tuple(zip(keys, keys[1:] + keys[:1])))
+
+
+def _asymmetric(pf, *_):
+    """One ordered pair's multiplicity up by 2: its swap orbit's total stays
+    even, so ``symmetrize`` still accepts the table."""
+    (key, m), *rest = pf.points
+    return replace(pf, points=((key, m + 2), *rest))
 
 
 def _congruence_only(edit):
@@ -85,6 +94,10 @@ CASES = {
     ),
     "residual involution squares to one": (
         8, "symmetrize", _rotated, "involution does not square to one",
+    ),
+    "self-product table swap-symmetric": (
+        8, "self_product_minus_diagonal", _asymmetric,
+        "regular fiber weights (-2, -2, 2, 2): pullback differs under the swap",
     ),
     "so22 alpha blocks": (
         10, "assemble_so22",
