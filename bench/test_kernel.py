@@ -15,9 +15,11 @@ fails instead of timing well:
   sextic of the quartic of ``A`` (the ``so6`` base map);
 * Res_x(P(x), P(eta - x)) = 16 P(eta/2) S(eta)^2, with S that sextic;
 * Pf(q6 * d_iso3(A)) = -det(alpha(A)) for symmetric traceless ``A``;
-* ``so6_oracle`` gives the sextic of ``so6_base``, on the coefficient
-  heights of the benchmark's ``oracle-high`` workload
-  (``perfbench/workloads.py``);
+* ``so6_oracle`` gives the sextic of ``so6_base`` and ``so4_oracle`` the
+  quartic of ``so4_base``, on the coefficient heights of the benchmark's
+  ``oracle-high`` workload (``perfbench/workloads.py``);
+* Res(f g, h) = Res(f, h) Res(g, h) for a product of two polynomials in
+  ``eta`` over Q[z];
 * ``poly_gcd(f h, g h)`` is the planted monic ``h``, and the gcds that
   ``genericity_report`` reports are trivial exactly when the Sylvester
   resultant of the same pair is nonzero, on sections whose coefficients
@@ -28,12 +30,22 @@ import os
 import random
 import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from isolab.exact_algebra import RingMatrix, UniPoly, char_poly, pfaffian, poly_gcd, resultant
 from isolab.lie_isogeny import alpha_block, d_iso3, q6
-from isolab.spectral_base import BaseSL4, genericity_report, sextic_of_quartic, so6_base, so6_oracle
+from isolab.spectral_base import (
+    BaseSL2Pair,
+    BaseSL4,
+    genericity_report,
+    sextic_of_quartic,
+    so4_base,
+    so4_oracle,
+    so6_base,
+    so6_oracle,
+)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -110,6 +122,24 @@ def test_so6_oracle(benchmark, degree):
     base = BaseSL4(*(UniPoly("z", coeffs) for coeffs in sections))
     sextic = benchmark(so6_oracle, base)
     assert sextic == so6_base(base).sextic()
+
+
+@pytest.mark.parametrize("degree", [0, 3, 6])
+def test_so4_oracle(benchmark, degree):
+    a1, a2, _ = height_triple(random.Random(f"so4_oracle:{degree}"), degree)
+    base = BaseSL2Pair(UniPoly("z", a1), UniPoly("z", a2))
+    quartic = benchmark(so4_oracle, base)
+    assert quartic == so4_base(base).quartic()
+
+
+def test_eta_product_over_qz(benchmark):
+    """Two degree-6 polynomials in eta with cubic Q[z] coefficients: every
+    step of the product builds polynomials from tower elements."""
+    rng = random.Random("eta_product")
+    f, g = (UniPoly("eta", [_section(rng, 3) for _ in range(7)]) for _ in range(2))
+    product = benchmark(mul, f, g)
+    h = ETA - 2
+    assert product.degree == 12 and resultant(product, h) == resultant(f, h) * resultant(g, h)
 
 
 def _height_section(rng, degree):

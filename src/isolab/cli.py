@@ -53,9 +53,12 @@ class _Input:
 
     def _parsed(self, field: str, parser: Callable, *args):
         """``parser(raw value, *args)``, with its errors prefixed by the field path."""
-        value = self.raw(field)
+        return self.within(field, parser, self.raw(field), *args)
+
+    def within(self, field: str, fn: Callable, *args):
+        """``fn(*args)``, with its errors prefixed by the path of ``field``."""
         try:
-            return parser(value, *args)
+            return fn(*args)
         except ValidationError as exc:
             self._fail(field, str(exc))
 
@@ -265,11 +268,13 @@ def _invariants_map(doc: _Input, orientation: int) -> dict:
 
 def _invariants_mw(doc: _Input, orientation: int) -> dict:
     pair = mi.ToledoPair(*_ints(doc, "d1", "d2"), doc._parsed("g", mi.check_genus))
-    return {"within_bounds": mi.milnor_wood_check(pair, doc.text("group"))}
+    return {"within_bounds": doc.within("group", mi.milnor_wood_check, pair, doc.text("group"))}
 
 
 def _invariants_lift(doc: _Input, orientation: int) -> dict:
     group = doc.text("group")
+    if group not in ("so22", "so33"):
+        doc._fail("group", f"unknown group {group!r} for the lifting criterion")
     if group == "so22":
         label = mi.ToledoPair(*_ints(doc, "c1", "c2"), doc._parsed("g", mi.check_genus))
     else:
@@ -278,13 +283,14 @@ def _invariants_lift(doc: _Input, orientation: int) -> dict:
 
 
 def _invariants_count(doc: _Input, orientation: int) -> dict:
-    report = mi.preimage_count(doc.text("isogeny"), doc._parsed("g", mi.check_genus))
+    isogeny = doc.text("isogeny")
+    report = doc.within("isogeny", mi.preimage_count, isogeny, doc._parsed("g", mi.check_genus))
     return _attrs(report, "stated", "proof_count", "enumerated", "discrepancy", "note")
 
 
 def _invariants_census(doc: _Input, orientation: int) -> dict:
     group = doc.text("group")
-    census = mi.component_census(group, doc._parsed("g", mi.check_genus))
+    census = doc.within("group", mi.component_census, group, doc._parsed("g", mi.check_genus))
     payload = {key: [list(l) for l in getattr(census, key)] for key in ("labels", "image_labels")}
     if group != "so33":
         return {"bound": census.bound, **payload}

@@ -10,6 +10,9 @@ strictly lower variable of the fixed tower
 (fiber) variable, and ``x`` the variable that resultants eliminate.
 Every value is immutable and every operation is a pure function, so
 everything here is safe to share between threads.
+
+``as_element`` and ``as_poly`` are the only coercions of the tower, and a
+constant inside a polynomial is always a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ __all__ = [
     "RingMatrix",
     "Ring",
     "as_fraction",
+    "as_element",
+    "as_poly",
     "fraction_sqrt",
     "ring_is_zero",
     "exact_div",
@@ -99,6 +104,25 @@ def ring_is_zero(elem) -> bool:
     return elem == 0
 
 
+def as_element(value) -> Ring:
+    """The canonical tower element of ``value``: ``as_fraction`` of a scalar,
+    the coefficient of a constant polynomial, else the polynomial itself."""
+    if isinstance(value, UniPoly):
+        return value if len(value.coeffs) > 1 else value.coeff(0)
+    return as_fraction(value)
+
+
+def as_poly(value, var: str) -> "UniPoly":
+    """``value`` as a polynomial in ``var``: unchanged if it is one; else its
+    ``as_element``, returned when it lives in ``var`` and otherwise made the
+    constant term (which raises for an element above ``var``)."""
+    if isinstance(value, UniPoly) and value.var != var:
+        value = as_element(value)
+    if isinstance(value, UniPoly) and value.var == var:
+        return value
+    return UniPoly(var, [value])
+
+
 def _element_vars(elem) -> set:
     if isinstance(elem, UniPoly):
         out = {elem.var}
@@ -112,8 +136,8 @@ class UniPoly:
     """Dense univariate polynomial, lowest-degree coefficient first.
 
     Coefficients are Fractions or polynomials in a strictly lower variable
-    of the tower; constant sub-polynomials are collapsed on construction so
-    that equal values have equal representations.
+    of the tower; each is stored as its ``as_element``, so that equal
+    values have equal representations.
     """
 
     __slots__ = ("var", "coeffs")
@@ -123,29 +147,15 @@ class UniPoly:
             raise ValidationError(f"unknown variable {var!r}; expected one of {sorted(VAR_ORDER)}")
         cleaned = []
         for c in coeffs:
-            c = self._clean_coeff(var, c)
+            if c.__class__ is not Fraction:  # the arithmetic hot path skips the call
+                if isinstance(c, UniPoly) and VAR_ORDER[c.var] >= VAR_ORDER[var]:
+                    raise ValidationError(f"coefficient in {c.var!r} cannot sit inside a polynomial in {var!r}")
+                c = as_element(c)
             cleaned.append(c)
         while cleaned and ring_is_zero(cleaned[-1]):
             cleaned.pop()
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs", tuple(cleaned))
-
-    @staticmethod
-    def _clean_coeff(var: str, c):
-        if isinstance(c, int):
-            return Fraction(c)
-        if isinstance(c, str):
-            return as_fraction(c)
-        if isinstance(c, Fraction):
-            return c
-        if isinstance(c, UniPoly):
-            if VAR_ORDER[c.var] >= VAR_ORDER[var]:
-                raise ValidationError(
-                    f"coefficient in {c.var!r} cannot sit inside a polynomial in {var!r}"
-                )
-            collapsed = c.constant_value()
-            return c if collapsed is None else collapsed
-        raise ValidationError(f"bad polynomial coefficient {c!r}")
 
     def __setattr__(self, *args):
         raise AttributeError("UniPoly is immutable")
@@ -180,29 +190,15 @@ class UniPoly:
             return self.coeffs[k]
         return Fraction(0)
 
-    def constant_value(self):
-        """The value of a constant polynomial, or None if non-constant."""
-        if self.is_zero:
-            return Fraction(0)
-        if self.degree == 0:
-            return self.coeffs[0]
-        return None
-
     # -- coercion ----------------------------------------------------------
 
     def _pair(self, other):
-        """Lift ``self``/``other`` to polynomials in a common top variable."""
-        if isinstance(other, (int, str)):
-            other = as_fraction(other)
-        if isinstance(other, Fraction):
-            return self, UniPoly(self.var, [other])
-        if isinstance(other, UniPoly):
-            if other.var == self.var:
-                return self, other
-            if VAR_ORDER[other.var] < VAR_ORDER[self.var]:
-                return self, UniPoly(self.var, [other])
-            return UniPoly(other.var, [self]), other
-        return None
+        """``self``/``other`` in their common top variable; None outside the tower."""
+        if not isinstance(other, _TOWER_TYPES):
+            return None
+        if isinstance(other, UniPoly) and VAR_ORDER[other.var] > VAR_ORDER[self.var]:
+            return as_poly(self, other.var), other
+        return self, as_poly(other, self.var)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -260,20 +256,13 @@ class UniPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, str)):
-            other = as_fraction(other)
-        if isinstance(other, Fraction):
-            return self.constant_value() == other
-        if isinstance(other, UniPoly):
-            if other.var == self.var:
-                return self.coeffs == other.coeffs
-            mine, theirs = self.constant_value(), other.constant_value()
-            if mine is not None or theirs is not None:
-                a = mine if mine is not None else self
-                b = theirs if theirs is not None else other
-                return a == b
-            return False
-        return NotImplemented
+        if isinstance(other, UniPoly) and other.var == self.var:
+            return self.coeffs == other.coeffs
+        if not isinstance(other, _TOWER_TYPES):
+            return NotImplemented
+        a, b = as_element(self), as_element(other)
+        # nothing collapsed: a polynomial against a scalar or one in another variable
+        return (a is not self or b is not other) and a == b
 
     __hash__ = None
 
@@ -323,24 +312,19 @@ class UniPoly:
         return f"UniPoly({self.var!r}, {[str(c) for c in self.coeffs]})"
 
 
+#: Operand types of the tower; any other operand (a matrix) handles the operation.
+_TOWER_TYPES = (UniPoly, Fraction, int, str)
+
+
 def exact_div(a, b):
     """Exact ring division; raises ValidationError if ``b`` does not divide ``a``."""
-    if isinstance(a, (int, str)):
-        a = as_fraction(a)
-    if isinstance(b, (int, str)):
-        b = as_fraction(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        if b == 0:
-            raise ValidationError("division by zero")
-        return a / b
-    if isinstance(a, Fraction):
-        a = UniPoly(b.var, [a])
+    a, b = as_element(a), as_element(b)
     if isinstance(b, Fraction):
         if b == 0:
             raise ValidationError("division by zero")
-        return a * (Fraction(1) / b)
-    q, r = a.div_mod(b)
-    if not (r.is_zero or (isinstance(r, UniPoly) and r.is_zero)):
+        return a * (1 / b)
+    q, r = UniPoly.div_mod(*_as_poly_pair(a, b))
+    if not r.is_zero:
         raise ValidationError(f"inexact division: remainder {r}")
     return q
 
@@ -369,19 +353,9 @@ def squarefree_part(f: UniPoly) -> UniPoly:
 
 
 def _as_poly_pair(f, g):
-    if isinstance(f, UniPoly) and not isinstance(g, UniPoly):
-        g = UniPoly(f.var, [as_fraction(g)])
-    elif isinstance(g, UniPoly) and not isinstance(f, UniPoly):
-        f = UniPoly(g.var, [as_fraction(f)])
-    elif not isinstance(f, UniPoly):
-        f = UniPoly("z", [as_fraction(f)])
-        g = UniPoly("z", [as_fraction(g)])
-    if isinstance(f, UniPoly) and isinstance(g, UniPoly) and f.var != g.var:
-        lifted = f._pair(g)
-        if lifted is None:
-            raise ValidationError("incompatible polynomial variables")
-        f, g = lifted
-    return f, g
+    """``f`` and ``g`` in the higher of their variables (``z`` for two scalars)."""
+    top = max((e.var for e in (f, g) if isinstance(e, UniPoly)), key=VAR_ORDER.get, default="z")
+    return as_poly(f, top), as_poly(g, top)
 
 
 def poly_sqrt(p: UniPoly) -> UniPoly:
@@ -472,9 +446,7 @@ def _from_nested(e, names, scale: int):
     """The tower element of ``e / scale``."""
     if not names:
         return Fraction(e, scale)
-    poly = UniPoly(names[0], [_from_nested(c, names[1:], scale) for c in e])
-    collapsed = poly.constant_value()
-    return poly if collapsed is None else collapsed
+    return as_element(UniPoly(names[0], [_from_nested(c, names[1:], scale) for c in e]))
 
 
 def _combine(polys, weights, depth: int):
@@ -565,7 +537,7 @@ class RingMatrix:
     def __init__(self, entries: Iterable[Iterable]):
         grid = []
         for row in entries:
-            grid.append(tuple(self._clean(e) for e in row))
+            grid.append(tuple(e if e.__class__ is Fraction else as_element(e) for e in row))
         if not grid:
             raise ValidationError("matrix needs at least one row")
         width = len(grid[0])
@@ -574,13 +546,6 @@ class RingMatrix:
         object.__setattr__(self, "entries", tuple(grid))
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", width)
-
-    @staticmethod
-    def _clean(e):
-        if isinstance(e, UniPoly):
-            collapsed = e.constant_value()
-            return e if collapsed is None else collapsed
-        return as_fraction(e) if not isinstance(e, Fraction) else e
 
     def __setattr__(self, *args):
         raise AttributeError("RingMatrix is immutable")

@@ -21,11 +21,12 @@ from .exact_algebra import (
     RingMatrix,
     UniPoly,
     ValidationError,
+    as_poly,
     kronecker,
     pfaffian,
 )
 from .lie_isogeny import HiggsBlockField, q4
-from .spectral_base import BaseSO4, as_section
+from .spectral_base import BaseSO4
 
 __all__ = [
     "ToledoPair",
@@ -260,8 +261,8 @@ def assemble_so22(
     a1 - a2 under this library's conventions; verify criterion 10
     certifies all three.
     """
-    beta1, gamma1 = as_section(beta1), as_section(gamma1)
-    beta2, gamma2 = as_section(beta2), as_section(gamma2)
+    beta1, gamma1 = as_poly(beta1, "z"), as_poly(gamma1, "z")
+    beta2, gamma2 = as_poly(beta2, "z"), as_poly(gamma2, "z")
     phi1 = RingMatrix([[0, beta1], [gamma1, 0]])
     phi2 = RingMatrix([[0, beta2], [gamma2, 0]])
     ident = RingMatrix.identity(2)
@@ -278,7 +279,7 @@ def assemble_so22(
     )
     a1 = -(beta1 * gamma1)
     a2 = -(beta2 * gamma2)
-    base = BaseSO4(b1=2 * (a1 + a2), pf=as_section(pfaffian(q4().gram * phi)), sign=1)
+    base = BaseSO4(b1=2 * (a1 + a2), pf=pfaffian(q4().gram * phi), sign=1)
     return So22Assembly(
         higgs=higgs,
         base=base,

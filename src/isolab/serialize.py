@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Union
 
-from .exact_algebra import RingMatrix, UniPoly, ValidationError, as_fraction
+from .exact_algebra import RingMatrix, UniPoly, ValidationError, as_element, as_fraction, as_poly
 from .covers_prym import (
     Divisor,
     FiberModel,
@@ -50,19 +50,17 @@ def scalar_to_json(value: Fraction) -> str:
 
 def poly_to_json(p: Union[UniPoly, Fraction, int]) -> Any:
     """Constants serialize as bare strings, polynomials as coefficient arrays."""
-    if isinstance(p, UniPoly):
-        const = p.constant_value()
-        if const is not None and isinstance(const, Fraction):
-            return scalar_to_json(const)
-        return [poly_to_json(c) for c in p.coeffs]
-    return scalar_to_json(as_fraction(p))
+    value = as_element(p)
+    if isinstance(value, Fraction):
+        return scalar_to_json(value)
+    return [poly_to_json(c) for c in p.coeffs]
 
 
 def poly_from_json(data: Any, var: str = "z", inner: str = "z") -> UniPoly:
     """Parse a polynomial; ``var`` is the top variable, ``inner`` the variable
     of nested coefficient arrays."""
     if isinstance(data, (str, int)):
-        return UniPoly(var, [as_fraction(data)])
+        return as_poly(data, var)
     if isinstance(data, list):
         coeffs = []
         for item in data:
@@ -93,16 +91,23 @@ def fiber_to_json(f: FiberModel) -> Dict[str, Any]:
 
 
 def fiber_from_json(data: Any) -> FiberModel:
+    """A fiber; ``base_label`` and the point labels are JSON strings."""
     if not isinstance(data, Mapping):
         raise ValidationError("a fiber is an object with base_label, kind, points")
     try:
-        points = tuple((p["label"], p["mult"]) for p in data["points"])
-        base_label, kind = str(data["base_label"]), str(data["kind"])
-    except (KeyError, TypeError) as exc:
+        points = data["points"]
+        if not isinstance(points, list) or not all(isinstance(p, Mapping) for p in points):
+            raise ValidationError("malformed fiber: points must be an array of {label, mult} objects")
+        points = tuple((p["label"], p["mult"]) for p in points)
+        base_label, kind = data["base_label"], str(data["kind"])
+    except KeyError as exc:
         raise ValidationError(f"malformed fiber: missing {exc}") from exc
     for _, mult in points:
         if isinstance(mult, bool) or not isinstance(mult, int):
             raise ValidationError(f"malformed fiber: invalid literal {mult!r} for mult; expected a JSON integer")
+    for label in (base_label, *(l for l, _ in points)):
+        if not isinstance(label, str):
+            raise ValidationError(f"malformed fiber: labels are JSON strings, got {label!r}")
     return FiberModel(base_label, points, kind)
 
 

@@ -26,9 +26,10 @@ from math import comb
 from typing import List, Optional, Tuple
 
 from .exact_algebra import (
+    Ring,
     UniPoly,
     ValidationError,
-    as_fraction,
+    as_poly,
     poly_gcd,
     resultant,
     ring_is_zero,
@@ -41,7 +42,6 @@ __all__ = [
     "BaseSO4",
     "BaseSO6",
     "GenericityReport",
-    "as_section",
     "so4_base",
     "so4_oracle",
     "so6_base",
@@ -52,18 +52,6 @@ __all__ = [
 ]
 
 
-def as_section(value) -> UniPoly:
-    """Coerce a scalar or polynomial to a section (a polynomial in ``z``)."""
-    if isinstance(value, UniPoly):
-        if value.var == "z":
-            return value
-        collapsed = value.constant_value()
-        if collapsed is None:
-            raise ValidationError(f"sections live in the variable z, got {value.var!r}")
-        value = collapsed
-    return UniPoly("z", [as_fraction(value)])
-
-
 @dataclass(frozen=True)
 class BaseSL2Pair:
     """Coefficients (a1, a2) of a pair of double covers eta^2 + a_i = 0."""
@@ -72,8 +60,8 @@ class BaseSL2Pair:
     a2: UniPoly
 
     def __post_init__(self):
-        object.__setattr__(self, "a1", as_section(self.a1))
-        object.__setattr__(self, "a2", as_section(self.a2))
+        object.__setattr__(self, "a1", as_poly(self.a1, "z"))
+        object.__setattr__(self, "a2", as_poly(self.a2, "z"))
 
 
 @dataclass(frozen=True)
@@ -85,9 +73,9 @@ class BaseSL4:
     a4: UniPoly
 
     def __post_init__(self):
-        object.__setattr__(self, "a2", as_section(self.a2))
-        object.__setattr__(self, "a3", as_section(self.a3))
-        object.__setattr__(self, "a4", as_section(self.a4))
+        object.__setattr__(self, "a2", as_poly(self.a2, "z"))
+        object.__setattr__(self, "a3", as_poly(self.a3, "z"))
+        object.__setattr__(self, "a4", as_poly(self.a4, "z"))
 
     def curve(self) -> UniPoly:
         return UniPoly("eta", [self.a4, self.a3, self.a2, Fraction(0), Fraction(1)])
@@ -104,8 +92,8 @@ class BaseSO4:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValidationError("orientation sign must be +1 or -1")
-        object.__setattr__(self, "b1", as_section(self.b1))
-        object.__setattr__(self, "pf", as_section(self.pf))
+        object.__setattr__(self, "b1", as_poly(self.b1, "z"))
+        object.__setattr__(self, "pf", as_poly(self.pf, "z"))
 
     def quartic(self) -> UniPoly:
         return UniPoly("eta", [self.pf * self.pf, Fraction(0), self.b1, Fraction(0), Fraction(1)])
@@ -127,9 +115,9 @@ class BaseSO6:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValidationError("orientation sign must be +1 or -1")
-        object.__setattr__(self, "b1", as_section(self.b1))
-        object.__setattr__(self, "b2", as_section(self.b2))
-        object.__setattr__(self, "pf", as_section(self.pf))
+        object.__setattr__(self, "b1", as_poly(self.b1, "z"))
+        object.__setattr__(self, "b2", as_poly(self.b2, "z"))
+        object.__setattr__(self, "pf", as_poly(self.pf, "z"))
 
     def sextic(self) -> UniPoly:
         return UniPoly(
@@ -151,9 +139,7 @@ def so4_base(b: BaseSL2Pair, sign: int = 1) -> BaseSO4:
     (a1, a2) -> (2(a1 + a2), sign * (a1 - a2))."""
     if sign not in (1, -1):
         raise ValidationError("orientation sign must be +1 or -1")
-    b1 = 2 * (b.a1 + b.a2)
-    pf = sign * (b.a1 - b.a2)
-    return BaseSO4(b1=b1, pf=as_section(pf), sign=sign)
+    return BaseSO4(b1=2 * (b.a1 + b.a2), pf=sign * (b.a1 - b.a2), sign=sign)
 
 
 def so4_oracle(b: BaseSL2Pair) -> UniPoly:
@@ -165,10 +151,7 @@ def so4_oracle(b: BaseSL2Pair) -> UniPoly:
     fx = UniPoly("x", [b.a1, Fraction(0), Fraction(1)])
     shift = UniPoly("x", [UniPoly.variable("eta"), Fraction(-1)])  # eta - x
     gx = shift * shift + b.a2
-    quartic = resultant(fx, gx, var="x")
-    if not isinstance(quartic, UniPoly) or quartic.var != "eta":
-        quartic = UniPoly("eta", [quartic])
-    return quartic
+    return as_poly(resultant(fx, gx, var="x"), "eta")
 
 
 def so6_base(b: BaseSL4, sign: int = 1) -> BaseSO6:
@@ -176,10 +159,7 @@ def so6_base(b: BaseSL4, sign: int = 1) -> BaseSO6:
     (a2, a3, a4) -> (b1, b2, pf) = (2 a2, a2^2 - 4 a4, sign * a3)."""
     if sign not in (1, -1):
         raise ValidationError("orientation sign must be +1 or -1")
-    b1 = 2 * b.a2
-    b2 = b.a2 * b.a2 - 4 * b.a4
-    pf = sign * b.a3
-    return BaseSO6(b1=b1, b2=b2, pf=as_section(pf), sign=sign)
+    return BaseSO6(b1=2 * b.a2, b2=b.a2 * b.a2 - 4 * b.a4, pf=sign * b.a3, sign=sign)
 
 
 def so6_oracle(b: BaseSL4) -> UniPoly:
@@ -216,11 +196,10 @@ def sextic_of_quartic(p: UniPoly) -> UniPoly:
     return so6_oracle(_extract_quartic(p))
 
 
-def _extract_quadratic(p: UniPoly) -> UniPoly:
+def _extract_quadratic(p: UniPoly) -> Ring:
     if p.var != "eta" or p.degree != 2 or p.lead != 1 or not ring_is_zero(p.coeff(1)):
         raise ValidationError("expected a monic quadratic eta^2 + a with zero linear term")
-    a = p.coeff(0)
-    return a if isinstance(a, UniPoly) else UniPoly("z", [a])
+    return p.coeff(0)
 
 
 def _extract_quartic(p: UniPoly) -> BaseSL4:

@@ -461,6 +461,50 @@ def test_fiber_mult_must_be_a_json_integer(capsys, monkeypatch, mult):
     assert err.startswith(f"error: fiber: malformed fiber: invalid literal {mult!r} for mult")
 
 
+@pytest.mark.parametrize(
+    "argv,doc,message",
+    [
+        (["invariants", "mw"], {"d1": 2, "d2": 0, "g": 2, "group": "so44"},
+         "error: group: unknown group 'so44' for the degree bound\n"),
+        (["invariants", "census"], {"group": "so44", "g": 2}, "error: group: unknown group 'so44' for the census\n"),
+        (["invariants", "count"], {"isogeny": "rank9", "g": 2}, "error: isogeny: unknown isogeny 'rank9'\n"),
+        (["invariants", "lift"], {"group": "so44"},
+         "error: group: unknown group 'so44' for the lifting criterion\n"),
+    ],
+    ids=["mw", "census", "count", "lift"],
+)
+def test_unknown_invariants_name_exits_one_with_its_field_path(capsys, monkeypatch, argv, doc, message):
+    code, out, err = run_cli(capsys, argv, doc, monkeypatch)
+    assert code == 1 and out == "" and err == message
+
+
+@pytest.mark.parametrize(
+    "fiber,message",
+    [
+        (_regular_fiber(None, True, 3, "d"), "error: fiber: malformed fiber: labels are JSON strings, got None\n"),
+        (_regular_fiber("a", "b", "c", 3), "error: fiber: malformed fiber: labels are JSON strings, got 3\n"),
+        ({**_regular_fiber("a", "b", "c", "d"), "base_label": None},
+         "error: fiber: malformed fiber: labels are JSON strings, got None\n"),
+        ({**_regular_fiber("a", "b", "c", "d"), "base_label": 7},
+         "error: fiber: malformed fiber: labels are JSON strings, got 7\n"),
+        ({**_regular_fiber(), "points": "abcd"},
+         "error: fiber: malformed fiber: points must be an array of {label, mult} objects\n"),
+        ({**_regular_fiber(), "points": ["a", "b", "c", "d"]},
+         "error: fiber: malformed fiber: points must be an array of {label, mult} objects\n"),
+    ],
+    ids=["point-labels", "last-label", "null-base-label", "integer-base-label", "points-string", "points-of-strings"],
+)
+def test_fiber_labels_are_json_strings(capsys, monkeypatch, fiber, message):
+    code, out, err = run_cli(capsys, ["cover", "sym"], {"fiber": fiber}, monkeypatch)
+    assert code == 1 and out == "" and err == message
+
+
+def test_constant_nested_coefficient_in_z_exits_one_with_field_path(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["base", "map-so4"], {"a1": [["1"]], "a2": "0"}, monkeypatch)
+    assert code == 1 and out == ""
+    assert err == "error: a1: coefficient in 'z' cannot sit inside a polynomial in 'z'\n"
+
+
 def test_exponent_notation_exits_one_with_field_path(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["base", "map-so6"], {"a2": "1e400", "a3": "0", "a4": "0"}, monkeypatch)
     assert code == 1 and out == ""

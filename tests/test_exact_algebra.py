@@ -6,10 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isolab.exact_algebra import (
+    VAR_ORDER,
     RingMatrix,
     UniPoly,
     ValidationError,
+    as_element,
     as_fraction,
+    as_poly,
     char_poly,
     exact_div,
     exterior_square,
@@ -158,6 +161,100 @@ def test_exact_division_and_remainder_error():
     assert exact_div(p, Z - 1) == Z + 2
     with pytest.raises(ValidationError):
         exact_div(p + 1, Z - 1)
+
+
+# -- the coercion rule -----------------------------------------------------------
+
+TOWER = tower(["z", "eta", "x"])
+
+
+def _level(e) -> int:
+    return VAR_ORDER[e.var] if isinstance(e, UniPoly) else -1
+
+
+def _representations(e):
+    """``e``, its canonical element, and ``e`` as a constant in every variable at or above its own."""
+    return [e, as_element(e)] + [as_poly(e, v) for v in VAR_ORDER if VAR_ORDER[v] >= _level(e)]
+
+
+def _is_canonical(e) -> bool:
+    return isinstance(e, Fraction) or (isinstance(e, UniPoly) and e.degree >= 1)
+
+
+@given(st.one_of(TOWER, st.integers(-5, 5)))
+def test_as_element_is_idempotent(e):
+    once = as_element(e)
+    again = as_element(once)
+    assert _is_canonical(once) and type(again) is type(once) and again == once
+
+
+@given(TOWER, st.sampled_from(sorted(VAR_ORDER)))
+def test_as_poly_keeps_the_value_at_or_above_its_variable(e, var):
+    assume(VAR_ORDER[var] >= _level(e))
+    p = as_poly(e, var)
+    assert p.var == var and p == e and e == p
+    if isinstance(e, UniPoly) and e.var == var:
+        assert p is e
+
+
+@given(TOWER, TOWER)
+@settings(deadline=None)
+def test_equality_is_symmetric_and_agrees_with_as_element(a, b):
+    assert (a == b) == (b == a) == (as_element(a) == as_element(b))
+    assert (a != b) == (not a == b)
+
+
+@given(TOWER)
+@settings(deadline=None)
+def test_equality_holds_across_representations(e):
+    for r, s in itertools.product(_representations(e), repeat=2):
+        assert r == s and s == r and as_element(r) == as_element(s)
+
+
+def test_constants_equal_their_values_in_every_representation():
+    three = UniPoly("eta", [3])
+    assert three == Fraction(3) and Fraction(3) == three and three == 3 and 3 == three
+    wrapped = UniPoly("eta", [Z + 1])
+    assert wrapped == Z + 1 and Z + 1 == wrapped and as_element(wrapped) is wrapped.coeffs[0]
+    assert ETA != Z and Z != ETA and ETA + 1 != 1 and UniPoly("x", [ETA]) != Z
+
+
+nonzero_scalars = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(lambda c: c != 0)
+divisors = st.one_of(
+    nonzero_scalars,
+    st.tuples(st.sampled_from(sorted(VAR_ORDER)), nonzero_scalars).map(lambda t: UniPoly(t[0], [t[1]])),
+    TOWER.filter(lambda e: isinstance(e, UniPoly) and e.degree >= 1),
+)
+
+
+@given(TOWER, divisors)
+@settings(max_examples=60, deadline=None)
+def test_exact_div_undoes_a_product(a, b):
+    assert exact_div(a * b, b) == a
+
+
+def test_operands_outside_the_tower_are_left_to_the_other_side():
+    assert Z * RingMatrix.identity(2) == RingMatrix.diagonal([Z, Z])
+    assert (Z == None) is False  # noqa: E711
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_coefficients_are_refused(value):
+    with pytest.raises(ValidationError, match=f"cannot interpret {value} as an exact scalar"):
+        UniPoly("z", [1, value])
+
+
+def test_unsupported_coefficient_gets_the_scalar_message():
+    with pytest.raises(ValidationError, match="cannot interpret 1.5 as an exact scalar"):
+        UniPoly("z", [1.5])
+
+
+def test_as_poly_refuses_a_higher_variable_but_collapses_a_constant():
+    with pytest.raises(ValidationError, match="coefficient in 'eta' cannot sit inside a polynomial in 'z'"):
+        as_poly(ETA + Z, "z")
+    assert as_poly(UniPoly("eta", [Z]), "z") == Z and as_poly(UniPoly("eta", [2]), "z") == 2
+    with pytest.raises(ValidationError, match="coefficient in 'z' cannot sit inside a polynomial in 'z'"):
+        UniPoly("z", [UniPoly("z", [1])])
 
 
 def test_poly_sqrt_round_trip_and_failure():

@@ -230,3 +230,10 @@ def test_orientation_sign_validation():
         so4_base(BaseSL2Pair(1, 2), sign=2)
     with pytest.raises(ValidationError):
         BaseSO6(b1=0, b2=0, pf=0, sign=0)
+
+
+def test_sections_refuse_a_non_constant_fiber_polynomial():
+    with pytest.raises(ValidationError, match="coefficient in 'eta' cannot sit inside a polynomial in 'z'"):
+        BaseSL2Pair(ETA + 1, 0)
+    pair = BaseSL2Pair(UniPoly("eta", [Z]), "1/2")
+    assert (pair.a1.var, pair.a2.var) == ("z", "z") and pair.a1 == Z and pair.a2 == Fraction(1, 2)
