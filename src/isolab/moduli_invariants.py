@@ -17,16 +17,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .exact_algebra import (
-    RingMatrix,
-    UniPoly,
-    ValidationError,
-    as_poly,
-    kronecker,
-    pfaffian,
-)
-from .lie_isogeny import HiggsBlockField, q4
-from .spectral_base import BaseSO4
+from .exact_algebra import RingMatrix, UniPoly, ValidationError, as_poly, kronecker
+from .lie_isogeny import HiggsBlockField
+from .spectral_base import BaseSL2Pair, BaseSO4, so4_base
 
 __all__ = [
     "ToledoPair",
@@ -255,11 +248,11 @@ def assemble_so22(
 
     The tensor-sum field is reordered into the two rank-2 summands, whose
     degree labels are n1 + n2 and n1 - n2; the top-right block is
-    [[beta2, beta1], [gamma1, gamma2]].  The quartic of the result equals
-    the induced base map on (a1, a2) = (-beta1*gamma1, -beta2*gamma2), and
-    the stored Pfaffian, computed from the 4-dimensional form, equals
-    a1 - a2 under this library's conventions; verify criterion 10
-    certifies all three.
+    [[beta2, beta1], [gamma1, gamma2]].  The base data and the quartic are
+    the induced base map ``so4_base`` on (a1, a2) = (-beta1*gamma1,
+    -beta2*gamma2), so the stored Pfaffian is a1 - a2; verify criterion 10
+    certifies that they are the characteristic polynomial of the field and
+    the Pfaffian of the 4-dimensional form times the field.
     """
     beta1, gamma1 = as_poly(beta1, "z"), as_poly(gamma1, "z")
     beta2, gamma2 = as_poly(beta2, "z"), as_poly(gamma2, "z")
@@ -277,15 +270,13 @@ def assemble_so22(
         q1=_Q_PAIR,
         q2=-_Q_PAIR,
     )
-    a1 = -(beta1 * gamma1)
-    a2 = -(beta2 * gamma2)
-    base = BaseSO4(b1=2 * (a1 + a2), pf=pfaffian(q4().gram * phi), sign=1)
+    base = so4_base(BaseSL2Pair(-(beta1 * gamma1), -(beta2 * gamma2)))
     return So22Assembly(
         higgs=higgs,
         base=base,
         m1_degree=n1_degree + n2_degree,
         m2_degree=n1_degree - n2_degree,
-        quartic=phi.char_poly(),
+        quartic=base.quartic(),
     )
 
 

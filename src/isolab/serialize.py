@@ -1,12 +1,11 @@
 """JSON schemas shared by the CLI.
 
 Rationals are strings "p/q" (plain "p" for integers).  Polynomials are
-arrays of coefficients, lowest degree first; a bare string is a constant,
-and a coefficient may itself be an array (a polynomial in the base
-variable z sitting inside a fiber-variable polynomial).  Matrices are
-arrays of rows.  Divisor keys are rendered as the plain label, "(a,b)"
-for an ordered pair, "[a,b]" for an unordered pair, and "[[a,b]]" for an
-involution orbit.
+arrays of coefficients in the base variable z, lowest degree first; a bare
+string is a constant, and a coefficient that is itself an array is refused.
+Matrices are arrays of rows.  Divisor keys are rendered as the plain
+label, "(a,b)" for an ordered pair, "[a,b]" for an unordered pair, and
+"[[a,b]]" for an involution orbit.
 """
 
 from __future__ import annotations
@@ -56,19 +55,13 @@ def poly_to_json(p: Union[UniPoly, Fraction, int]) -> Any:
     return [poly_to_json(c) for c in p.coeffs]
 
 
-def poly_from_json(data: Any, var: str = "z", inner: str = "z") -> UniPoly:
-    """Parse a polynomial; ``var`` is the top variable, ``inner`` the variable
-    of nested coefficient arrays."""
+def poly_from_json(data: Any) -> UniPoly:
+    """Parse a polynomial in z.  A nested coefficient array parses as a
+    polynomial in z too, which ``UniPoly`` refuses as a coefficient."""
     if isinstance(data, (str, int)):
-        return as_poly(data, var)
+        return as_poly(data, "z")
     if isinstance(data, list):
-        coeffs = []
-        for item in data:
-            if isinstance(item, list):
-                coeffs.append(poly_from_json(item, var=inner))
-            else:
-                coeffs.append(as_fraction(item))
-        return UniPoly(var, coeffs)
+        return UniPoly("z", [poly_from_json(c) if isinstance(c, list) else as_fraction(c) for c in data])
     raise ValidationError(f"cannot parse polynomial from {data!r}")
 
 
@@ -76,10 +69,10 @@ def matrix_to_json(m: RingMatrix) -> List[List[Any]]:
     return [[poly_to_json(e) for e in row] for row in m.entries]
 
 
-def matrix_from_json(data: Any, var: str = "z") -> RingMatrix:
+def matrix_from_json(data: Any) -> RingMatrix:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ValidationError("a matrix is a non-empty array of rows")
-    return RingMatrix([[poly_from_json(e, var=var) for e in row] for row in data])
+    return RingMatrix([[poly_from_json(e) for e in row] for row in data])
 
 
 def fiber_to_json(f: FiberModel) -> Dict[str, Any]:

@@ -30,6 +30,7 @@ from .lie_isogeny import (
     iso3_group,
     q4,
     q6,
+    to_split_basis,
 )
 from .spectral_base import (
     BaseSL2Pair,
@@ -287,23 +288,25 @@ def check_structure_preservation(rng: random.Random, samples: int) -> Tuple[bool
 
 
 def check_alpha_and_pfaffian(rng: random.Random, samples: int) -> Tuple[bool, str]:
-    """The split-basis block Higgs field is [[0, alpha], [alpha^T, 0]] and
-    anti-symmetric for its orthogonal structures; the 6-dimensional
-    Pfaffian squares to det(alpha)^2 with a constant sign."""
+    """The block Higgs field [[0, alpha], [alpha^T, 0]] is the rank-3
+    derivative conjugated into the split basis, and anti-symmetric for its
+    orthogonal structures; the 6-dimensional Pfaffian squares to
+    det(alpha)^2 with a constant sign."""
     g6 = q6().gram
     for k in range(samples):
         adot = rand_symmetric_traceless(rng)
         x = d_iso3(adot)
-        alpha = alpha_block(adot)
+        conj = to_split_basis(x)
         higgs = build_block_higgs_so33(adot)
-        if not (higgs.phi11.is_zero() and higgs.phi22.is_zero()):
+        diagonal = (conj.block(0, 0, 3, 3), conj.block(3, 3, 3, 3))
+        if (higgs.phi11, higgs.phi22) != diagonal or not all(b.is_zero() for b in diagonal):
             return False, f"diagonal blocks sample {k}"
-        if higgs.phi12 != alpha or higgs.phi21 != alpha.transpose():
+        if (higgs.phi12, higgs.phi21) != (conj.block(0, 3, 3, 3), conj.block(3, 0, 3, 3)):
             return False, f"off-diagonal blocks sample {k}"
         if higgs.phi21 != _orthogonal_transpose(higgs):
             return False, f"block anti-symmetry sample {k}"
         pf = pfaffian(g6 * x)
-        det_alpha = alpha.det()
+        det_alpha = higgs.alpha.det()
         if pf * pf != det_alpha * det_alpha:
             return False, f"square law sample {k}"
         if pf != -det_alpha:
@@ -453,9 +456,11 @@ def check_invariant_calculus(rng: random.Random, samples: int) -> Tuple[bool, st
 
 def check_so22_assembly(rng: random.Random, samples: int) -> Tuple[bool, str]:
     """Assembled block is [[beta2, beta1], [gamma1, gamma2]] and
-    anti-symmetric for the reordered 4-dimensional form; assembled quartic
-    equals the induced base map and Pf = a1 - a2; degree labels add and
-    subtract."""
+    anti-symmetric for the reordered 4-dimensional form; the field's
+    characteristic polynomial is the assembled quartic, which equals the
+    induced base map; its Pfaffian against the form is the stored one,
+    a1 - a2; degree labels add and subtract."""
+    form = _reordered(q4().gram)
     for k in range(samples):
         beta1, gamma1 = rand_section(rng, 2), rand_section(rng, 2)
         beta2, gamma2 = rand_section(rng, 2), rand_section(rng, 2)
@@ -467,9 +472,10 @@ def check_so22_assembly(rng: random.Random, samples: int) -> Tuple[bool, str]:
         if higgs.phi21 != _orthogonal_transpose(higgs):
             return False, f"block anti-symmetry sample {k}"
         pair = BaseSL2Pair(-(beta1 * gamma1), -(beta2 * gamma2))
-        if result.quartic != so4_base(pair).quartic():
+        field = higgs.as_matrix()
+        if result.quartic != so4_base(pair).quartic() or field.char_poly() != result.quartic:
             return False, f"quartic sample {k}"
-        if result.base.pf != pair.a1 - pair.a2:
+        if result.base.pf != pair.a1 - pair.a2 or pfaffian(form * field) != result.base.pf:
             return False, f"Pfaffian sample {k}"
         if (result.m1_degree, result.m2_degree) != (n1 + n2, n1 - n2):
             return False, f"degree labels sample {k}"
@@ -478,7 +484,6 @@ def check_so22_assembly(rng: random.Random, samples: int) -> Tuple[bool, str]:
         return False, "frozen quartic instance"
     if frozen.higgs.alpha != RingMatrix([[1, 1], [1, -1]]):
         return False, "frozen block instance"
-    form = _reordered(q4().gram)
     if not form.block(0, 2, 2, 2).is_zero() or (
         form.block(0, 0, 2, 2), form.block(2, 2, 2, 2)
     ) != (frozen.higgs.q1, frozen.higgs.q2):

@@ -479,6 +479,20 @@ def test_unknown_invariants_name_exits_one_with_its_field_path(capsys, monkeypat
 
 
 @pytest.mark.parametrize(
+    "b1,b2,message",
+    [
+        (5, 0, "error: b1: a Z/2 label is 0 or 1\n"),
+        (1, -1, "error: b2: a Z/2 label is 0 or 1\n"),
+        (2, 2, "error: b1: a Z/2 label is 0 or 1\n"),
+    ],
+)
+def test_so33_lift_label_out_of_range_names_its_field(capsys, monkeypatch, b1, b2, message):
+    doc = {"group": "so33", "b1": b1, "b2": b2}
+    code, out, err = run_cli(capsys, ["invariants", "lift"], doc, monkeypatch)
+    assert code == 1 and out == "" and err == message
+
+
+@pytest.mark.parametrize(
     "fiber,message",
     [
         (_regular_fiber(None, True, 3, "d"), "error: fiber: malformed fiber: labels are JSON strings, got None\n"),

@@ -179,6 +179,7 @@ def test_block_higgs_over_polynomial_sections():
     assert higgs.phi11.is_zero() and higgs.phi22.is_zero()
     assert higgs.alpha == alpha_block(field)
     assert higgs.as_matrix().char_poly() == d_iso3(field).char_poly()
+    assert to_split_basis(d_iso3(field)) == higgs.as_matrix()
 
 
 def test_hodge_split_identity_form():

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from isolab.exact_algebra import RingMatrix, UniPoly, ValidationError
+from isolab.exact_algebra import RingMatrix, UniPoly, ValidationError, pfaffian
+from isolab.lie_isogeny import q4
 from isolab.moduli_invariants import (
     MAX_GENUS,
     ToledoPair,
     TorsionVector,
     W2Label,
+    _reordered,
     assemble_so22,
     component_census,
     liftable,
@@ -160,6 +162,9 @@ def test_assemble_matches_base_map_on_random_sections(rng_factory):
         pair = BaseSL2Pair(-(beta1 * gamma1), -(beta2 * gamma2))
         assert result.quartic == so4_base(pair).quartic()
         assert result.base.quartic() == result.quartic
+        field = result.higgs.as_matrix()
+        assert field.char_poly() == result.quartic
+        assert pfaffian(_reordered(q4().gram) * field) == result.base.pf
 
 
 def test_assemble_block_antisymmetry_invariant():

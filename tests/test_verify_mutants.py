@@ -2,28 +2,38 @@
 can fail.
 
 The builders (``build_block_higgs_so33``, ``hodge_split``,
-``assemble_so22``, ``symmetrize``) no longer re-check their own results,
-and ``correspondence_push`` no longer re-checks that the self-product
+``assemble_so22``, ``symmetrize``) do not re-check their own results,
+and ``correspondence_push`` does not re-check that the self-product
 table of ``self_product_minus_diagonal`` is swap-symmetric; each identity
-is checked once, by the criterion named below.  Each case
-swaps one builder, in ``isolab.verify``'s namespace, for a variant that
-breaks exactly one identity, and asserts that the covering criterion
-reports FAIL at that identity.
+is checked once, by the criterion named below.  The so(3,3) and so(2,2)
+builders return closed forms (``alpha_block``, ``so4_base``), and their
+criteria hold the definitions as the reference: the split-basis
+conjugation of the rank-3 derivative, and the characteristic polynomial
+and Pfaffian of the assembled field.
 
-The rank-3 base map ``so6_base`` is swapped in ``isolab.spectral_base``
-as well, where its oracle lives: an oracle that derived its sextic from
-the base map would then agree with the wrong map, and criterion 2 would
-pass.
+Each case swaps one function for a variant that breaks exactly one
+identity, in every isolab module namespace that holds the function, and
+asserts that the covering criterion reports FAIL at that identity.  A
+function swapped everywhere also reaches the builders that call it and
+the references that could share it: an oracle that derived its sextic
+from ``so6_base``, or a criterion 10 that compared the assembly only with
+``so4_base``, would agree with the wrong map and pass.
 """
 
+import importlib
+import pkgutil
 import random
 from dataclasses import replace
 
 import pytest
 
-from isolab import spectral_base, verify
+import isolab
+from isolab import verify
 from isolab.exact_algebra import RingMatrix, UniPoly
 
+MODULES = [isolab] + [
+    importlib.import_module(f"isolab.{info.name}") for info in pkgutil.iter_modules(isolab.__path__)
+]
 IDENTITY4 = RingMatrix.identity(4)
 SWAP2 = RingMatrix([[0, 1], [1, 0]])
 
@@ -57,7 +67,7 @@ def _congruence_only(edit):
     return lambda s, q, *_: s if q.gram == IDENTITY4 else edit(s)
 
 
-# (criterion, builder in verify's namespace, wrong variant, expected detail)
+# (criterion, function in verify's namespace, wrong variant, expected detail)
 CASES = {
     "so33 diagonal blocks vanish": (
         5, "build_block_higgs_so33",
@@ -72,6 +82,11 @@ CASES = {
     "so33 phi21 is alpha^T": (
         5, "build_block_higgs_so33",
         lambda h, *_: replace(h, phi21=-h.phi21),
+        "off-diagonal blocks sample 0",
+    ),
+    "so33 alpha_block transposed": (
+        5, "alpha_block",
+        lambda a, *_: a.transpose(),
         "off-diagonal blocks sample 0",
     ),
     "so33 block anti-symmetry": (
@@ -119,6 +134,16 @@ CASES = {
         lambda r, *_: replace(r, base=replace(r.base, pf=-r.base.pf)),
         "Pfaffian sample 0",
     ),
+    "so22 so4_base b1 = a1 - a2": (
+        10, "so4_base",
+        lambda m, b, *_: replace(m, b1=b.a1 - b.a2),
+        "quartic sample 0",
+    ),
+    "so22 so4_base Pfaffian sign flipped": (
+        10, "so4_base",
+        lambda m, *_: replace(m, pf=-m.pf),
+        "Pfaffian sample 0",
+    ),
     "so22 reordered form shape": (
         10, "assemble_so22",
         _higgs(q1=lambda h: h.q2, q2=lambda h: h.q1),
@@ -160,7 +185,7 @@ def test_wrong_builder_fails_its_criterion(case, monkeypatch):
 
     real = getattr(verify, builder)
     wrong = lambda *a, **kw: edit(real(*a, **kw), *a)
-    for module in (verify, spectral_base):
+    for module in MODULES:
         if getattr(module, builder, None) is real:
             monkeypatch.setattr(module, builder, wrong)
     passed, actual = check(random.Random(case), 2)
