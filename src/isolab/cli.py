@@ -6,7 +6,8 @@ commands: each entry maps ``"group command"`` to a body that turns the
 parsed document into a report payload, plus the payload field whose
 falsity means a mathematical check failed.  ``verify all`` is the one
 command outside the table.  Exit codes: 0 success, 1 input validation
-failure, 2 a mathematical check failed, 3 internal error.
+failure (a usage error included), 2 a mathematical check failed, 3
+internal error.
 
 Reports echo the orientation sign in use; the environment variable
 ISOLAB_SEED, when set, overrides --seed.
@@ -361,19 +362,6 @@ def _verify_all(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, with_input: bool = True):
-    if with_input:
-        parser.add_argument("--input", help="path to a JSON input document (default: stdin)")
-    parser.add_argument(
-        "--orientation",
-        type=int,
-        choices=(1, -1),
-        default=1,
-        help="orientation sign used wherever a Pfaffian or determinant trivialization enters",
-    )
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isolab",
@@ -387,24 +375,33 @@ def build_parser() -> argparse.ArgumentParser:
             group_parser = top.add_parser(group_name)
             groups[group_name] = group_parser.add_subparsers(dest="command", required=True)
         cmd_parser = groups[group_name].add_parser(cmd_name)
-        _add_common(cmd_parser)
+        cmd_parser.add_argument("--input", help="path to a JSON input document (default: stdin)")
+        cmd_parser.add_argument(
+            "--orientation",
+            type=int,
+            choices=(1, -1),
+            default=1,
+            help="orientation sign used wherever a Pfaffian or determinant trivialization enters",
+        )
         cmd_parser.set_defaults(handler=_run_document, command_path=path)
 
     verify = top.add_parser("verify").add_subparsers(dest="command", required=True)
     verify_all = verify.add_parser("all")
-    _add_common(verify_all, with_input=False)
     verify_all.add_argument("--seed", type=int, default=0)
     verify_all.add_argument(
-        "--samples", type=int, default=None, help="override per-check sample counts"
+        "--samples", type=int, default=None, help="override per-check sample counts (0 or more)"
     )
+    verify_all.add_argument("--format", choices=("json", "text"), default="text")
     verify_all.set_defaults(handler=_verify_all, command_path="verify all")
-    verify_all.set_defaults(format="text")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage-error exit 2 would read as a failed check
+        return EXIT_VALIDATION if exc.code == 2 else exc.code
     if hasattr(args, "seed"):
         env_seed = os.environ.get("ISOLAB_SEED")
         if env_seed is not None:

@@ -55,14 +55,11 @@ OMEGA = RingMatrix([[0, 1], [-1, 0]])
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """A symmetric invertible Gram matrix plus a chosen orientation sign."""
+    """A symmetric invertible Gram matrix."""
 
     gram: RingMatrix
-    orientation_sign: int = 1
 
     def __post_init__(self):
-        if self.orientation_sign not in (1, -1):
-            raise ValidationError("orientation sign must be +1 or -1")
         if not self.gram.is_symmetric():
             raise ValidationError("quadratic form requires a symmetric Gram matrix")
         if ring_is_zero(self.gram.det()):
@@ -278,10 +275,14 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     the square root of det(q) (the choice of compatible determinant
     trivialization), and return its +/-1 eigenspace data.
 
-    ``q`` is the 4x4 orthogonal structure; its determinant must be a
-    rational square so that the normalization exists over the rationals.
-    Orientation -1 flips the star and therefore swaps the two eigenspaces.  That star squares to the
-    identity with rank-3 eigenspaces is certified by verify criterion 6.
+    Since Lambda^2(q)^T Q6 Lambda^2(q) = det(q) Q6, Q6^{-1} = Q6 and q is
+    symmetric, the star is the closed form
+    orientation * Q6 * Lambda^2(q) / sqrt(det q).  ``q`` is the 4x4
+    orthogonal structure with rational entries; its determinant must be a
+    rational square.  Orientation -1 flips the star and therefore swaps the
+    two eigenspaces.  Verify criterion 6 certifies the star against the
+    inverse of the induced form, that it squares to the identity with
+    rank-3 eigenspaces, and that each basis vector is an eigenvector.
     """
     gram = q.gram
     if orientation not in (1, -1):
@@ -289,17 +290,15 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     _require_shape(gram, 4, "star-operator construction")
     scale = fraction_sqrt(gram.det())  # ValidationError if det is not a rational square
     induced = exterior_square(gram)
-    star = induced.inverse() * q6().gram
-    star = star.scale(Fraction(orientation) * scale)
+    induced._require_rational("matrix inversion")  # the star inverts it, in closed form, over Q
+    q6_gram = q6().gram
+    star = (q6_gram * induced).scale(Fraction(orientation) / scale)
     ident = RingMatrix.identity(6)
     plus = _canonical_basis((star - ident).nullspace())
     minus = _canonical_basis((star + ident).nullspace())
-    q6_gram = q6().gram
 
     def restrict(basis):
         b = RingMatrix([[vec[i] for vec in basis] for i in range(6)])
-        return b.transpose() * q6_gram * b
+        return QuadraticForm(b.transpose() * q6_gram * b)
 
-    q_plus = QuadraticForm(restrict(plus), orientation)
-    q_minus = QuadraticForm(restrict(minus), orientation)
-    return HodgeSplit(star, plus, minus, q_plus, q_minus)
+    return HodgeSplit(star, plus, minus, restrict(plus), restrict(minus))

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .exact_algebra import RingMatrix, UniPoly, ValidationError, as_poly, kronecker
+from .exact_algebra import RingMatrix, UniPoly, ValidationError, as_poly
 from .lie_isogeny import HiggsBlockField
 from .spectral_base import BaseSL2Pair, BaseSO4, so4_base
 
@@ -227,6 +227,7 @@ _SO22_REORDER = (0, 3, 1, 2)
 #: Gram matrix of each rank-2 summand: the reordered 4-dimensional form is
 #: diag(_Q_PAIR, -_Q_PAIR) (verify criterion 10).
 _Q_PAIR = RingMatrix([[0, 1], [1, 0]])
+_ZERO2 = RingMatrix.diagonal([0, 0])
 
 
 def _reordered(m: RingMatrix) -> RingMatrix:
@@ -246,30 +247,22 @@ def assemble_so22(
     """Assemble two off-diagonal rank-2 Higgs fields into the block field of
     the 4-dimensional split orthogonal form.
 
-    The tensor-sum field is reordered into the two rank-2 summands, whose
-    degree labels are n1 + n2 and n1 - n2; the top-right block is
-    [[beta2, beta1], [gamma1, gamma2]].  The base data and the quartic are
-    the induced base map ``so4_base`` on (a1, a2) = (-beta1*gamma1,
-    -beta2*gamma2), so the stored Pfaffian is a1 - a2; verify criterion 10
-    certifies that they are the characteristic polynomial of the field and
-    the Pfaffian of the 4-dimensional form times the field.
+    The field is the tensor sum phi1 (x) I + I (x) phi2 of phi_i =
+    [[0, beta_i], [gamma_i, 0]] in the basis of the two rank-2 summands,
+    whose degree labels are n1 + n2 and n1 - n2: the closed form with zero
+    diagonal blocks, top-right block [[beta2, beta1], [gamma1, gamma2]],
+    bottom-left block [[gamma2, beta1], [gamma1, beta2]] and forms _Q_PAIR,
+    -_Q_PAIR.  The base data and the quartic are the induced base map
+    ``so4_base`` on (a1, a2) = (-beta1*gamma1, -beta2*gamma2), so the stored
+    Pfaffian is a1 - a2.  Verify criterion 10 certifies the field against
+    the reordered tensor sum, and the quartic and Pfaffian against the
+    characteristic polynomial and the Pfaffian of the form times the field.
     """
     beta1, gamma1 = as_poly(beta1, "z"), as_poly(gamma1, "z")
     beta2, gamma2 = as_poly(beta2, "z"), as_poly(gamma2, "z")
-    phi1 = RingMatrix([[0, beta1], [gamma1, 0]])
-    phi2 = RingMatrix([[0, beta2], [gamma2, 0]])
-    ident = RingMatrix.identity(2)
-    phi = kronecker(phi1, ident) + kronecker(ident, phi2)
-
-    permuted = _reordered(phi)
-    higgs = HiggsBlockField(
-        phi11=permuted.block(0, 0, 2, 2),
-        phi12=permuted.block(0, 2, 2, 2),
-        phi21=permuted.block(2, 0, 2, 2),
-        phi22=permuted.block(2, 2, 2, 2),
-        q1=_Q_PAIR,
-        q2=-_Q_PAIR,
-    )
+    alpha = RingMatrix([[beta2, beta1], [gamma1, gamma2]])
+    phi21 = RingMatrix([[gamma2, beta1], [gamma1, beta2]])
+    higgs = HiggsBlockField(_ZERO2, alpha, phi21, _ZERO2, _Q_PAIR, -_Q_PAIR)
     base = so4_base(BaseSL2Pair(-(beta1 * gamma1), -(beta2 * gamma2)))
     return So22Assembly(
         higgs=higgs,

@@ -87,11 +87,8 @@ class BaseSO4:
 
     b1: UniPoly
     pf: UniPoly
-    sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValidationError("orientation sign must be +1 or -1")
         object.__setattr__(self, "b1", as_poly(self.b1, "z"))
         object.__setattr__(self, "pf", as_poly(self.pf, "z"))
 
@@ -104,17 +101,14 @@ class BaseSO6:
     """Even sextic data (b1, b2, pf): curve eta^6 + b1 eta^4 + b2 eta^2 - pf^2.
 
     The negative constant term is this library's wedge-form convention;
-    the Pfaffian is stored separately with its orientation sign.
+    the stored Pfaffian already carries the orientation sign of ``so6_base``.
     """
 
     b1: UniPoly
     b2: UniPoly
     pf: UniPoly
-    sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValidationError("orientation sign must be +1 or -1")
         object.__setattr__(self, "b1", as_poly(self.b1, "z"))
         object.__setattr__(self, "b2", as_poly(self.b2, "z"))
         object.__setattr__(self, "pf", as_poly(self.pf, "z"))
@@ -139,7 +133,7 @@ def so4_base(b: BaseSL2Pair, sign: int = 1) -> BaseSO4:
     (a1, a2) -> (2(a1 + a2), sign * (a1 - a2))."""
     if sign not in (1, -1):
         raise ValidationError("orientation sign must be +1 or -1")
-    return BaseSO4(b1=2 * (b.a1 + b.a2), pf=sign * (b.a1 - b.a2), sign=sign)
+    return BaseSO4(b1=2 * (b.a1 + b.a2), pf=sign * (b.a1 - b.a2))
 
 
 def so4_oracle(b: BaseSL2Pair) -> UniPoly:
@@ -159,7 +153,7 @@ def so6_base(b: BaseSL4, sign: int = 1) -> BaseSO6:
     (a2, a3, a4) -> (b1, b2, pf) = (2 a2, a2^2 - 4 a4, sign * a3)."""
     if sign not in (1, -1):
         raise ValidationError("orientation sign must be +1 or -1")
-    return BaseSO6(b1=2 * b.a2, b2=b.a2 * b.a2 - 4 * b.a4, pf=sign * b.a3, sign=sign)
+    return BaseSO6(b1=2 * b.a2, b2=b.a2 * b.a2 - 4 * b.a4, pf=sign * b.a3)
 
 
 def so6_oracle(b: BaseSL4) -> UniPoly:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .exact_algebra import RingMatrix, UniPoly, pfaffian
+from .exact_algebra import RingMatrix, UniPoly, ValidationError, exterior_square, fraction_sqrt, pfaffian
 from .lie_isogeny import (
     QuadraticForm,
     alpha_block,
@@ -229,9 +229,10 @@ def check_charpoly_vs_oracles(rng: random.Random, samples: int) -> Tuple[bool, s
     for k in range(samples):
         max_deg = 1 if k % poly_every == 0 else 0
         comp, base = rand_companion_quartic(rng, max_deg)
-        if d_iso3(comp).char_poly() != so6_oracle(base):
+        sextic = d_iso3(comp).char_poly()
+        if sextic != so6_oracle(base):
             return False, f"rank-3 sample {k}"
-        if d_iso3(comp).char_poly() != sextic_of_quartic(comp.char_poly()):
+        if sextic != sextic_of_quartic(comp.char_poly()):
             return False, f"rank-3 extract {k}"
     return True, f"{samples} rank-2 and {samples} rank-3 samples"
 
@@ -319,13 +320,12 @@ def check_alpha_and_pfaffian(rng: random.Random, samples: int) -> Tuple[bool, st
 
 def check_hodge_split(rng: random.Random, samples: int) -> Tuple[bool, str]:
     """Star operator squares to one; eigenspaces have rank 3 with
-    nondegenerate restricted forms; block assembly preserves char polys."""
+    nondegenerate restricted forms; the closed-form star equals its
+    definition sqrt(det q) (induced form)^{-1} Q6, and every basis vector is
+    an eigenvector with the eigenvalue of its eigenspace; block assembly
+    preserves char polys."""
     hs = hodge_split(QuadraticForm(RingMatrix.identity(4)))
-    sd = (
-        (Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-        (Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(-1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1), Fraction(1), Fraction(0), Fraction(0)),
-    )
+    sd = ((1, 0, 0, 0, 0, 1), (0, 1, 0, 0, -1, 0), (0, 0, 1, 1, 0, 0))
     if hs.star != q6().gram or hs.plus_basis != sd:
         return False, "identity-form instance"
     flipped = hodge_split(QuadraticForm(RingMatrix.identity(4)), orientation=-1)
@@ -341,6 +341,13 @@ def check_hodge_split(rng: random.Random, samples: int) -> Tuple[bool, str]:
             return False, f"rank sample {k}"
         if split.q_plus.gram.det() == 0 or split.q_minus.gram.det() == 0:
             return False, f"degenerate restriction {k}"
+        reference = exterior_square(gram).inverse() * q6().gram
+        if split.star != reference.scale(fraction_sqrt(gram.det())):
+            return False, f"star sample {k}"
+        for basis, eigenvalue in ((split.plus_basis, 1), (split.minus_basis, -1)):
+            vectors = RingMatrix(basis).transpose()
+            if split.star * vectors != vectors.scale(eigenvalue):
+                return False, f"eigenspace sample {k}"
         adot = rand_symmetric_traceless(rng)
         higgs = build_block_higgs_so33(adot)
         if higgs.as_matrix().char_poly() != d_iso3(adot).char_poly():
@@ -456,7 +463,8 @@ def check_invariant_calculus(rng: random.Random, samples: int) -> Tuple[bool, st
 
 def check_so22_assembly(rng: random.Random, samples: int) -> Tuple[bool, str]:
     """Assembled block is [[beta2, beta1], [gamma1, gamma2]] and
-    anti-symmetric for the reordered 4-dimensional form; the field's
+    anti-symmetric for the reordered 4-dimensional form; the field is the
+    reordered tensor sum d_iso2(phi1, phi2) = phi1 (x) I + I (x) phi2; its
     characteristic polynomial is the assembled quartic, which equals the
     induced base map; its Pfaffian against the form is the stored one,
     a1 - a2; degree labels add and subtract."""
@@ -471,8 +479,11 @@ def check_so22_assembly(rng: random.Random, samples: int) -> Tuple[bool, str]:
             return False, f"alpha sample {k}"
         if higgs.phi21 != _orthogonal_transpose(higgs):
             return False, f"block anti-symmetry sample {k}"
-        pair = BaseSL2Pair(-(beta1 * gamma1), -(beta2 * gamma2))
+        phi1, phi2 = RingMatrix([[0, beta1], [gamma1, 0]]), RingMatrix([[0, beta2], [gamma2, 0]])
         field = higgs.as_matrix()
+        if field != _reordered(d_iso2(phi1, phi2)):
+            return False, f"field sample {k}"
+        pair = BaseSL2Pair(-(beta1 * gamma1), -(beta2 * gamma2))
         if result.quartic != so4_base(pair).quartic() or field.char_poly() != result.quartic:
             return False, f"quartic sample {k}"
         if result.base.pf != pair.a1 - pair.a2 or pfaffian(form * field) != result.base.pf:
@@ -512,8 +523,11 @@ def run_all(seed: int = 0, samples: Optional[int] = None) -> VerifyReport:
     """Run every check with a deterministic RNG derived from the seed.
 
     ``samples`` overrides the per-check default sample counts (fixed
-    instances and exhaustive enumerations always run in full).
+    instances and exhaustive enumerations always run in full); it must not
+    be negative.
     """
+    if samples is not None and samples < 0:
+        raise ValidationError(f"samples: expected a non-negative integer, got {samples}")
     results: List[CheckResult] = []
     for name, fn, default_samples in CRITERIA:
         rng = random.Random(f"{seed}:{name}")

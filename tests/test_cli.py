@@ -633,3 +633,35 @@ def test_iso_hodge_polynomial_form_is_refused_by_the_inverse(capsys, monkeypatch
     code, out, err = run_cli(capsys, ["iso", "hodge"], {"q": q}, monkeypatch)
     assert code == 1 and out == ""
     assert err == "error: matrix inversion requires rational entries\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nosuch"],
+        ["base", "nosuch"],
+        ["base", "map-so4", "--orientation", "3"],
+        ["iso", "hodge", "--format", "json"],
+        ["verify", "all", "--orientation", "1"],
+        ["verify", "all", "--samples", "x"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_usage_errors_exit_one(argv, capsys):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: isolab") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["base", "map-so4", "--help"], ["verify", "all", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out.startswith("usage: isolab")
+
+
+def test_verify_all_refuses_a_negative_sample_count(capsys, monkeypatch):
+    monkeypatch.delenv("ISOLAB_SEED", raising=False)
+    code, out, err = run_cli(capsys, ["verify", "all", "--samples", "-3"])
+    assert code == 1 and out == ""
+    assert err == "error: samples: expected a non-negative integer, got -3\n"

@@ -6,6 +6,8 @@ from isolab.exact_algebra import (
     RingMatrix,
     UniPoly,
     ValidationError,
+    exterior_square,
+    fraction_sqrt,
     pfaffian,
 )
 from isolab.lie_isogeny import (
@@ -207,6 +209,22 @@ def test_hodge_split_orientation_swap_and_random_forms(rng_factory):
         assert split.star * split.star == RingMatrix.identity(6)
         assert len(split.plus_basis) == 3 and len(split.minus_basis) == 3
         assert split.q_plus.gram.det() != 0 and split.q_minus.gram.det() != 0
+
+
+def test_hodge_split_is_the_inverse_of_the_induced_form_without_inverting(rng_factory, monkeypatch):
+    rng = rng_factory("hodge closed form")
+    for _ in range(5):
+        p = rand_unimodular(rng, 4, steps=5)
+        sign = rng.choice((1, -1))
+        gram = p.transpose() * RingMatrix.diagonal([rng.choice((1, 4, "1/9")), 1, sign, sign]) * p
+        scale = fraction_sqrt(gram.det())
+        for orientation in (1, -1):
+            star = exterior_square(gram).inverse() * q6().gram
+            expected = star.scale(scale * orientation)
+            with monkeypatch.context() as m:
+                m.setattr(RingMatrix, "inverse", lambda self: pytest.fail("hodge_split inverted a matrix"))
+                split = hodge_split(QuadraticForm(gram), orientation=orientation)
+            assert split.star == expected
 
 
 def test_hodge_split_rejects_non_square_determinant():

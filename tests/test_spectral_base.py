@@ -9,7 +9,6 @@ from isolab.lie_isogeny import d_iso3
 from isolab.spectral_base import (
     BaseSL2Pair,
     BaseSL4,
-    BaseSO6,
     genericity_report,
     so4_base,
     so4_oracle,
@@ -228,8 +227,6 @@ def test_genericity_fails_exactly_at_planted_degenerate_roots(rng_factory):
 def test_orientation_sign_validation():
     with pytest.raises(ValidationError):
         so4_base(BaseSL2Pair(1, 2), sign=2)
-    with pytest.raises(ValidationError):
-        BaseSO6(b1=0, b2=0, pf=0, sign=0)
 
 
 def test_sections_refuse_a_non_constant_fiber_polynomial():

@@ -6,10 +6,13 @@ The builders (``build_block_higgs_so33``, ``hodge_split``,
 and ``correspondence_push`` does not re-check that the self-product
 table of ``self_product_minus_diagonal`` is swap-symmetric; each identity
 is checked once, by the criterion named below.  The so(3,3) and so(2,2)
-builders return closed forms (``alpha_block``, ``so4_base``), and their
+builders and the star operator return closed forms (``alpha_block``, the
+so(2,2) blocks, ``so4_base``, Q6 Lambda^2(q) / sqrt(det q)), and their
 criteria hold the definitions as the reference: the split-basis
-conjugation of the rank-3 derivative, and the characteristic polynomial
-and Pfaffian of the assembled field.
+conjugation of the rank-3 derivative; the reordered Kronecker tensor sum
+and the characteristic polynomial and Pfaffian of the assembled field;
+the inverse of the induced form times Q6, whose eigenvectors must be the
+returned bases.
 
 Each case swaps one function for a variant that breaks exactly one
 identity, in every isolab module namespace that holds the function, and
@@ -30,6 +33,7 @@ import pytest
 import isolab
 from isolab import verify
 from isolab.exact_algebra import RingMatrix, UniPoly
+from isolab.lie_isogeny import QuadraticForm, hodge_split
 
 MODULES = [isolab] + [
     importlib.import_module(f"isolab.{info.name}") for info in pkgutil.iter_modules(isolab.__path__)
@@ -65,6 +69,17 @@ def _asymmetric(pf, *_):
 def _congruence_only(edit):
     """Leave the fixed identity-form instances alone, break the samples."""
     return lambda s, q, *_: s if q.gram == IDENTITY4 else edit(s)
+
+
+def _conjugated(h):
+    """The field conjugated by [[I, X], [0, I]] with X = u v^T, u = e1 and
+    v^T phi21 u = 0: the off-diagonal blocks, the characteristic polynomial
+    and (since the new phi11 has a zero (2, 2) entry) the Pfaffian of the
+    form times the field stay, and the diagonal blocks become X phi21 and
+    -phi21 X."""
+    c = h.phi21
+    x = RingMatrix([[c[1, 0], -c[0, 0]], [0, 0]])
+    return replace(h, phi11=x * c, phi22=-(c * x))
 
 
 # (criterion, function in verify's namespace, wrong variant, expected detail)
@@ -104,6 +119,16 @@ CASES = {
         _congruence_only(lambda s: replace(s, plus_basis=s.plus_basis[:2])),
         "rank sample 0",
     ),
+    "star ignores the form": (
+        6, "hodge_split",
+        _congruence_only(lambda s: hodge_split(QuadraticForm(IDENTITY4))),
+        "star sample 0",
+    ),
+    "eigenspaces swapped off the identity form": (
+        6, "hodge_split",
+        _congruence_only(lambda s: replace(s, plus_basis=s.minus_basis, minus_basis=s.plus_basis)),
+        "eigenspace sample 0",
+    ),
     "residual involution fixed-point free": (
         8, "symmetrize", _fixed_point, "involution fixed point",
     ),
@@ -123,6 +148,11 @@ CASES = {
         10, "assemble_so22",
         _higgs(phi21=lambda h: -h.phi21),
         "block anti-symmetry sample 0",
+    ),
+    "so22 field conjugated off the block form": (
+        10, "assemble_so22",
+        lambda r, *_: replace(r, higgs=_conjugated(r.higgs)),
+        "field sample 0",
     ),
     "so22 quartic": (
         10, "assemble_so22",
