@@ -23,7 +23,13 @@ fails instead of timing well:
 * ``poly_gcd(f h, g h)`` is the planted monic ``h``, and the gcds that
   ``genericity_report`` reports are trivial exactly when the Sylvester
   resultant of the same pair is nonzero, on sections whose coefficients
-  come from the same heights.
+  come from the same heights;
+* Lambda^2(g) Lambda^2(h) = Lambda^2(g h) for the 6x6 induced forms of
+  two unimodular Gram matrices of verify criterion 6, with g h taken by a
+  triple loop in this file;
+* a 4x4 product over Q[z] equals that triple loop;
+* the kernel of star - I for a non-identity form consists of three
+  vectors v with star v = v, each with a unit in its own free column.
 """
 
 import os
@@ -34,8 +40,8 @@ from operator import mul
 
 import pytest
 
-from isolab.exact_algebra import RingMatrix, UniPoly, char_poly, pfaffian, poly_gcd, resultant
-from isolab.lie_isogeny import alpha_block, d_iso3, q6
+from isolab.exact_algebra import RingMatrix, UniPoly, char_poly, exterior_square, pfaffian, poly_gcd, resultant
+from isolab.lie_isogeny import QuadraticForm, alpha_block, d_iso3, hodge_split, q6
 from isolab.spectral_base import (
     BaseSL2Pair,
     BaseSL4,
@@ -46,6 +52,7 @@ from isolab.spectral_base import (
     so6_base,
     so6_oracle,
 )
+from isolab.verify import rand_unimodular
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -163,3 +170,44 @@ def test_poly_gcd_planted_factor(benchmark):
     h = _height_section(rng, 8)
     h = h * (Fraction(1) / h.lead)
     assert benchmark(poly_gcd, f * h, g * h) == h
+
+
+def _triple_loop(a, b):
+    return RingMatrix([
+        [sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ])
+
+
+def _criterion6_gram(rng):
+    """A Gram matrix p^T p of a unimodular p, as verify criterion 6 draws it."""
+    p = rand_unimodular(rng, 4, steps=5)
+    return p.transpose() * p
+
+
+def test_product_6x6_over_q(benchmark):
+    rng = random.Random("product_6x6")
+    g, h = _criterion6_gram(rng), _criterion6_gram(rng)
+    big_g, big_h = exterior_square(g), exterior_square(h)
+    product = benchmark(mul, big_g, big_h)
+    assert product == exterior_square(_triple_loop(g, h))
+
+
+def test_product_4x4_over_qz(benchmark):
+    rng = random.Random("product_4x4_qz")
+    a, b = _traceless_4x4(rng, 2), _traceless_4x4(rng, 2)
+    product = benchmark(mul, a, b)
+    assert product == _triple_loop(a, b)
+
+
+def test_nullspace_of_star_minus_identity(benchmark):
+    gram = _criterion6_gram(random.Random("nullspace"))
+    assert gram != RingMatrix.identity(4)
+    star = hodge_split(QuadraticForm(gram)).star
+    kernel = benchmark((star - RingMatrix.identity(6)).nullspace)
+    assert len(kernel) == 3
+    free = [max(i for i, c in enumerate(v) if c != 0) for v in kernel]
+    for v, column in zip(kernel, free):
+        column_vector = RingMatrix([[c] for c in v])
+        assert v[column] == 1 and all(w[column] == 0 for w in kernel if w is not v)
+        assert _triple_loop(star, column_vector) == column_vector

@@ -154,7 +154,8 @@ def _iso_alpha(doc: _Input, orientation: int) -> dict:
 
 
 def _iso_hodge(doc: _Input, orientation: int) -> dict:
-    split = li.hodge_split(li.QuadraticForm(_matrix(doc, "q")), orientation=orientation)
+    gram = _matrix(doc, "q")
+    split = doc.within("q", lambda: li.hodge_split(li.QuadraticForm(gram), orientation=orientation))
     return {
         "star": ser.matrix_to_json(split.star),
         "plus_basis": [[ser.scalar_to_json(c) for c in v] for v in split.plus_basis],

@@ -13,6 +13,14 @@ everything here is safe to share between threads.
 
 ``as_element`` and ``as_poly`` are the only coercions of the tower, and a
 constant inside a polynomial is always a ``Fraction``.
+
+Linear algebra runs on integers.  One helper, ``_int_line``, scales a row
+or column of tower elements by the lcm of its leaf denominators; behind it
+sit the determinant (``det``, ``char_poly``, ``resultant``: interpolation
+down to integer Bareiss), the matrix product (integer dot products, each
+entry divided once by its row and column scales) and ``rref``
+(fraction-free Gauss-Jordan, each entry divided once by the last pivot),
+and through ``rref`` ``inverse`` and ``nullspace``.
 """
 
 from __future__ import annotations
@@ -409,7 +417,7 @@ def _det_bareiss_int(rows):
     return sign * work[n - 1][n - 1]
 
 
-# The determinant kernel works on nested coefficient lists: at depth d an
+# The integer kernels work on nested coefficient lists: at depth d an
 # element is a list, lowest degree first and without trailing zeros, of
 # depth d-1 elements in the outermost remaining variable; depth 0 is a
 # scalar.  Zero is [] above depth 0.
@@ -508,25 +516,99 @@ def _det_int(rows, depth: int):
     return _interpolate(nodes, values, depth)
 
 
+def _tower_names(lines) -> tuple:
+    """The variables of the tower that occur in ``lines``, outermost first."""
+    present = set()
+    for line in lines:
+        for e in line:
+            if e.__class__ is not Fraction:
+                present |= _element_vars(e)
+    return tuple(sorted(present, key=VAR_ORDER.get, reverse=True))
+
+
+def _int_line(line, names):
+    """``line`` as nested integer elements over ``names`` and its scale: the
+    elements are ``line`` times the lcm of its leaf denominators."""
+    if not names:  # a rational line is its own list of leaves
+        mult = lcm(*(e.denominator for e in line))
+        return [e.numerator * (mult // e.denominator) for e in line], mult
+    depth = len(names)
+    nested = [_nested(e, names) for e in line]
+    mult = lcm(*(x.denominator for e in nested for x in _leaves(e, depth)))
+    return [_scaled(e, depth, mult) for e in nested], mult
+
+
 def _det(rows):
     """Exact determinant over any ring of the tower.  Each row is scaled by
-    the lcm of its coefficient denominators, the integer determinant is
-    computed by ``_det_int``, and the product of the row scales is divided
-    out once at the end."""
-    present = set()
-    for row in rows:
-        for e in row:
-            present |= _element_vars(e)
-    names = tuple(sorted(present, key=VAR_ORDER.get, reverse=True))
-    depth = len(names)
+    ``_int_line``, the integer determinant is computed by ``_det_int``, and
+    the product of the row scales is divided out once at the end."""
+    names = _tower_names(rows)
     scale = 1
     int_rows = []
     for row in rows:
-        nested = [_nested(e, names) for e in row]
-        mult = lcm(*(x.denominator for e in nested for x in _leaves(e, depth)))
+        line, mult = _int_line(row, names)
         scale *= mult
-        int_rows.append([_scaled(e, depth, mult) for e in nested])
-    return _from_nested(_det_int(int_rows, depth), names, scale)
+        int_rows.append(line)
+    return _from_nested(_det_int(int_rows, len(names)), names, scale)
+
+
+def _mul_into(acc: list, a: list, b: list, depth: int):
+    """``acc += a * b`` in place over integer elements of ``depth`` >= 1;
+    ``acc`` may keep trailing zeros."""
+    grow = len(a) + len(b) - 1 - len(acc)
+    if depth == 1:
+        acc.extend([0] * grow)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    acc[i + j] += x * y
+        return
+    acc.extend([] for _ in range(grow))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    _mul_into(acc[i + j], x, y, depth - 1)
+
+
+def _dot(r, c, depth: int):
+    """sum_k r[k] * c[k] over integer elements of ``depth``."""
+    if depth == 0:
+        return sum(map(mul, r, c))
+    acc = []
+    for a, b in zip(r, c):
+        if a and b:
+            _mul_into(acc, a, b, depth)
+    return acc
+
+
+def _rref_int(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
+
+    Returns the reduced rows, the pivot columns and the last pivot ``d``;
+    the reduced row echelon form is the reduced rows divided by ``d``.
+    After t pivots every pivot equals the t x t pivot minor, the rows below
+    hold (t+1)x(t+1) minors and the rows above t x t minors, so each ``//``
+    by the previous pivot is exact by Sylvester's identity."""
+    work = [list(r) for r in rows]
+    height = len(work)
+    pivots = []
+    prev = 1
+    for c in range(len(work[0])):
+        r = len(pivots)
+        found = next((i for i in range(r, height) if work[i][c]), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        row_r = work[r]
+        pivot = row_r[c]
+        for i in range(height):
+            if i != r:
+                f = work[i][c]
+                work[i] = [(pivot * a - f * b) // prev for a, b in zip(work[i], row_r)]
+        pivots.append(c)
+        prev = pivot
+    return work, tuple(pivots), prev
 
 
 class RingMatrix:
@@ -605,19 +687,19 @@ class RingMatrix:
         return self.map_entries(lambda e: e * s)
 
     def __mul__(self, other):
+        """Matrix product: each row of ``self`` and each column of ``other``
+        is scaled to integers by ``_int_line``, and each entry is one integer
+        dot product divided by its two scales."""
         if isinstance(other, RingMatrix):
             if self.cols != other.rows:
                 raise ValidationError("matrix shape mismatch in product")
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc: Ring = Fraction(0)
-                    for k in range(self.cols):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return RingMatrix(out)
+            names = _tower_names(self.entries + other.entries)
+            depth = len(names)
+            rows = [_int_line(row, names) for row in self.entries]
+            cols = [_int_line(col, names) for col in zip(*other.entries)]
+            return RingMatrix([
+                [_from_nested(_dot(r, c, depth), names, rs * cs) for c, cs in cols] for r, rs in rows
+            ])
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -677,27 +759,11 @@ class RingMatrix:
         return reduced.block(0, n, n, n)
 
     def rref(self):
-        """Reduced row echelon form and pivot columns (rational entries)."""
+        """Reduced row echelon form and pivot columns (rational entries), by
+        fraction-free elimination of the integer-scaled rows."""
         self._require_rational("row reduction")
-        work = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if work[i][c] != 0), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = Fraction(1) / work[r][c]
-            work[r] = [e * inv for e in work[r]]
-            for i in range(self.rows):
-                if i != r and work[i][c] != 0:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return RingMatrix(work), tuple(pivots)
+        work, pivots, d = _rref_int([_int_line(row, ())[0] for row in self.entries])
+        return RingMatrix([[Fraction(a, d) for a in row] for row in work]), pivots
 
     def nullspace(self):
         """Canonical rational kernel basis: unit in each free column."""

@@ -322,8 +322,9 @@ def check_hodge_split(rng: random.Random, samples: int) -> Tuple[bool, str]:
     """Star operator squares to one; eigenspaces have rank 3 with
     nondegenerate restricted forms; the closed-form star equals its
     definition sqrt(det q) (induced form)^{-1} Q6, and every basis vector is
-    an eigenvector with the eigenvalue of its eigenspace; block assembly
-    preserves char polys."""
+    an eigenvector with the eigenvalue of its eigenspace; orientation -1
+    negates the star and swaps the eigenspaces, on the identity form and on
+    every sample; block assembly preserves char polys."""
     hs = hodge_split(QuadraticForm(RingMatrix.identity(4)))
     sd = ((1, 0, 0, 0, 0, 1), (0, 1, 0, 0, -1, 0), (0, 0, 1, 1, 0, 0))
     if hs.star != q6().gram or hs.plus_basis != sd:
@@ -348,6 +349,10 @@ def check_hodge_split(rng: random.Random, samples: int) -> Tuple[bool, str]:
             vectors = RingMatrix(basis).transpose()
             if split.star * vectors != vectors.scale(eigenvalue):
                 return False, f"eigenspace sample {k}"
+        flipped = hodge_split(QuadraticForm(gram), orientation=-1)
+        swapped = (flipped.plus_basis, flipped.minus_basis) == (split.minus_basis, split.plus_basis)
+        if flipped.star != -split.star or not swapped:
+            return False, f"orientation sample {k}"
         adot = rand_symmetric_traceless(rng)
         higgs = build_block_higgs_so33(adot)
         if higgs.as_matrix().char_poly() != d_iso3(adot).char_poly():

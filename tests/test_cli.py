@@ -632,7 +632,22 @@ def test_iso_hodge_polynomial_form_is_refused_by_the_inverse(capsys, monkeypatch
     q = [["1", z, "0", "0"], [z, ["1", "0", "1"], "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
     code, out, err = run_cli(capsys, ["iso", "hodge"], {"q": q}, monkeypatch)
     assert code == 1 and out == ""
-    assert err == "error: matrix inversion requires rational entries\n"
+    assert err == "error: q: matrix inversion requires rational entries\n"
+
+
+@pytest.mark.parametrize(
+    "q,message",
+    [
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]], "2 is not a perfect square"),
+        ([[1, 0], [0, 1]], "star-operator construction requires a 4x4 matrix, got 2x2"),
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "quadratic form requires a symmetric Gram matrix"),
+    ],
+    ids=["determinant-not-a-square", "2x2", "non-symmetric"],
+)
+def test_iso_hodge_errors_name_the_q_field(capsys, monkeypatch, q, message):
+    code, out, err = run_cli(capsys, ["iso", "hodge"], {"q": q}, monkeypatch)
+    assert code == 1 and out == ""
+    assert err == f"error: q: {message}\n"
 
 
 @pytest.mark.parametrize(

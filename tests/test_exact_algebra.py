@@ -22,7 +22,7 @@ from isolab.exact_algebra import (
     poly_sqrt,
     resultant,
 )
-from isolab.exact_algebra import _sylvester
+from isolab.exact_algebra import _int_line, _rref_int, _sylvester
 
 Z = UniPoly.variable("z")
 ETA = UniPoly.variable("eta")
@@ -391,6 +391,153 @@ def test_inverse_guards_in_order():
         RingMatrix([[Z, 0]]).inverse()
     with pytest.raises(ValidationError, match="^inverse requires a square matrix$"):
         RingMatrix([[1, 0]]).inverse()
+
+
+# -- products and row reduction against the Fraction loops they replace ---------
+
+
+def naive_product(a, b):
+    """The triple loop over tower arithmetic."""
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def naive_rref(rows):
+    """Gauss-Jordan in Fraction arithmetic: normalize each pivot row, clear
+    its column everywhere else."""
+    work = [list(row) for row in rows]
+    pivots = []
+    for c in range(len(work[0])):
+        r = len(pivots)
+        if r == len(work):
+            break
+        found = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        work[r] = [e / work[r][c] for e in work[r]]
+        for i in range(len(work)):
+            f = work[i][c]
+            if i != r and f != 0:
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return work, tuple(pivots)
+
+
+def grid(entries, rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def product_pair(entries):
+    """Factors of shapes m x k and k x n, each side 1 to 4."""
+    return st.tuples(*(st.integers(1, 4) for _ in range(3))).flatmap(
+        lambda s: st.tuples(grid(entries, s[0], s[1]), grid(entries, s[1], s[2]))
+    )
+
+
+@st.composite
+def low_rank(draw, shape=st.tuples(st.integers(1, 5), st.integers(1, 7)), entries=rationals):
+    """A matrix of the drawn shape whose rows are rational combinations of
+    ``rank`` drawn rows; the rank may be 0 (the zero matrix)."""
+    m, n = draw(shape)
+    rank = draw(st.integers(0, min(m, n)))
+    base = draw(grid(entries, rank, n))
+    weights = draw(grid(st.one_of(st.just(Fraction(0)), rationals), m, rank))
+    return [[sum((w * row[j] for w, row in zip(ws, base)), Fraction(0)) for j in range(n)] for ws in weights]
+
+
+zero_or_rational = st.one_of(st.just(Fraction(0)), rationals)
+any_rank = st.one_of(
+    low_rank(), st.tuples(st.integers(1, 5), st.integers(1, 7)).flatmap(lambda s: grid(zero_or_rational, *s))
+)
+
+
+@pytest.mark.parametrize("names", [[], ["z"], ["z", "eta"], ["z", "eta", "x"]], ids=["Q", "Qz", "Qzeta", "Qzetax"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_product_matches_the_triple_loop(names, data):
+    a, b = data.draw(product_pair(st.one_of(st.just(Fraction(0)), tower(names))))
+    got = RingMatrix(a) * RingMatrix(b)
+    want = RingMatrix(naive_product(a, b))
+    assert got == want and repr(got) == repr(want)
+
+
+@given(product_pair(tower(["z"])), st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_product_refuses_mismatched_shapes(pair, extra):
+    a, b = pair
+    wider = [row + [Fraction(1)] * extra for row in a]
+    with pytest.raises(ValidationError, match="^matrix shape mismatch in product$"):
+        RingMatrix(wider) * RingMatrix(b)
+
+
+@given(any_rank)
+@settings(max_examples=80, deadline=None)
+def test_rref_and_nullspace_match_fraction_gauss_jordan(rows):
+    m = RingMatrix(rows)
+    work, pivots = naive_rref(rows)
+    reduced, got_pivots = m.rref()
+    assert got_pivots == pivots
+    assert reduced == RingMatrix(work) and repr(reduced) == repr(RingMatrix(work))
+    kernel = m.nullspace()
+    assert len(kernel) == m.cols - len(pivots)
+    for v in kernel:
+        assert m * RingMatrix([[e] for e in v]) == RingMatrix([[0]] * m.rows)
+
+
+def test_rref_of_zero_and_wide_matrices():
+    zero = RingMatrix([[0, 0, 0], [0, 0, 0]])
+    assert zero.rref() == (zero, ())
+    assert len(zero.nullspace()) == 3
+    wide = RingMatrix([[2, 4, 1, 3], [1, 2, 0, 1]])
+    assert wide.rref() == (RingMatrix([[1, 2, 0, 1], [0, 0, 1, 1]]), (0, 2))
+
+
+@given(st.one_of(low_rank(st.integers(1, 5).map(lambda n: (n, n))), square_matrices(zero_or_rational, 5)))
+@settings(max_examples=80, deadline=None)
+def test_inverse_matches_fraction_gauss_jordan(rows):
+    n = len(rows)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    work, pivots = naive_rref([row + ident[i] for i, row in enumerate(rows)])
+    if pivots != tuple(range(n)):
+        with pytest.raises(ValidationError, match="^matrix is singular$"):
+            RingMatrix(rows).inverse()
+    else:
+        assert RingMatrix(rows).inverse() == RingMatrix([row[n:] for row in work])
+
+
+def fraction_free_replay(rows):
+    """The steps of ``_rref_int`` with every division a ``divmod``; returns
+    its result and the remainders."""
+    work = [list(r) for r in rows]
+    pivots, prev, remainders = [], 1, []
+    for c in range(len(work[0])):
+        r = len(pivots)
+        found = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        pivot = work[r][c]
+        for i in range(len(work)):
+            if i != r:
+                f = work[i][c]
+                steps = [divmod(pivot * a - f * b, prev) for a, b in zip(work[i], work[r])]
+                work[i] = [q for q, _ in steps]
+                remainders += [rem for _, rem in steps]
+        pivots.append(c)
+        prev = pivot
+    return (work, tuple(pivots), prev), remainders
+
+
+@given(st.one_of(any_rank, low_rank(entries=st.fractions(-40, 40, max_denominator=9))))
+@settings(max_examples=100, deadline=None)
+def test_fraction_free_divisions_are_exact(rows):
+    int_rows = [_int_line(row, ())[0] for row in rows]
+    result, remainders = fraction_free_replay(int_rows)
+    assert result == _rref_int(int_rows)
+    assert all(rem == 0 for rem in remainders)
 
 
 # -- characteristic polynomial ---------------------------------------------------

@@ -12,7 +12,7 @@ criteria hold the definitions as the reference: the split-basis
 conjugation of the rank-3 derivative; the reordered Kronecker tensor sum
 and the characteristic polynomial and Pfaffian of the assembled field;
 the inverse of the induced form times Q6, whose eigenvectors must be the
-returned bases.
+returned bases, and whose sign orientation -1 must flip.
 
 Each case swaps one function for a variant that breaks exactly one
 identity, in every isolab module namespace that holds the function, and
@@ -128,6 +128,11 @@ CASES = {
         6, "hodge_split",
         _congruence_only(lambda s: replace(s, plus_basis=s.minus_basis, minus_basis=s.plus_basis)),
         "eigenspace sample 0",
+    ),
+    "star drops the orientation off the identity form": (
+        6, "hodge_split",
+        lambda s, q, *_: s if q.gram == IDENTITY4 else hodge_split(q),
+        "orientation sample 0",
     ),
     "residual involution fixed-point free": (
         8, "symmetrize", _fixed_point, "involution fixed point",
