@@ -12,7 +12,9 @@ against an independent identity of the paper, so a fast wrong kernel
 fails instead of timing well:
 
 * the characteristic polynomial of ``d_iso3(A)`` is the pairwise-sum
-  sextic of the quartic of ``A`` (the ``so6`` base map);
+  sextic of the quartic of ``A`` (the ``so6`` base map), and for ``A``
+  conjugate to the companion matrix of x^4 + a2 x^2 + a3 x + a4 it is
+  eta^6 + 2 a2 eta^4 + (a2^2 - 4 a4) eta^2 - a3^2, written out in this file;
 * Res_x(P(x), P(eta - x)) = 16 P(eta/2) S(eta)^2, with S that sextic;
 * Pf(q6 * d_iso3(A)) = -det(alpha(A)) for symmetric traceless ``A``;
 * ``so6_oracle`` gives the sextic of ``so6_base`` and ``so4_oracle`` the
@@ -29,7 +31,10 @@ fails instead of timing well:
   triple loop in this file;
 * a 4x4 product over Q[z] equals that triple loop;
 * the kernel of star - I for a non-identity form consists of three
-  vectors v with star v = v, each with a unit in its own free column.
+  vectors v with star v = v, each with a unit in its own free column;
+* the star of ``hodge_split`` is Lambda^2(q)^(-1) Q6 sqrt(det q), with the
+  product taken by the triple loop, and its +1 and -1 bases are three
+  eigenvectors each.
 """
 
 import os
@@ -95,6 +100,15 @@ def test_char_poly_6x6(benchmark, degree):
     image = d_iso3(a)
     sextic = benchmark(char_poly, image)
     assert sextic == sextic_of_quartic(char_poly(a))
+
+
+@pytest.mark.parametrize("degree", [0, 2], ids=["Q", "Qz"])
+def test_d_iso3_char_poly(benchmark, degree):
+    rng = random.Random(f"d_iso3:{degree}")
+    a2, a3, a4 = (_section(rng, degree) for _ in range(3))
+    a = _conjugate(rng, _companion(a2, a3, a4))
+    sextic = benchmark(lambda: char_poly(d_iso3(a)))
+    assert sextic == ETA**6 + 2 * a2 * ETA**4 + (a2 * a2 - 4 * a4) * ETA**2 - a3 * a3
 
 
 def test_resultant_8x8_sylvester_over_qz_eta(benchmark):
@@ -211,3 +225,17 @@ def test_nullspace_of_star_minus_identity(benchmark):
         column_vector = RingMatrix([[c] for c in v])
         assert v[column] == 1 and all(w[column] == 0 for w in kernel if w is not v)
         assert _triple_loop(star, column_vector) == column_vector
+
+
+def test_hodge_split(benchmark):
+    gram = _criterion6_gram(random.Random("hodge_split"))
+    assert gram.det() == 1 and gram != RingMatrix.identity(4)
+    form = QuadraticForm(gram.scale(Fraction(9, 4)))  # det (9/4)^4, square root (9/4)^2
+    split = benchmark(hodge_split, form)
+    inverse = exterior_square(form.gram).inverse()
+    assert split.star == _triple_loop(inverse, q6().gram).scale(Fraction(9, 4) ** 2)
+    for basis, sign in ((split.plus_basis, 1), (split.minus_basis, -1)):
+        assert len(basis) == 3
+        for v in basis:
+            column_vector = RingMatrix([[c] for c in v])
+            assert _triple_loop(split.star, column_vector) == column_vector.scale(sign)

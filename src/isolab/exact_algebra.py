@@ -20,14 +20,17 @@ sit the determinant (``det``, ``char_poly``, ``resultant``: interpolation
 down to integer Bareiss), the matrix product (integer dot products, each
 entry divided once by its row and column scales) and ``rref``
 (fraction-free Gauss-Jordan, each entry divided once by the last pivot),
-and through ``rref`` ``inverse`` and ``nullspace``.
+and through ``rref`` ``inverse`` and ``nullspace``.  ``pairwise_sum_poly``
+scales its variable by the same helper's scale and runs Newton's identities
+on integer power sums, with the product's convolution (``_dot``) and the
+interpolation's weighted sum (``_combine``).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -49,6 +52,7 @@ __all__ = [
     "poly_sqrt",
     "squarefree_part",
     "resultant",
+    "pairwise_sum_poly",
     "char_poly",
     "pfaffian",
     "kronecker",
@@ -894,3 +898,72 @@ def resultant(f: UniPoly, g: UniPoly, var: str = None):
         return g.coeffs[0] ** m
     return _det(_sylvester(f, g))
 
+
+def _quo(e, k: int, depth: int):
+    """``e // k`` leaf by leaf; the callers divide only where ``k`` divides
+    every leaf."""
+    if depth == 0:
+        return e // k
+    return [_quo(c, k, depth - 1) for c in e]
+
+
+def _power_sums(c, count: int, depth: int):
+    """[None, p_1, .., p_count]: the power sums of the roots of the monic
+    integer polynomial v^n + c[1] v^(n-1) + ... + c[n] (``c[0]`` unused), by
+    Newton's identities p_k = -(k c_k + sum_(0<i<k) c_i p_(k-i))."""
+    zero = 0 if depth == 0 else []
+    c = list(c) + [zero] * (count + 1 - len(c))
+    p = [None]
+    for k in range(1, count + 1):
+        p.append(_combine([_dot(c[1:k], p[k - 1:0:-1], depth), c[k]], [-1, -k], depth))
+    return p
+
+
+def _from_power_sums(s, depth: int):
+    """[None, c_1, .., c_m] of the monic polynomial whose roots have the
+    power sums ``s`` = [None, s_1, .., s_m]: the same identities solved for
+    c_k = -(s_k + sum_(0<i<k) c_i s_(k-i)) / k, each division exact for
+    integer symmetric functions."""
+    c = [None]
+    for k in range(1, len(s)):
+        c.append(_quo(_combine([_dot(c[1:k], s[k - 1:0:-1], depth), s[k]], [-1, -1], depth), k, depth))
+    return c
+
+
+def pairwise_sum_poly(f: UniPoly) -> UniPoly:
+    """The monic polynomial, in the variable of ``f``, whose roots are the
+    pairwise sums lambda_a + lambda_b (a < b) of the roots of the monic
+    ``f``, over any coefficient ring of the tower: the naive composed sum of
+    Bostan, Flajolet, Salvy and Schost (2006), on integers.
+
+    With c_k the coefficient of v^(n-k) in ``f`` and L the ``_int_line``
+    scale of c_1..c_n, the roots mu = L lambda are those of the monic
+    integer polynomial with coefficients L^k c_k.  Newton's identities give
+    its power sums p_k; the pairwise sums of the mu have the power sums
+    S_k = (sum_j C(k, j) p_j p_(k-j) - 2^k p_k) / 2 (all ordered pairs,
+    minus the equal-index terms, halved), and the identities solved for the
+    coefficients rebuild the result.  Its coefficient k is divided by L^k
+    once.  Every intermediate value is an integer symmetric function of the
+    mu, so the halving and each division by k are exact."""
+    if f.is_zero or f.lead != 1:
+        raise ValidationError("pairwise root sums require a monic polynomial")
+    n = f.degree
+    m = n * (n - 1) // 2
+    tail = f.coeffs[-2::-1]  # c_1, .., c_n
+    names = _tower_names([tail])
+    depth = len(names)
+    line, scale = _int_line(tail, names)
+    # line[k] is L c_(k+1); the scaled polynomial needs L^(k+1) c_(k+1)
+    c = [None] + [_combine([e], [scale**k], depth) for k, e in enumerate(line)]
+    p = _power_sums(c, m, depth)
+    # the terms j = 0 and j = k of the binomial sum are n p_k each, p_0 = n
+    s = [None] + [
+        _quo(_combine(
+            [_dot([p[j]], [p[k - j]], depth) for j in range(1, k)] + [p[k]],
+            [comb(k, j) for j in range(1, k)] + [2 * n - 2**k],
+            depth,
+        ), 2, depth)
+        for k in range(1, m + 1)
+    ]
+    e = _from_power_sums(s, depth)
+    return UniPoly(f.var, [_from_nested(e[k], names, scale**k) for k in range(m, 0, -1)] + [Fraction(1)])

@@ -288,9 +288,11 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     if orientation not in (1, -1):
         raise ValidationError("orientation must be +1 or -1")
     _require_shape(gram, 4, "star-operator construction")
-    scale = fraction_sqrt(gram.det())  # ValidationError if det is not a rational square
     induced = exterior_square(gram)
-    induced._require_rational("matrix inversion")  # the star inverts it, in closed form, over Q
+    # the star inverts it, in closed form, over Q; det Lambda^2(q) = det(q)^3,
+    # so checking before the square root turns away no form it accepts
+    induced._require_rational("matrix inversion")
+    scale = fraction_sqrt(gram.det())  # ValidationError if det is not a rational square
     q6_gram = q6().gram
     star = (q6_gram * induced).scale(Fraction(orientation) / scale)
     ident = RingMatrix.identity(6)

@@ -1,6 +1,7 @@
 """Hitchin-base types, the induced base maps of the two isogenies, and the
 independent oracles that certify them: a resultant for the rank-2 quartic,
-power sums of the pairwise root sums for the rank-3 sextic.
+integer power sums of the pairwise root sums (``pairwise_sum_poly``) for the
+rank-3 sextic.
 
 The base curve is modeled on a single affine chart with coordinate ``z``;
 sections of powers of the canonical bundle are plain polynomials in ``z``.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import List, Optional, Tuple
 
 from .exact_algebra import (
@@ -30,6 +30,7 @@ from .exact_algebra import (
     UniPoly,
     ValidationError,
     as_poly,
+    pairwise_sum_poly,
     poly_gcd,
     resultant,
     ring_is_zero,
@@ -158,25 +159,12 @@ def so6_base(b: BaseSL4, sign: int = 1) -> BaseSO6:
 
 def so6_oracle(b: BaseSL4) -> UniPoly:
     """Independent sextic whose roots are the pairwise sums lambda_a + lambda_b
-    (a < b) of the roots of P = eta^4 + a2 eta^2 + a3 eta + a4: the naive
-    composed sum of Bostan, Flajolet, Salvy and Schost (2006), which never
-    uses the closed form of ``so6_base``.
-
-    Newton's identities k c_k + sum_(i<k) c_i p_(k-i) = 0 give the power sums
-    p_k of the roots of P.  The power sums of the pairwise sums are
-    S_k = (sum_j C(k, j) p_j p_(k-j) - 2^k p_k) / 2: all ordered pairs,
-    minus the equal-index terms, halved.  The same identities, solved for
-    c_k, rebuild the monic sextic from S_1..S_6."""
-    c = [1, Fraction(0), b.a2, b.a3, b.a4, Fraction(0), Fraction(0)]  # c[k]: eta^(4-k) in P
-    p = [4]
-    for k in range(1, 7):
-        p.append(-sum((c[i] * p[k - i] for i in range(1, k)), k * c[k]))
-    s = [(sum(comb(k, j) * p[j] * p[k - j] for j in range(k + 1)) - 2**k * p[k]) * Fraction(1, 2)
-         for k in range(7)]
-    sextic = [1]  # leading coefficient first
-    for k in range(1, 7):
-        sextic.append(sum((sextic[i] * s[k - i] for i in range(k)), Fraction(0)) * Fraction(-1, k))
-    return UniPoly("eta", sextic[::-1])
+    (a < b) of the roots of P = eta^4 + a2 eta^2 + a3 eta + a4, by
+    ``pairwise_sum_poly``: power sums of the roots of P from Newton's
+    identities, the power sums of their pairwise sums, and the sextic
+    rebuilt from those, all on integers after one scaling of eta.  It never
+    uses the closed form of ``so6_base``."""
+    return pairwise_sum_poly(b.curve())
 
 
 def quartic_of_char_pair(p1: UniPoly, p2: UniPoly) -> UniPoly:

@@ -641,8 +641,12 @@ def test_iso_hodge_polynomial_form_is_refused_by_the_inverse(capsys, monkeypatch
         ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]], "2 is not a perfect square"),
         ([[1, 0], [0, 1]], "star-operator construction requires a 4x4 matrix, got 2x2"),
         ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "quadratic form requires a symmetric Gram matrix"),
+        (
+            [[["0", "1"], "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+            "matrix inversion requires rational entries",
+        ),
     ],
-    ids=["determinant-not-a-square", "2x2", "non-symmetric"],
+    ids=["determinant-not-a-square", "2x2", "non-symmetric", "polynomial-determinant"],
 )
 def test_iso_hodge_errors_name_the_q_field(capsys, monkeypatch, q, message):
     code, out, err = run_cli(capsys, ["iso", "hodge"], {"q": q}, monkeypatch)

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,12 +18,22 @@ from isolab.exact_algebra import (
     exact_div,
     exterior_square,
     kronecker,
+    pairwise_sum_poly,
     pfaffian,
     poly_gcd,
     poly_sqrt,
     resultant,
 )
-from isolab.exact_algebra import _int_line, _rref_int, _sylvester
+from isolab.exact_algebra import (
+    _combine,
+    _dot,
+    _from_nested,
+    _int_line,
+    _power_sums,
+    _rref_int,
+    _sylvester,
+    _tower_names,
+)
 
 Z = UniPoly.variable("z")
 ETA = UniPoly.variable("eta")
@@ -325,6 +336,137 @@ def test_resultant_matches_permutation_expansion_over_polynomials(f, g):
 def test_resultant_rejects_zero_input():
     with pytest.raises(ValidationError):
         resultant(UniPoly("x"), UniPoly("x", [1, 1]))
+
+
+# -- pairwise root sums against the Fraction Newton route they replace ------------
+
+#: Large denominators, so that the integer scale L and its powers are big.
+wide_rationals = st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9))
+
+
+def pairwise_coeffs(names):
+    """Coefficients over Q[names]: zero, small and wide rationals, and
+    polynomials of degree 0 or 1 in each variable."""
+    scalars = st.one_of(st.just(Fraction(0)), rationals, wide_rationals)
+    if not names:
+        return scalars
+    lower = pairwise_coeffs(names[:-1])
+    return st.one_of(lower, st.lists(lower, min_size=1, max_size=2).map(lambda cs: UniPoly(names[-1], cs)))
+
+
+def monic(names, var):
+    """Monic polynomials in ``var`` of degree 1 to 5 over Q[names]."""
+    return st.lists(pairwise_coeffs(names), min_size=1, max_size=5).map(
+        lambda cs: UniPoly(var, cs + [Fraction(1)])
+    )
+
+
+PAIRWISE_CASES = [
+    pytest.param(monic([], "eta"), id="eta-over-Q"),
+    pytest.param(monic(["z"], "eta"), id="eta-over-Qz"),
+    pytest.param(monic(["z", "eta"], "x"), id="x-over-Qzeta"),
+]
+
+
+def naive_pairwise_sums(f):
+    """Newton's identities in ``Fraction`` arithmetic over the tower: power
+    sums p_k of the roots of ``f``, S_k = (sum_j C(k, j) p_j p_(k-j) - 2^k p_k) / 2
+    for the pairwise sums, and the monic polynomial rebuilt from S_1..S_m."""
+    n = f.degree
+    m = n * (n - 1) // 2
+    c = [f.coeff(n - k) for k in range(n + 1)] + [Fraction(0)] * m  # c[k]: v^(n-k)
+    p = [Fraction(n)]
+    for k in range(1, m + 1):
+        p.append(-sum((c[i] * p[k - i] for i in range(1, k)), k * c[k]))
+    s = [(sum(comb(k, j) * p[j] * p[k - j] for j in range(k + 1)) - 2**k * p[k]) * Fraction(1, 2) for k in range(m + 1)]
+    out = [Fraction(1)]  # leading coefficient first
+    for k in range(1, m + 1):
+        out.append(sum((out[i] * s[k - i] for i in range(k)), Fraction(0)) * Fraction(-1, k))
+    return UniPoly(f.var, out[::-1])
+
+
+@pytest.mark.parametrize("polys", PAIRWISE_CASES)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_pairwise_sum_poly_matches_the_fraction_newton_route(polys, data):
+    f = data.draw(polys)
+    result = pairwise_sum_poly(f)
+    expected = naive_pairwise_sums(f)
+    assert result == expected and repr(result) == repr(expected)
+
+
+@given(st.lists(st.one_of(rationals, wide_rationals, tower(["z"])), min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_pairwise_sum_poly_of_a_product_of_linear_factors(roots):
+    """Roots in Q or Q[z], so the pairwise sums are known without power sums."""
+    f = UniPoly("eta", [1])
+    for r in roots:
+        f = f * (ETA - r)
+    expected = UniPoly("eta", [1])
+    for a, b in itertools.combinations(roots, 2):
+        expected = expected * (ETA - a - b)
+    assert pairwise_sum_poly(f) == expected
+
+
+def test_pairwise_sum_poly_small_degrees():
+    assert pairwise_sum_poly(UniPoly("eta", [1])) == 1
+    assert pairwise_sum_poly(ETA + Fraction(3, 7)) == 1
+    assert pairwise_sum_poly(ETA**2 + Fraction(5, 3) * ETA + 11) == ETA + Fraction(5, 3)
+    assert pairwise_sum_poly(ETA**3 - 7 * ETA + 6) == ETA**3 - 7 * ETA - 6  # roots 1, 2, -3: sums 3, -1, -2
+    pair = pairwise_sum_poly(UniPoly("x", [ETA, Z, 1]))
+    assert pair.var == "x" and pair == UniPoly("x", [Z, 1])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [UniPoly("eta"), UniPoly("eta", [1, 2]), UniPoly("eta", [0, 0, Fraction(1, 2)]), UniPoly("eta", [1, Z])],
+    ids=["zero", "lead-2", "lead-half", "lead-z"],
+)
+def test_pairwise_sum_poly_requires_a_monic_polynomial(f):
+    with pytest.raises(ValidationError, match="^pairwise root sums require a monic polynomial$"):
+        pairwise_sum_poly(f)
+
+
+def pairwise_sum_replay(f):
+    """The steps of ``pairwise_sum_poly`` with the halving of each S_k and
+    each Newton division by k a ``divmod`` on every integer leaf; returns its
+    result and the remainders."""
+    n = f.degree
+    m = n * (n - 1) // 2
+    tail = f.coeffs[-2::-1]
+    names = _tower_names([tail])
+    depth = len(names)
+    line, scale = _int_line(tail, names)
+    remainders = []
+
+    def divide(e, k, level):
+        if level == 0:
+            q, r = divmod(e, k)
+            remainders.append(r)
+            return q
+        return [divide(x, k, level - 1) for x in e]
+
+    c = [None] + [_combine([e], [scale**k], depth) for k, e in enumerate(line)]
+    p = _power_sums(c, m, depth)
+    s = [None]
+    for k in range(1, m + 1):
+        ordered = [_dot([p[j]], [p[k - j]], depth) for j in range(1, k)]
+        s.append(divide(_combine(ordered + [p[k]], [comb(k, j) for j in range(1, k)] + [2 * n - 2**k], depth), 2, depth))
+    e = [None]
+    for k in range(1, m + 1):
+        e.append(divide(_combine([_dot(e[1:k], s[k - 1:0:-1], depth), s[k]], [-1, -1], depth), k, depth))
+    coeffs = [_from_nested(e[k], names, scale**k) for k in range(m, 0, -1)] + [Fraction(1)]
+    return UniPoly(f.var, coeffs), remainders
+
+
+@pytest.mark.parametrize("polys", PAIRWISE_CASES)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_pairwise_sum_divisions_are_exact(polys, data):
+    f = data.draw(polys)
+    replay, remainders = pairwise_sum_replay(f)
+    assert replay == pairwise_sum_poly(f)
+    assert all(rem == 0 for rem in remainders)
 
 
 # -- determinants --------------------------------------------------------------
