@@ -34,9 +34,18 @@ fails instead of timing well:
   vectors v with star v = v, each with a unit in its own free column;
 * the star of ``hodge_split`` is Lambda^2(q)^(-1) Q6 sqrt(det q), with the
   product taken by the triple loop, and its +1 and -1 bases are three
-  eigenvectors each.
+  eigenvectors each;
+* polynomial products (constant times constant and degree 1 times degree 1
+  over Q[z], and ``so4_oracle``'s (eta - x)^2 in x over Q[z][eta]) equal
+  their coefficients written out here, and ``div_mod`` of f g + r by g
+  returns f and r;
+* ``correspondence_push`` puts D(a) + D(b) on each pair {a, b} of simple
+  points and D(y) + 2 D(s) on a pair of the double point y with a simple
+  point s, and D(y) on {y, y}; the ``sigma`` norm adds the weights of a pair
+  and of its complement in the fiber.
 """
 
+import itertools
 import os
 import random
 import sys
@@ -45,8 +54,10 @@ from operator import mul
 
 import pytest
 
+from isolab.covers_prym import Divisor, correspondence_push, norm, self_product_minus_diagonal, symmetrize
 from isolab.exact_algebra import RingMatrix, UniPoly, char_poly, exterior_square, pfaffian, poly_gcd, resultant
 from isolab.lie_isogeny import QuadraticForm, alpha_block, d_iso3, hodge_split, q6
+from isolab.serialize import fiber_from_json
 from isolab.spectral_base import (
     BaseSL2Pair,
     BaseSL4,
@@ -61,7 +72,7 @@ from isolab.verify import rand_unimodular
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
-from workloads import HEIGHTS, height_triple  # noqa: E402
+from workloads import HEIGHTS, _fiber, _zero_sum, height_triple  # noqa: E402
 
 ETA = UniPoly.variable("eta")
 
@@ -161,6 +172,72 @@ def test_eta_product_over_qz(benchmark):
     product = benchmark(mul, f, g)
     h = ETA - 2
     assert product.degree == 12 and resultant(product, h) == resultant(f, h) * resultant(g, h)
+
+
+def test_product_constant_by_constant(benchmark):
+    """The smallest product, so a fixed cost per call shows."""
+    a, b = Fraction(-7, 4), Fraction(5, 6)
+    product = benchmark(mul, UniPoly("z", [a]), UniPoly("z", [b]))
+    assert product.var == "z" and product.coeffs == (Fraction(-35, 24),)
+
+
+def test_product_degree_one_by_degree_one(benchmark):
+    p0, p1, q0, q1 = Fraction(2, 3), Fraction(-1, 2), Fraction(5), Fraction(3, 4)
+    product = benchmark(mul, UniPoly("z", [p0, p1]), UniPoly("z", [q0, q1]))
+    assert product.coeffs == (p0 * q0, p0 * q1 + p1 * q0, p1 * q1)
+
+
+def test_product_so4_shift_squared(benchmark):
+    """``so4_oracle``'s (eta - x)^2 = eta^2 - 2 eta x + x^2."""
+    shift = UniPoly("x", [ETA, Fraction(-1)])
+    square = benchmark(mul, shift, shift)
+    assert square.var == "x"
+    assert square.coeffs == (UniPoly("eta", [0, 0, 1]), UniPoly("eta", [0, -2]), Fraction(1))
+
+
+def test_div_mod_over_qz(benchmark):
+    rng = random.Random("div_mod")
+    f, g, r = _height_section(rng, 8), _height_section(rng, 8), _height_section(rng, 7)
+    q, rem = benchmark((f * g + r).div_mod, g)
+    assert q == f and rem == r
+
+
+def _cover_fiber(rng, branched):
+    return fiber_from_json(_fiber(rng, "x", "y", 4, branched))
+
+
+@pytest.mark.parametrize("branched", [False, True], ids=["regular", "branch"])
+def test_correspondence_push(benchmark, branched):
+    rng = random.Random(f"push:{branched}")
+    fiber = _cover_fiber(rng, branched)
+    divisor = Divisor(_zero_sum(rng, fiber.labels))
+    pushed = benchmark(correspondence_push, divisor, fiber)
+    double = fiber.labels[0] if branched else None
+    expected = {(double, double): divisor.get(double)} if branched else {}
+    for a, b in itertools.combinations(sorted(fiber.labels), 2):
+        expected[(a, b)] = divisor.get(a) * (2 if b == double else 1) + divisor.get(b) * (2 if a == double else 1)
+    assert pushed == Divisor(expected)
+
+
+def _complement(pair, fiber):
+    rest = [label for label, m in fiber.points for _ in range(m)]
+    for label in pair:
+        rest.remove(label)
+    return tuple(sorted(rest))
+
+
+@pytest.mark.parametrize("branched", [False, True], ids=["regular", "branch"])
+def test_sigma_norm(benchmark, branched):
+    rng = random.Random(f"norm:{branched}")
+    fiber = _cover_fiber(rng, branched)
+    sym = symmetrize(self_product_minus_diagonal(fiber))
+    divisor = Divisor({key: rng.randint(-3, 3) for key in sym.keys})
+    pushed = benchmark(norm, divisor, sym, "sigma")
+    expected = {}
+    for key in sym.keys:
+        other = _complement(key, fiber)
+        expected[min(key, other)] = divisor.get(key) + divisor.get(other)
+    assert pushed == Divisor(expected)
 
 
 def _height_section(rng, degree):

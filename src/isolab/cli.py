@@ -75,14 +75,15 @@ class _Input:
 
 
 def _load_document(args) -> _Input:
-    if args.input in (None, "-"):
-        text = sys.stdin.read()
-    else:
-        try:
+    from_stdin = args.input in (None, "-")
+    try:
+        if from_stdin:
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise ValidationError(f"cannot read input file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {'standard input' if from_stdin else 'input file'}: {exc}") from exc
     # ValueError also covers an integer literal beyond the int() digit limit;
     # RecursionError is nesting deeper than the decoder's recursion allows
     try:

@@ -14,16 +14,18 @@ everything here is safe to share between threads.
 ``as_element`` and ``as_poly`` are the only coercions of the tower, and a
 constant inside a polynomial is always a ``Fraction``.
 
-Linear algebra runs on integers.  One helper, ``_int_line``, scales a row
-or column of tower elements by the lcm of its leaf denominators; behind it
-sit the determinant (``det``, ``char_poly``, ``resultant``: interpolation
-down to integer Bareiss), the matrix product (integer dot products, each
-entry divided once by its row and column scales) and ``rref``
-(fraction-free Gauss-Jordan, each entry divided once by the last pivot),
-and through ``rref`` ``inverse`` and ``nullspace``.  ``pairwise_sum_poly``
-scales its variable by the same helper's scale and runs Newton's identities
-on integer power sums, with the product's convolution (``_dot``) and the
-interpolation's weighted sum (``_combine``).
+Products and linear algebra run on integers.  One helper, ``_int_line``,
+scales a row or column of tower elements by the lcm of its leaf
+denominators; behind it sit the determinant (``det``, ``char_poly``,
+``resultant``: interpolation down to integer Bareiss), the products
+(``_products``: integer dot products, each entry divided once by its two
+scales; a polynomial product is its 1x1 case, so ``_mul_into`` is the one
+convolution) and ``rref`` (fraction-free Gauss-Jordan, each entry divided
+once by the last pivot), and through ``rref`` ``inverse`` and
+``nullspace``.  ``pairwise_sum_poly`` scales its variable by the same
+helper's scale and runs Newton's identities on integer power sums, with the
+product's convolution (``_dot``) and the interpolation's weighted sum
+(``_combine``).
 """
 
 from __future__ import annotations
@@ -243,15 +245,7 @@ class UniPoly:
         if pair is None:
             return NotImplemented
         a, b = pair
-        if a.is_zero or b.is_zero:
-            return UniPoly(a.var)
-        out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ca in enumerate(a.coeffs):
-            if ring_is_zero(ca):
-                continue
-            for j, cb in enumerate(b.coeffs):
-                out[i + j] = out[i + j] + ca * cb
-        return UniPoly(a.var, out)
+        return as_poly(_products([(a,)], [(b,)])[0][0], a.var)
 
     __rmul__ = __mul__
 
@@ -284,23 +278,24 @@ class UniPoly:
         return UniPoly(self.var, [k * c for k, c in enumerate(self.coeffs)][1:])
 
     def div_mod(self, other):
-        """Long division; raises if a leading-coefficient division is inexact."""
+        """Long division in place on one coefficient list; raises if a
+        leading-coefficient division is inexact."""
         pair = self._pair(other)
         if pair is None:
             raise ValidationError(f"cannot divide by {other!r}")
         a, b = pair
         if b.is_zero:
             raise ValidationError("polynomial division by zero")
-        var = a.var
-        q = UniPoly(var)
-        r = a
-        while not r.is_zero and r.degree >= b.degree:
-            step = exact_div(r.lead, b.lead)
-            shift = r.degree - b.degree
-            mono = UniPoly(var, [Fraction(0)] * shift + [step])
-            q = q + mono
-            r = r - mono * b
-        return q, r
+        n = len(b.coeffs)
+        r = list(a.coeffs)
+        q = [Fraction(0)] * max(len(r) - n + 1, 0)
+        for shift in range(len(q) - 1, -1, -1):
+            step = exact_div(r[shift + n - 1], b.lead)
+            if not ring_is_zero(step):
+                q[shift] = step
+                for j, c in enumerate(b.coeffs):
+                    r[shift + j] = r[shift + j] - step * c
+        return UniPoly(a.var, q), UniPoly(a.var, r[:n - 1])
 
     def __str__(self):
         if self.is_zero:
@@ -586,6 +581,21 @@ def _dot(r, c, depth: int):
     return acc
 
 
+def _products(rows, cols):
+    """The table of dot products of ``rows`` with ``cols``, two sequences of
+    equal-length lines of tower elements: each line is scaled to integers
+    by ``_int_line``, and each entry is one integer dot product divided by
+    its two scales.  A polynomial product is the 1x1 table of ``(a,)`` and
+    ``(b,)``, a matrix product that of the rows and the columns."""
+    names = _tower_names([*rows, *cols])
+    depth = len(names)
+    int_cols = [_int_line(col, names) for col in cols]
+    return [
+        [_from_nested(_dot(r, c, depth), names, rs * cs) for c, cs in int_cols]
+        for r, rs in (_int_line(row, names) for row in rows)
+    ]
+
+
 def _rref_int(rows):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
 
@@ -691,19 +701,12 @@ class RingMatrix:
         return self.map_entries(lambda e: e * s)
 
     def __mul__(self, other):
-        """Matrix product: each row of ``self`` and each column of ``other``
-        is scaled to integers by ``_int_line``, and each entry is one integer
-        dot product divided by its two scales."""
+        """Matrix product: ``_products`` of the rows of ``self`` and the
+        columns of ``other``."""
         if isinstance(other, RingMatrix):
             if self.cols != other.rows:
                 raise ValidationError("matrix shape mismatch in product")
-            names = _tower_names(self.entries + other.entries)
-            depth = len(names)
-            rows = [_int_line(row, names) for row in self.entries]
-            cols = [_int_line(col, names) for col in zip(*other.entries)]
-            return RingMatrix([
-                [_from_nested(_dot(r, c, depth), names, rs * cs) for c, cs in cols] for r, rs in rows
-            ])
+            return RingMatrix(_products(self.entries, list(zip(*other.entries))))
         return self.scale(other)
 
     def __rmul__(self, other):

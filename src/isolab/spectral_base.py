@@ -21,7 +21,7 @@ below rather than posited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -53,52 +53,48 @@ __all__ = [
 ]
 
 
+class _Sections:
+    """Base of the section types: the generated ``__init__`` coerces every
+    field to a polynomial in ``z``."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_poly(getattr(self, f.name), "z"))
+
+
 @dataclass(frozen=True)
-class BaseSL2Pair:
+class BaseSL2Pair(_Sections):
     """Coefficients (a1, a2) of a pair of double covers eta^2 + a_i = 0."""
 
     a1: UniPoly
     a2: UniPoly
 
-    def __post_init__(self):
-        object.__setattr__(self, "a1", as_poly(self.a1, "z"))
-        object.__setattr__(self, "a2", as_poly(self.a2, "z"))
-
 
 @dataclass(frozen=True)
-class BaseSL4:
+class BaseSL4(_Sections):
     """Coefficients of the rank-4 spectral curve eta^4 + a2 eta^2 + a3 eta + a4."""
 
     a2: UniPoly
     a3: UniPoly
     a4: UniPoly
 
-    def __post_init__(self):
-        object.__setattr__(self, "a2", as_poly(self.a2, "z"))
-        object.__setattr__(self, "a3", as_poly(self.a3, "z"))
-        object.__setattr__(self, "a4", as_poly(self.a4, "z"))
-
     def curve(self) -> UniPoly:
         return UniPoly("eta", [self.a4, self.a3, self.a2, Fraction(0), Fraction(1)])
 
 
 @dataclass(frozen=True)
-class BaseSO4:
+class BaseSO4(_Sections):
     """Even quartic data (b1, pf): curve eta^4 + b1 eta^2 + pf^2."""
 
     b1: UniPoly
     pf: UniPoly
-
-    def __post_init__(self):
-        object.__setattr__(self, "b1", as_poly(self.b1, "z"))
-        object.__setattr__(self, "pf", as_poly(self.pf, "z"))
 
     def quartic(self) -> UniPoly:
         return UniPoly("eta", [self.pf * self.pf, Fraction(0), self.b1, Fraction(0), Fraction(1)])
 
 
 @dataclass(frozen=True)
-class BaseSO6:
+class BaseSO6(_Sections):
     """Even sextic data (b1, b2, pf): curve eta^6 + b1 eta^4 + b2 eta^2 - pf^2.
 
     The negative constant term is this library's wedge-form convention;
@@ -108,11 +104,6 @@ class BaseSO6:
     b1: UniPoly
     b2: UniPoly
     pf: UniPoly
-
-    def __post_init__(self):
-        object.__setattr__(self, "b1", as_poly(self.b1, "z"))
-        object.__setattr__(self, "b2", as_poly(self.b2, "z"))
-        object.__setattr__(self, "pf", as_poly(self.pf, "z"))
 
     def sextic(self) -> UniPoly:
         return UniPoly(

@@ -335,6 +335,27 @@ def test_input_file_and_missing_file(capsys, tmp_path):
     assert err.startswith("error: cannot read input file")
 
 
+def test_input_file_that_is_not_utf8_exits_one(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"a1": "1", "a2": "\xff"}')
+    code, out, err = run_cli(capsys, ["base", "map-so4", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert err == (
+        "error: cannot read input file: 'utf-8' codec can't decode byte 0xff"
+        " in position 19: invalid start byte\n"
+    )
+
+
+def test_stdin_that_is_not_utf8_exits_one(capsys, monkeypatch):
+    import io
+    import sys
+
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b'{"a1": "\xff"}'), encoding="utf-8"))
+    code, out, err = run_cli(capsys, ["base", "map-so4"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read standard input: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize(
     "text,message",
     [("not json", "error: input is not valid JSON"), ("[1, 2]", "error: input: expected a JSON object")],

@@ -25,6 +25,7 @@ from isolab.exact_algebra import (
     resultant,
 )
 from isolab.exact_algebra import (
+    _as_poly_pair,
     _combine,
     _dot,
     _from_nested,
@@ -170,8 +171,12 @@ def test_mixed_variable_arithmetic_lifts_the_lower_one():
 def test_exact_division_and_remainder_error():
     p = (Z - 1) * (Z + 2)
     assert exact_div(p, Z - 1) == Z + 2
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^inexact division: remainder 1$"):
         exact_div(p + 1, Z - 1)
+    with pytest.raises(ValidationError, match=r"^inexact division: remainder -1$"):
+        UniPoly("eta", [1, Z]).div_mod(UniPoly("eta", [1, Z + 1]))
+    with pytest.raises(ValidationError, match="^polynomial division by zero$"):
+        ETA.div_mod(UniPoly("z"))
 
 
 # -- the coercion rule -----------------------------------------------------------
@@ -336,6 +341,91 @@ def test_resultant_matches_permutation_expansion_over_polynomials(f, g):
 def test_resultant_rejects_zero_input():
     with pytest.raises(ValidationError):
         resultant(UniPoly("x"), UniPoly("x", [1, 1]))
+
+
+# -- polynomial products and long division against the Fraction loops they replace
+
+#: Numerators and denominators up to 10^12, so the integer scales are big.
+huge_rationals = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12))
+
+
+def operand_coeffs(names):
+    """Elements of Q[names]: zero, small and huge rationals, and polynomials
+    of degree -1 (zero) to 3 in each variable."""
+    scalars = st.one_of(st.just(Fraction(0)), rationals, huge_rationals)
+    if not names:
+        return scalars
+    return st.one_of(operand_coeffs(names[:-1]), polynomial_operands(names))
+
+
+def polynomial_operands(names):
+    """Polynomials in ``names[-1]`` over Q[names[:-1]], the zero polynomial
+    and constants included."""
+    return st.lists(operand_coeffs(names[:-1]), max_size=4).map(lambda cs: UniPoly(names[-1], cs))
+
+
+#: Polynomials at depths 1 to 3, in z, eta over Q[z], x over Q[z][eta], and eta over Q.
+OPERANDS = st.one_of(*(polynomial_operands(n) for n in (["z"], ["z", "eta"], ["z", "eta", "x"], ["eta"])))
+
+
+def loop_product(a, b):
+    """The product of two tower elements by the Fraction double loop, with
+    this function for the products of coefficients."""
+    if not isinstance(a, UniPoly) and not isinstance(b, UniPoly):
+        return as_fraction(a) * as_fraction(b)
+    a, b = _as_poly_pair(a, b)
+    out = [Fraction(0)] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + loop_product(ca, cb)
+    return UniPoly(a.var, out)
+
+
+def loop_exact_div(a, b):
+    if not isinstance(b, UniPoly):
+        return loop_product(a, 1 / b)
+    q, r = loop_div_mod(*_as_poly_pair(a, b))
+    if not r.is_zero:
+        raise ValidationError(f"inexact division: remainder {r}")
+    return q
+
+
+def loop_div_mod(a, b):
+    """Long division that subtracts a monomial multiple of ``b`` per step."""
+    q, r = UniPoly(a.var), a
+    while not r.is_zero and r.degree >= b.degree:
+        mono = UniPoly(a.var, [Fraction(0)] * (r.degree - b.degree) + [loop_exact_div(r.lead, b.lead)])
+        q, r = q + mono, r - loop_product(mono, b)
+    return q, r
+
+
+def outcome(fn):
+    """The value of ``fn()`` with its ``repr``, or the error text."""
+    try:
+        value = fn()
+    except ValidationError as exc:
+        return "error", str(exc)
+    return value, repr(value)
+
+
+@given(OPERANDS, st.one_of(OPERANDS, operand_coeffs([])))
+@settings(max_examples=150, deadline=None)
+def test_polynomial_product_matches_the_fraction_double_loop(a, b):
+    expected = loop_product(a, b)
+    for got in (a * b, b * a):
+        assert got == expected and repr(got) == repr(expected) and got.var == expected.var
+
+
+@given(OPERANDS, OPERANDS.filter(lambda b: not b.is_zero), OPERANDS)
+@settings(max_examples=150, deadline=None)
+def test_div_mod_matches_the_monomial_loop(a, b, c):
+    for dividend in (a, loop_product(c, b), loop_product(c, b) + a):
+        got = outcome(lambda: dividend.div_mod(b))
+        assert got == outcome(lambda: loop_div_mod(*_as_poly_pair(dividend, b)))
+        if got[0] != "error":
+            q, r = got[0]
+            assert loop_product(q, b) + r == dividend
+            assert r.is_zero or r.degree < as_poly(b, r.var).degree
 
 
 # -- pairwise root sums against the Fraction Newton route they replace ------------
@@ -539,9 +629,9 @@ def test_inverse_guards_in_order():
 
 
 def naive_product(a, b):
-    """The triple loop over tower arithmetic."""
+    """The triple loop, with ``loop_product`` for the entry products."""
     return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        [sum((loop_product(a[i][k], b[k][j]) for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
 
