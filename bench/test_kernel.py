@@ -42,18 +42,27 @@ fails instead of timing well:
 * ``correspondence_push`` puts D(a) + D(b) on each pair {a, b} of simple
   points and D(y) + 2 D(s) on a pair of the double point y with a simple
   point s, and D(y) on {y, y}; the ``sigma`` norm adds the weights of a pair
-  and of its complement in the fiber.
+  and of its complement in the fiber;
+* the cold ends, each a fresh interpreter through ``subprocess``:
+  ``import isolab.cli`` exits 0 and prints nothing, and a cold
+  ``isolab base map-so6`` exits 0 with the report that ``cli.main`` prints
+  in this process.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
+from isolab.cli import main as cli_main
 from isolab.covers_prym import Divisor, correspondence_push, norm, self_product_minus_diagonal, symmetrize
 from isolab.exact_algebra import RingMatrix, UniPoly, char_poly, exterior_square, pfaffian, poly_gcd, resultant
 from isolab.lie_isogeny import QuadraticForm, alpha_block, d_iso3, hodge_split, q6
@@ -70,7 +79,8 @@ from isolab.spectral_base import (
 )
 from isolab.verify import rand_unimodular
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 sys.path.insert(0, PERFBENCH)
 from workloads import HEIGHTS, _fiber, _zero_sum, height_triple  # noqa: E402
 
@@ -316,3 +326,28 @@ def test_hodge_split(benchmark):
         for v in basis:
             column_vector = RingMatrix([[c] for c in v])
             assert _triple_loop(split.star, column_vector) == column_vector.scale(sign)
+
+
+def _cold(args, text=""):
+    """``python *args`` in a fresh interpreter that imports this checkout's
+    ``src/``, with ``text`` on stdin."""
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, *args], input=text, capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_cold_import_cli(benchmark):
+    proc = benchmark.pedantic(_cold, (["-c", "import isolab.cli"],), rounds=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_cold_base_map_so6(benchmark, monkeypatch):
+    text = json.dumps({"a2": ["1/2", "-3", "2"], "a3": ["0", "5/3"], "a4": ["4", "0", "-1"]})
+    argv = ["base", "map-so6", "--orientation", "-1"]
+    proc = benchmark.pedantic(_cold, (["-m", "isolab.cli", *argv], text), rounds=10)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        assert cli_main(argv) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, report.getvalue(), "")

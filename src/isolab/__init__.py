@@ -14,7 +14,14 @@ Subpackages by concern:
   preimage counts, component censuses, block-field assembly.
 * ``cli`` / ``verify``: command-line front end and the seeded exact
   verification suite.
+* ``serialize``: the JSON schemas of the CLI.
+
+``import isolab`` loads only ``exact_algebra``.  Every other submodule is
+imported the first time it is read as ``isolab.<name>`` (PEP 562), so a
+process pays only for the modules it uses.
 """
+
+import importlib
 
 from .exact_algebra import (
     InternalError,
@@ -25,3 +32,13 @@ from .exact_algebra import (
 
 __all__ = ["InternalError", "RingMatrix", "UniPoly", "ValidationError"]
 __version__ = "0.1.0"
+
+_SUBMODULES = (
+    "exact_algebra", "lie_isogeny", "spectral_base", "covers_prym", "moduli_invariants", "serialize", "cli", "verify",
+)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,9 +5,10 @@ emit a deterministic report.  ``COMMANDS`` is the single list of document
 commands: each entry maps ``"group command"`` to a body that turns the
 parsed document into a report payload, plus the payload field whose
 falsity means a mathematical check failed.  ``verify all`` is the one
-command outside the table.  Exit codes: 0 success, 1 input validation
-failure (a usage error included), 2 a mathematical check failed, 3
-internal error.
+command outside the table.  Each body imports the modules it uses when it
+runs, so a process loads only the modules of its command.  Exit codes: 0
+success, 1 input validation failure (a usage error included), 2 a
+mathematical check failed, 3 internal error.
 
 Reports echo the orientation sign in use; the environment variable
 ISOLAB_SEED, when set, overrides --seed.
@@ -22,12 +23,6 @@ import sys
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .exact_algebra import InternalError, ValidationError
-from . import lie_isogeny as li
-from . import spectral_base as sb
-from . import covers_prym as cp
-from . import moduli_invariants as mi
-from . import serialize as ser
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -97,18 +92,22 @@ def _load_document(args) -> _Input:
 
 
 def _polys(doc: _Input, *fields: str):
+    from . import serialize as ser
     return [doc._parsed(f, ser.poly_from_json) for f in fields]
 
 
 def _matrix(doc: _Input, field: str):
+    from . import serialize as ser
     return doc._parsed(field, ser.matrix_from_json)
 
 
 def _fiber(doc: _Input, field: str) -> cp.FiberModel:
+    from . import serialize as ser
     return doc._parsed(field, ser.fiber_from_json)
 
 
 def _divisor(doc: _Input, kind: str) -> cp.Divisor:
+    from . import serialize as ser
     return doc._parsed("divisor", ser.divisor_from_json, kind)
 
 
@@ -117,14 +116,17 @@ def _ints(doc: _Input, *fields: str):
 
 
 def _sl2_pair(doc: _Input) -> sb.BaseSL2Pair:
+    from . import spectral_base as sb
     return sb.BaseSL2Pair(*_polys(doc, "a1", "a2"))
 
 
 def _sl4_base(doc: _Input) -> sb.BaseSL4:
+    from . import spectral_base as sb
     return sb.BaseSL4(*_polys(doc, "a2", "a3", "a4"))
 
 
 def _poly_report(**polys) -> dict:
+    from . import serialize as ser
     return {key: ser.poly_to_json(p) for key, p in polys.items()}
 
 
@@ -136,6 +138,7 @@ def _attrs(obj, *names: str) -> dict:
 
 
 def _iso_apply(doc: _Input, orientation: int) -> dict:
+    from . import lie_isogeny as li, serialize as ser
     which = doc.text("map")
     maps = {
         "iso2": (li.iso2_group, "a1", "a2"),
@@ -150,11 +153,13 @@ def _iso_apply(doc: _Input, orientation: int) -> dict:
 
 
 def _iso_alpha(doc: _Input, orientation: int) -> dict:
+    from . import lie_isogeny as li, serialize as ser
     higgs = li.build_block_higgs_so33(_matrix(doc, "a"))
     return {"alpha": ser.matrix_to_json(higgs.alpha), "block_field": ser.matrix_to_json(higgs.as_matrix())}
 
 
 def _iso_hodge(doc: _Input, orientation: int) -> dict:
+    from . import lie_isogeny as li, serialize as ser
     gram = _matrix(doc, "q")
     split = doc.within("q", lambda: li.hodge_split(li.QuadraticForm(gram), orientation=orientation))
     return {
@@ -167,16 +172,19 @@ def _iso_hodge(doc: _Input, orientation: int) -> dict:
 
 
 def _base_map_so4(doc: _Input, orientation: int) -> dict:
+    from . import spectral_base as sb
     result = sb.so4_base(_sl2_pair(doc), sign=orientation)
     return _poly_report(b1=result.b1, pf=result.pf, quartic=result.quartic())
 
 
 def _base_map_so6(doc: _Input, orientation: int) -> dict:
+    from . import spectral_base as sb
     result = sb.so6_base(_sl4_base(doc), sign=orientation)
     return _poly_report(b1=result.b1, b2=result.b2, pf=result.pf, sextic=result.sextic())
 
 
 def _base_oracle(doc: _Input, orientation: int) -> dict:
+    from . import spectral_base as sb, serialize as ser
     kind = doc.text("kind")
     if kind == "so4":
         pair = _sl2_pair(doc)
@@ -192,6 +200,7 @@ def _base_oracle(doc: _Input, orientation: int) -> dict:
 
 
 def _base_genericity(doc: _Input, orientation: int) -> dict:
+    from . import spectral_base as sb, serialize as ser
     report = sb.genericity_report(_sl4_base(doc))
     return {
         "gcd_a3_vs_a2sq_minus_a4": ser.poly_to_json(report.gcd_loose),
@@ -202,6 +211,7 @@ def _base_genericity(doc: _Input, orientation: int) -> dict:
 
 
 def _cover_product(doc: _Input, orientation: int) -> dict:
+    from . import covers_prym as cp, serialize as ser
     pf = cp.fiber_product(_fiber(doc, "fiber1"), _fiber(doc, "fiber2"))
     inv = pf.product_involution()
     return {
@@ -211,12 +221,14 @@ def _cover_product(doc: _Input, orientation: int) -> dict:
 
 
 def _cover_sym(doc: _Input, orientation: int) -> dict:
+    from . import covers_prym as cp, serialize as ser
     pf = cp.self_product_minus_diagonal(_fiber(doc, "fiber"))
     sym = cp.symmetrize(pf)
     return {"self_product": ser.pair_fiber_to_json(pf), "symmetrized": ser.sym_fiber_to_json(sym)}
 
 
 def _cover_ramcheck(doc: _Input, orientation: int) -> dict:
+    from . import covers_prym as cp, serialize as ser
     ok, ledger = cp.ramification_check(_fiber(doc, "fiber"))
     kinds = {"sym_cover_ramification": "sym", "base_ramification": "point"}
     rendered = {n: ser.divisor_to_json(d, kinds.get(n, "ordered")) for n, d in ledger.items()}
@@ -224,12 +236,14 @@ def _cover_ramcheck(doc: _Input, orientation: int) -> dict:
 
 
 def _divisor_push(doc: _Input, orientation: int) -> dict:
+    from . import covers_prym as cp, serialize as ser
     fiber = _fiber(doc, "fiber")
     divisor = _divisor(doc, "point")
     return {"divisor": ser.divisor_to_json(cp.correspondence_push(divisor, fiber), "sym")}
 
 
 def _norm_context(doc: _Input, covering: str):
+    from . import covers_prym as cp
     if covering == "pi":
         return _fiber(doc, "fiber"), _divisor(doc, "point")
     if covering == "sigma":
@@ -242,6 +256,7 @@ def _norm_context(doc: _Input, covering: str):
 
 
 def _divisor_norm(doc: _Input, orientation: int) -> dict:
+    from . import covers_prym as cp, serialize as ser
     covering = doc.text("covering")
     carrier, divisor = _norm_context(doc, covering)
     result = cp.norm(divisor, carrier, covering)
@@ -250,6 +265,7 @@ def _divisor_norm(doc: _Input, orientation: int) -> dict:
 
 
 def _divisor_prym_test(doc: _Input, orientation: int) -> dict:
+    from . import covers_prym as cp
     covering = doc.text("covering")
     entries = doc.raw("entries")
     if not isinstance(entries, list):
@@ -262,16 +278,19 @@ def _divisor_prym_test(doc: _Input, orientation: int) -> dict:
 
 
 def _invariants_map(doc: _Input, orientation: int) -> dict:
+    from . import moduli_invariants as mi
     t = mi.toledo_map(mi.ToledoPair(*_ints(doc, "d1", "d2"), doc._parsed("g", mi.check_genus)))
     return {"c1": t.d1, "c2": t.d2}
 
 
 def _invariants_mw(doc: _Input, orientation: int) -> dict:
+    from . import moduli_invariants as mi
     pair = mi.ToledoPair(*_ints(doc, "d1", "d2"), doc._parsed("g", mi.check_genus))
     return {"within_bounds": doc.within("group", mi.milnor_wood_check, pair, doc.text("group"))}
 
 
 def _invariants_lift(doc: _Input, orientation: int) -> dict:
+    from . import moduli_invariants as mi
     group = doc.text("group")
     if group not in ("so22", "so33"):
         doc._fail("group", f"unknown group {group!r} for the lifting criterion")
@@ -284,12 +303,14 @@ def _invariants_lift(doc: _Input, orientation: int) -> dict:
 
 
 def _invariants_count(doc: _Input, orientation: int) -> dict:
+    from . import moduli_invariants as mi
     isogeny = doc.text("isogeny")
     report = doc.within("isogeny", mi.preimage_count, isogeny, doc._parsed("g", mi.check_genus))
     return _attrs(report, "stated", "proof_count", "enumerated", "discrepancy", "note")
 
 
 def _invariants_census(doc: _Input, orientation: int) -> dict:
+    from . import moduli_invariants as mi
     group = doc.text("group")
     census = doc.within("group", mi.component_census, group, doc._parsed("g", mi.check_genus))
     payload = {key: [list(l) for l in getattr(census, key)] for key in ("labels", "image_labels")}
@@ -300,6 +321,7 @@ def _invariants_census(doc: _Input, orientation: int) -> dict:
 
 
 def _higgs_assemble_so22(doc: _Input, orientation: int) -> dict:
+    from . import moduli_invariants as mi, serialize as ser
     result = mi.assemble_so22(
         *_ints(doc, "n1_degree", "n2_degree"), *_polys(doc, "beta1", "gamma1", "beta2", "gamma2")
     )
@@ -346,6 +368,7 @@ def _run_document(args) -> int:
 
 
 def _verify_all(args) -> int:
+    from .verify import run_all
     report = run_all(seed=args.seed, samples=args.samples)
     if args.format == "json":
         payload = report.to_json()
@@ -364,7 +387,12 @@ def _verify_all(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(group: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command.  When ``group`` names a group of
+    ``COMMANDS``, only that group's commands are added; ``main`` passes the
+    first argument, which argparse reads as the group, so it enters no
+    other group and no output changes."""
+    wanted = group if any(path.startswith(f"{group} ") for path in COMMANDS) else None
     parser = argparse.ArgumentParser(
         prog="isolab",
         description="exact computations for the rank-2 and rank-3 orthogonal isogenies",
@@ -376,6 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
         if group_name not in groups:
             group_parser = top.add_parser(group_name)
             groups[group_name] = group_parser.add_subparsers(dest="command", required=True)
+        if wanted not in (None, group_name):
+            continue
         cmd_parser = groups[group_name].add_parser(cmd_name)
         cmd_parser.add_argument("--input", help="path to a JSON input document (default: stdin)")
         cmd_parser.add_argument(
@@ -399,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse's usage-error exit 2 would read as a failed check

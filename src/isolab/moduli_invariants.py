@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .exact_algebra import RingMatrix, UniPoly, ValidationError, as_poly
-from .lie_isogeny import HiggsBlockField
-from .spectral_base import BaseSL2Pair, BaseSO4, so4_base
 
 __all__ = [
     "ToledoPair",
@@ -258,6 +256,9 @@ def assemble_so22(
     the reordered tensor sum, and the quartic and Pfaffian against the
     characteristic polynomial and the Pfaffian of the form times the field.
     """
+    from .lie_isogeny import HiggsBlockField
+    from .spectral_base import BaseSL2Pair, so4_base
+
     beta1, gamma1 = as_poly(beta1, "z"), as_poly(gamma1, "z")
     beta2, gamma2 = as_poly(beta2, "z"), as_poly(gamma2, "z")
     alpha = RingMatrix([[beta2, beta1], [gamma1, gamma2]])

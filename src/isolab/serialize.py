@@ -15,12 +15,6 @@ from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Union
 
 from .exact_algebra import RingMatrix, UniPoly, ValidationError, as_element, as_fraction, as_poly
-from .covers_prym import (
-    Divisor,
-    FiberModel,
-    PairFiber,
-    SymFiber,
-)
 
 __all__ = [
     "scalar_to_json",
@@ -85,6 +79,7 @@ def fiber_to_json(f: FiberModel) -> Dict[str, Any]:
 
 def fiber_from_json(data: Any) -> FiberModel:
     """A fiber; ``base_label`` and the point labels are JSON strings."""
+    from .covers_prym import FiberModel
     if not isinstance(data, Mapping):
         raise ValidationError("a fiber is an object with base_label, kind, points")
     try:
@@ -163,6 +158,7 @@ def divisor_to_json(d: Divisor, kind: str) -> Dict[str, int]:
 
 def divisor_from_json(data: Any, kind: str) -> Divisor:
     """Parse a divisor; ``kind`` tells how the keys are shaped."""
+    from .covers_prym import Divisor
     if not isinstance(data, Mapping):
         raise ValidationError("a divisor is an object mapping point keys to weights")
     weights = {}
