@@ -20,9 +20,13 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .exact_algebra import InternalError, ValidationError
+
+if TYPE_CHECKING:
+    from . import covers_prym as cp
+    from . import spectral_base as sb
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

@@ -62,6 +62,12 @@ Key = Union[str, PairKey]
 _RESERVED = ",()[]"
 
 
+def _require_int(value, what: str) -> None:
+    """Refuse a value that ``int()`` would silently truncate or coerce."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 class _PointTable:
     """The point table ``points`` of a fiber: (key, multiplicity) pairs over
     the base point ``base_label``."""
@@ -96,7 +102,9 @@ class FiberModel(_PointTable):
     kind: str
 
     def __post_init__(self):
-        pts = tuple((str(l), int(m)) for l, m in self.points)
+        pts = tuple((str(l), m) for l, m in self.points)
+        for _, m in pts:
+            _require_int(m, "a multiplicity")
         object.__setattr__(self, "points", pts)
         labels = [l for l, _ in pts]
         if len(set(labels)) != len(labels):
@@ -234,7 +242,7 @@ class Divisor:
     def __init__(self, weights: Optional[Mapping[Key, int]] = None):
         cleaned = {}
         for k, w in (weights or {}).items():
-            w = int(w)
+            _require_int(w, "a divisor weight")
             if w != 0:
                 cleaned[k] = w
         object.__setattr__(self, "_weights", cleaned)

@@ -14,25 +14,26 @@ everything here is safe to share between threads.
 ``as_element`` and ``as_poly`` are the only coercions of the tower, and a
 constant inside a polynomial is always a ``Fraction``.
 
-Products and linear algebra run on integers.  One helper, ``_int_line``,
-scales a row or column of tower elements by the lcm of its leaf
-denominators; behind it sit the determinant (``det``, ``char_poly``,
-``resultant``: interpolation down to integer Bareiss), the products
-(``_products``: integer dot products, each entry divided once by its two
-scales; a polynomial product is its 1x1 case, so ``_mul_into`` is the one
-convolution) and ``rref`` (fraction-free Gauss-Jordan, each entry divided
-once by the last pivot), and through ``rref`` ``inverse`` and
-``nullspace``.  ``pairwise_sum_poly`` scales its variable by the same
-helper's scale and runs Newton's identities on integer power sums, with the
-product's convolution (``_dot``) and the interpolation's weighted sum
-(``_combine``).
+Products and linear algebra run on integers.  One entry, ``_int_lines``,
+finds the variables that occur in its lines of tower elements and scales
+each line by the lcm of its leaf denominators, and one exit,
+``_from_nested``, divides a result back.  Between them sit the determinant
+(``det``, ``char_poly``, ``resultant``: interpolation down to integer
+Bareiss), the products (``_products``: integer dot products, each entry
+divided once by its two scales; a polynomial product is its 1x1 case, so
+``_mul_into`` is the one convolution) and ``rref`` (fraction-free
+Gauss-Jordan, each entry divided once by the last pivot), and through
+``rref`` ``inverse`` and ``nullspace``.  ``pairwise_sum_poly`` scales its
+variable by the same entry's scale and runs Newton's identities on integer
+power sums, with the product's convolution (``_dot``) and the
+interpolation's weighted sum (``_combine``).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -135,15 +136,6 @@ def as_poly(value, var: str) -> "UniPoly":
     if isinstance(value, UniPoly) and value.var == var:
         return value
     return UniPoly(var, [value])
-
-
-def _element_vars(elem) -> set:
-    if isinstance(elem, UniPoly):
-        out = {elem.var}
-        for c in elem.coeffs:
-            out |= _element_vars(c)
-        return out
-    return set()
 
 
 class UniPoly:
@@ -428,25 +420,27 @@ def _trim(p: list) -> list:
     return p
 
 
-def _nested(elem, names):
-    """``elem`` over the variables ``names`` (outermost first), with
-    Fraction leaves."""
-    if not names:
-        return elem
-    if isinstance(elem, UniPoly) and elem.var == names[0]:
-        return [_nested(c, names[1:]) for c in elem.coeffs]
-    return [] if ring_is_zero(elem) else [_nested(elem, names[1:])]
+def _survey(e, found: set) -> int:
+    """One walk over the tower element ``e``: adds the variables that occur
+    in it to ``found`` and returns the lcm of its leaf denominators."""
+    if e.__class__ is not UniPoly:
+        return e.denominator
+    found.add(e.var)
+    return lcm(*(_survey(c, found) if c.__class__ is UniPoly else c.denominator for c in e.coeffs))
 
 
-def _leaves(e, depth: int):
-    return [e] if depth == 0 else [x for c in e for x in _leaves(c, depth - 1)]
-
-
-def _scaled(e, depth: int, mult: int):
-    """Fraction leaves times ``mult``, a common multiple of their denominators."""
-    if depth == 0:
-        return e.numerator * (mult // e.denominator)
-    return [_scaled(c, depth - 1, mult) for c in e]
+def _scaled(e, names, mult: int):
+    """The nested integer element of ``e`` times ``mult`` over the nonempty
+    ``names`` (outermost first); ``mult`` is a multiple of every leaf
+    denominator."""
+    rest = names[1:]
+    if e.__class__ is UniPoly and e.var == names[0]:
+        if rest:
+            return [_scaled(c, rest, mult) for c in e.coeffs]
+        return [c.numerator * (mult // c.denominator) for c in e.coeffs]
+    if ring_is_zero(e):
+        return []
+    return [_scaled(e, rest, mult) if rest else e.numerator * (mult // e.denominator)]
 
 
 def _from_nested(e, names, scale: int):
@@ -515,40 +509,26 @@ def _det_int(rows, depth: int):
     return _interpolate(nodes, values, depth)
 
 
-def _tower_names(lines) -> tuple:
-    """The variables of the tower that occur in ``lines``, outermost first."""
-    present = set()
-    for line in lines:
-        for e in line:
-            if e.__class__ is not Fraction:
-                present |= _element_vars(e)
-    return tuple(sorted(present, key=VAR_ORDER.get, reverse=True))
-
-
-def _int_line(line, names):
-    """``line`` as nested integer elements over ``names`` and its scale: the
-    elements are ``line`` times the lcm of its leaf denominators."""
+def _int_lines(lines):
+    """The single entry into the integer kernels: the variables of the tower
+    that occur in ``lines``, outermost first, and each line as nested integer
+    elements over them with its scale, the lcm of the line's leaf
+    denominators (the elements are the line times its scale)."""
+    found = set()
+    mults = [lcm(*(_survey(e, found) if e.__class__ is UniPoly else e.denominator for e in line))
+             for line in lines]
+    names = tuple(sorted(found, key=VAR_ORDER.get, reverse=True))
     if not names:  # a rational line is its own list of leaves
-        mult = lcm(*(e.denominator for e in line))
-        return [e.numerator * (mult // e.denominator) for e in line], mult
-    depth = len(names)
-    nested = [_nested(e, names) for e in line]
-    mult = lcm(*(x.denominator for e in nested for x in _leaves(e, depth)))
-    return [_scaled(e, depth, mult) for e in nested], mult
+        return names, [([e.numerator * (m // e.denominator) for e in line], m) for line, m in zip(lines, mults)]
+    return names, [([_scaled(e, names, m) for e in line], m) for line, m in zip(lines, mults)]
 
 
 def _det(rows):
-    """Exact determinant over any ring of the tower.  Each row is scaled by
-    ``_int_line``, the integer determinant is computed by ``_det_int``, and
-    the product of the row scales is divided out once at the end."""
-    names = _tower_names(rows)
-    scale = 1
-    int_rows = []
-    for row in rows:
-        line, mult = _int_line(row, names)
-        scale *= mult
-        int_rows.append(line)
-    return _from_nested(_det_int(int_rows, len(names)), names, scale)
+    """Exact determinant over any ring of the tower.  The rows are scaled by
+    ``_int_lines``, the integer determinant is computed by ``_det_int``,
+    and the product of the row scales is divided out once at the end."""
+    names, lines = _int_lines(rows)
+    return _from_nested(_det_int([line for line, _ in lines], len(names)), names, prod(m for _, m in lines))
 
 
 def _mul_into(acc: list, a: list, b: list, depth: int):
@@ -583,16 +563,14 @@ def _dot(r, c, depth: int):
 
 def _products(rows, cols):
     """The table of dot products of ``rows`` with ``cols``, two sequences of
-    equal-length lines of tower elements: each line is scaled to integers
-    by ``_int_line``, and each entry is one integer dot product divided by
+    equal-length lines of tower elements: the lines are scaled to integers
+    by ``_int_lines``, and each entry is one integer dot product divided by
     its two scales.  A polynomial product is the 1x1 table of ``(a,)`` and
     ``(b,)``, a matrix product that of the rows and the columns."""
-    names = _tower_names([*rows, *cols])
-    depth = len(names)
-    int_cols = [_int_line(col, names) for col in cols]
+    names, lines = _int_lines([*rows, *cols])
+    depth, int_cols = len(names), lines[len(rows):]
     return [
-        [_from_nested(_dot(r, c, depth), names, rs * cs) for c, cs in int_cols]
-        for r, rs in (_int_line(row, names) for row in rows)
+        [_from_nested(_dot(r, c, depth), names, rs * cs) for c, cs in int_cols] for r, rs in lines[:len(rows)]
     ]
 
 
@@ -769,7 +747,7 @@ class RingMatrix:
         """Reduced row echelon form and pivot columns (rational entries), by
         fraction-free elimination of the integer-scaled rows."""
         self._require_rational("row reduction")
-        work, pivots, d = _rref_int([_int_line(row, ())[0] for row in self.entries])
+        work, pivots, d = _rref_int([line for line, _ in _int_lines(self.entries)[1]])
         return RingMatrix([[Fraction(a, d) for a in row] for row in work]), pivots
 
     def nullspace(self):
@@ -792,9 +770,11 @@ class RingMatrix:
         outermost; valid over any coefficient ring of the tower below ``eta``."""
         if not self.is_square:
             raise ValidationError("characteristic polynomial requires a square matrix")
+        found = set()
         for row in self.entries:
             for e in row:
-                bad = {w for w in _element_vars(e) if VAR_ORDER[w] >= VAR_ORDER["eta"]}
+                _survey(e, found)
+                bad = {w for w in found if VAR_ORDER[w] >= VAR_ORDER["eta"]}
                 if bad:
                     raise ValidationError(
                         f"matrix entries must live below the spectral variable, found {sorted(bad)}"
@@ -939,7 +919,7 @@ def pairwise_sum_poly(f: UniPoly) -> UniPoly:
     ``f``, over any coefficient ring of the tower: the naive composed sum of
     Bostan, Flajolet, Salvy and Schost (2006), on integers.
 
-    With c_k the coefficient of v^(n-k) in ``f`` and L the ``_int_line``
+    With c_k the coefficient of v^(n-k) in ``f`` and L the ``_int_lines``
     scale of c_1..c_n, the roots mu = L lambda are those of the monic
     integer polynomial with coefficients L^k c_k.  Newton's identities give
     its power sums p_k; the pairwise sums of the mu have the power sums
@@ -953,9 +933,8 @@ def pairwise_sum_poly(f: UniPoly) -> UniPoly:
     n = f.degree
     m = n * (n - 1) // 2
     tail = f.coeffs[-2::-1]  # c_1, .., c_n
-    names = _tower_names([tail])
+    names, [(line, scale)] = _int_lines([tail])
     depth = len(names)
-    line, scale = _int_line(tail, names)
     # line[k] is L c_(k+1); the scaled polynomial needs L^(k+1) c_(k+1)
     c = [None] + [_combine([e], [scale**k], depth) for k, e in enumerate(line)]
     p = _power_sums(c, m, depth)

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .exact_algebra import RingMatrix, UniPoly, ValidationError, as_poly
+
+if TYPE_CHECKING:
+    from .lie_isogeny import HiggsBlockField
+    from .spectral_base import BaseSO4
 
 __all__ = [
     "ToledoPair",

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Union
 
 from .exact_algebra import RingMatrix, UniPoly, ValidationError, as_element, as_fraction, as_poly
+
+if TYPE_CHECKING:
+    from .covers_prym import Divisor, FiberModel, PairFiber, SymFiber
 
 __all__ = [
     "scalar_to_json",

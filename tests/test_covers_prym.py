@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -42,6 +43,27 @@ def test_fiber_validation():
         FiberModel("x", (("a", 1), ("b", 2)), GENERIC_BRANCH)
     with pytest.raises(ValidationError, match="generic branch"):
         FiberModel("x", (), GENERIC_BRANCH)
+
+
+NOT_INTEGERS = [1.0, 1.7, 0.4, True, False, "1", None]
+
+
+@pytest.mark.parametrize("mult", NOT_INTEGERS, ids=repr)
+def test_fiber_multiplicities_must_be_integers(mult):
+    with pytest.raises(ValidationError, match=f"^a multiplicity must be an integer, got {re.escape(repr(mult))}$"):
+        FiberModel("x", (("a", mult), ("b", 1)), "regular")
+
+
+@pytest.mark.parametrize("weight", NOT_INTEGERS, ids=repr)
+def test_divisor_weights_must_be_integers(weight):
+    with pytest.raises(ValidationError, match=f"^a divisor weight must be an integer, got {re.escape(repr(weight))}$"):
+        Divisor({"a": 1, "c": weight})
+
+
+def test_divisor_keeps_integer_weights_and_drops_zeros():
+    d = Divisor({"a": 2, "b": 0, "c": -3})
+    assert d.items() == [("a", 2), ("c", -3)]
+    assert FiberModel("x", (("a", 1),), "regular").points == (("a", 1),)
 
 
 @pytest.mark.parametrize("label", ["a,b", "(a", "a)", "[a", "a]"])

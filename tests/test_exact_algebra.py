@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,11 +29,10 @@ from isolab.exact_algebra import (
     _combine,
     _dot,
     _from_nested,
-    _int_line,
+    _int_lines,
     _power_sums,
     _rref_int,
     _sylvester,
-    _tower_names,
 )
 
 Z = UniPoly.variable("z")
@@ -524,9 +523,8 @@ def pairwise_sum_replay(f):
     n = f.degree
     m = n * (n - 1) // 2
     tail = f.coeffs[-2::-1]
-    names = _tower_names([tail])
+    names, [(line, scale)] = _int_lines([tail])
     depth = len(names)
-    line, scale = _int_line(tail, names)
     remainders = []
 
     def divide(e, k, level):
@@ -559,6 +557,58 @@ def test_pairwise_sum_divisions_are_exact(polys, data):
     assert all(rem == 0 for rem in remainders)
 
 
+# -- the one entry into the integer kernels ------------------------------------
+
+
+def tower_vars(e) -> set:
+    """The variables of the polynomials in ``e``, zero and constant ones included."""
+    if isinstance(e, UniPoly):
+        return {e.var}.union(*map(tower_vars, e.coeffs))
+    return set()
+
+
+def leaf_denominators(e) -> list:
+    if isinstance(e, UniPoly):
+        return [d for c in e.coeffs for d in leaf_denominators(c)]
+    return [e.denominator]
+
+
+def nested_leaves(e, depth: int) -> list:
+    """The leaves of a nested integer element of ``depth``; raises if one of
+    its lists ends in a zero."""
+    if depth == 0:
+        return [e]
+    assert not e or e[-1], f"trailing zero in {e}"
+    return [x for c in e for x in nested_leaves(c, depth - 1)]
+
+
+#: Elements over every subset of the tower's variables: zero, small and huge
+#: rationals, and polynomials of degree -1 (zero) to 3, constants included.
+MIXED_ELEMENTS = st.sampled_from(
+    [names for k in range(4) for names in itertools.combinations(("z", "eta", "x"), k)]
+).flatmap(operand_coeffs)
+RATIONAL_LINES = st.lists(st.lists(operand_coeffs(()), max_size=4), min_size=1, max_size=4)
+TOWER_LINES = st.lists(st.lists(MIXED_ELEMENTS, max_size=4), min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("lines", [RATIONAL_LINES, TOWER_LINES], ids=["rational", "tower"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_int_lines_scales_each_line_to_integers(lines, data):
+    lines = data.draw(lines)
+    names, scaled = _int_lines(lines)
+    present = set().union(*(tower_vars(e) for line in lines for e in line))
+    assert names == tuple(sorted(present, key=VAR_ORDER.get, reverse=True))
+    assert len(scaled) == len(lines)
+    for line, (ints, scale) in zip(lines, scaled):
+        assert scale == lcm(*(d for e in line for d in leaf_denominators(e)))
+        assert all(type(x) is int for e in ints for x in nested_leaves(e, len(names)))
+        assert len(ints) == len(line)
+        for e, nested in zip(line, ints):
+            back = _from_nested(nested, names, scale)
+            assert back == e and e == back
+
+
 # -- determinants --------------------------------------------------------------
 
 
@@ -572,6 +622,13 @@ def test_det_matches_permutation_expansion(rows):
 def test_interpolated_det_matches_bareiss_over_polynomials():
     m = RingMatrix([[Z, Z + 1, 2], [0, Z * Z, 1], [3, Z, Z - 4]])
     assert m.det() == naive_det(m)
+
+
+def test_det_of_a_matrix_that_vanishes_at_an_interpolation_node():
+    # every entry vanishes at eta = 0, the first node, so the inner
+    # determinant there is of a zero matrix
+    m = RingMatrix([[ETA * Z, ETA], [ETA, ETA * Z]])
+    assert m.det() == ETA**2 * (Z * Z - 1) == naive_det(m)
 
 
 @given(st.lists(st.lists(tower(["z", "eta"]), min_size=3, max_size=3), min_size=3, max_size=3))
@@ -766,7 +823,7 @@ def fraction_free_replay(rows):
 @given(st.one_of(any_rank, low_rank(entries=st.fractions(-40, 40, max_denominator=9))))
 @settings(max_examples=100, deadline=None)
 def test_fraction_free_divisions_are_exact(rows):
-    int_rows = [_int_line(row, ())[0] for row in rows]
+    int_rows = [line for line, _ in _int_lines(rows)[1]]
     result, remainders = fraction_free_replay(int_rows)
     assert result == _rref_int(int_rows)
     assert all(rem == 0 for rem in remainders)

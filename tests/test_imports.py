@@ -2,6 +2,9 @@
 no public name the package defines goes unreferenced."""
 
 import ast
+import builtins
+import importlib
+import typing
 from pathlib import Path
 
 import pytest
@@ -100,3 +103,97 @@ def test_no_unreferenced_public_definitions():
         [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))],
         [p.read_text(encoding="utf-8") for p in readers],
     ) == []
+
+
+def module_bindings(tree) -> set:
+    """Names the module binds at its top level, in ``if`` and ``try`` blocks
+    included (so an ``if TYPE_CHECKING:`` import counts)."""
+    bound = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.If, ast.Try)):
+            stack += node.body + node.orelse + getattr(node, "finalbody", [])
+            stack += [s for h in getattr(node, "handlers", []) for s in h.body]
+    return bound
+
+
+def annotations(tree):
+    """Every annotation of the module: of arguments, returns and annotated
+    assignments, at any depth.  A string annotation is parsed as the
+    expression it names."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unbound_annotation_names(source: str):
+    """Names read in an annotation that the module binds nowhere at its top
+    level and that are not builtins, as (line, name) in source order."""
+    tree = ast.parse(source)
+    bound = module_bindings(tree) | set(dir(builtins))
+    out = []
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            out += [(annotation.lineno, n) for n in names if n not in bound]
+    return sorted(set(out))
+
+
+def test_scan_reports_an_unbound_annotation_name():
+    source = (
+        "from typing import TYPE_CHECKING, Optional\n"
+        "if TYPE_CHECKING:\n"
+        "    from . import covers_prym as cp\n"
+        "Alias = int\n"
+        "def f(a: cp.Divisor, b: sb.Base, *c: Alias, **d: 'Missing') -> Optional[Local]:\n"
+        "    from . import spectral_base as sb\n"
+        "class Box:\n"
+        "    field: 'Box'\n"
+        "    other: Gone\n"
+    )
+    assert unbound_annotation_names(source) == [(5, "Local"), (5, "Missing"), (5, "sb"), (9, "Gone")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_annotation_names_are_bound_at_module_level(path):
+    assert unbound_annotation_names(path.read_text(encoding="utf-8")) == []
+
+
+def type_checking_namespace(module) -> dict:
+    """The module's globals plus what its ``if TYPE_CHECKING:`` blocks import."""
+    namespace = dict(vars(module))
+    for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            exec(compile(ast.Module(body=node.body, type_ignores=[]), module.__file__, "exec"), namespace)
+    return namespace
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_annotations_resolve_with_the_type_checking_imports(path):
+    module = importlib.import_module(f"isolab.{path.stem}")
+    namespace = type_checking_namespace(module)
+    for obj in vars(module).values():
+        if callable(obj) and getattr(obj, "__module__", None) == module.__name__:
+            methods = [m for m in vars(obj).values() if callable(m)] if isinstance(obj, type) else []
+            for target in [obj, *methods]:
+                typing.get_type_hints(target, globalns=namespace)
