@@ -515,11 +515,15 @@ def _int_lines(lines):
     elements over them with its scale, the lcm of the line's leaf
     denominators (the elements are the line times its scale)."""
     found = set()
-    mults = [lcm(*(_survey(e, found) if e.__class__ is UniPoly else e.denominator for e in line))
-             for line in lines]
+    mults = [
+        lcm(*(_survey(e, found) if e.__class__ is UniPoly else e.denominator for e in line))
+        for line in lines
+    ]
     names = tuple(sorted(found, key=VAR_ORDER.get, reverse=True))
     if not names:  # a rational line is its own list of leaves
-        return names, [([e.numerator * (m // e.denominator) for e in line], m) for line, m in zip(lines, mults)]
+        return names, [
+            ([e.numerator * (m // e.denominator) for e in line], m) for line, m in zip(lines, mults)
+        ]
     return names, [([_scaled(e, names, m) for e in line], m) for line, m in zip(lines, mults)]
 
 
@@ -528,7 +532,8 @@ def _det(rows):
     ``_int_lines``, the integer determinant is computed by ``_det_int``,
     and the product of the row scales is divided out once at the end."""
     names, lines = _int_lines(rows)
-    return _from_nested(_det_int([line for line, _ in lines], len(names)), names, prod(m for _, m in lines))
+    scale = prod(m for _, m in lines)
+    return _from_nested(_det_int([line for line, _ in lines], len(names)), names, scale)
 
 
 def _mul_into(acc: list, a: list, b: list, depth: int):
@@ -568,9 +573,11 @@ def _products(rows, cols):
     its two scales.  A polynomial product is the 1x1 table of ``(a,)`` and
     ``(b,)``, a matrix product that of the rows and the columns."""
     names, lines = _int_lines([*rows, *cols])
-    depth, int_cols = len(names), lines[len(rows):]
+    depth = len(names)
+    int_rows, int_cols = lines[:len(rows)], lines[len(rows):]
     return [
-        [_from_nested(_dot(r, c, depth), names, rs * cs) for c, cs in int_cols] for r, rs in lines[:len(rows)]
+        [_from_nested(_dot(r, c, depth), names, rs * cs) for c, cs in int_cols]
+        for r, rs in int_rows
     ]
 
 

@@ -11,8 +11,9 @@ For example, from the root of a source checkout:
 or a ``Class.method`` in it.  The checkout is copied once to a temporary
 directory.  For each function, one mutant at a time is written into the copy
 and ``python -m pytest PYTEST_ARGS`` runs there, with ``src/`` of the copy on
-``PYTHONPATH``.  A mutant is killed when pytest fails or runs out of time, and
-survives when it passes.  The mutants, each one change inside the function:
+``PYTHONPATH``.  A mutant is killed when pytest fails or runs longer than
+``TIMEOUT`` seconds, and survives when it passes.  The mutants, each one
+change inside the function:
 
 * a binary or augmented operator swapped (+ and -, * and //, / and *,
   % and //, ** and *, << and >>, & and |);
@@ -26,8 +27,9 @@ the selection first.  When hypothesis is installed, a plugin loads a profile
 without the shrink phase: a failing example found is the same, and a killed
 mutant is not held up minimising it.  The report gives killed/total per
 function and every survivor with its line and column.  A survivor needs a
-test, or a reason why it is an equivalent mutant.  Exit status 0 when every mutant is killed, 1 when one
-survives, 2 when the run could not start.  Standard library only.
+test, or a reason why it is an equivalent mutant.  Exit status 0 when every
+mutant is killed, 1 when one survives, 2 when the run could not start.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ NEGATED = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.LtE: ast.Gt,
     ast.Gt: ast.LtE, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In,
 }
+#: Seconds one test run may take; a run that takes longer kills its mutant.
+TIMEOUT = 300.0
 IGNORED = (".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks", "out")
 PLUGIN = """\
 try:
@@ -134,7 +138,7 @@ def mutated_source(source: str, qualname: str, mutant: Mutant) -> Tuple[str, str
     return ast.unparse(tree), f"line {node.lineno} col {node.col_offset + 1}: {before} -> {after}"
 
 
-def run_tests(workdir: str, pytest_args: List[str], timeout: float) -> Tuple[bool, float]:
+def run_tests(workdir: str, pytest_args: List[str]) -> Tuple[bool, float]:
     """Whether the selection passes in ``workdir``, and its wall time."""
     path = os.pathsep.join([os.path.join(workdir, "src"), os.path.dirname(workdir)])
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
@@ -142,7 +146,7 @@ def run_tests(workdir: str, pytest_args: List[str], timeout: float) -> Tuple[boo
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-p", "mutate_plugin", *pytest_args],
-            cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=timeout,
+            cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT,
         )
         passed = done.returncode == 0
     except subprocess.TimeoutExpired:
@@ -153,11 +157,10 @@ def run_tests(workdir: str, pytest_args: List[str], timeout: float) -> Tuple[boo
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if "--" not in argv:
-        print("usage: mutate.py [--timeout S] FILE FUNCTION ... -- PYTEST_ARGS ...", file=sys.stderr)
+        print("usage: mutate.py FILE FUNCTION ... -- PYTEST_ARGS ...", file=sys.stderr)
         return 2
     split = argv.index("--")
     parser = argparse.ArgumentParser(prog="mutate.py")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run (default 300)")
     parser.add_argument("file", help="the module, relative to the checkout root")
     parser.add_argument("functions", nargs="+", help="top-level functions or Class.method names")
     args = parser.parse_args(argv[:split])
@@ -179,7 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 handle.write(text)
 
         write(ast.unparse(tree))
-        passed, seconds = run_tests(workdir, pytest_args, args.timeout)
+        passed, seconds = run_tests(workdir, pytest_args)
         if not passed:
             print("mutate: the selection fails on the unmutated module", file=sys.stderr)
             return 2
@@ -190,7 +193,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for mutant in plan:
                 text, label = mutated_source(source, name, mutant)
                 write(text)
-                passed, seconds = run_tests(workdir, pytest_args, args.timeout)
+                passed, seconds = run_tests(workdir, pytest_args)
                 print(f"  {name} {label}: {'SURVIVED' if passed else 'killed'} ({seconds:.1f} s)", flush=True)
                 if passed:
                     survivors.append(label)
