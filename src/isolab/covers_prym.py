@@ -102,7 +102,10 @@ class FiberModel(_PointTable):
     kind: str
 
     def __post_init__(self):
-        pts = tuple((str(l), m) for l, m in self.points)
+        pts = tuple((l, m) for l, m in self.points)
+        for label in (self.base_label, *(l for l, _ in pts)):
+            if not isinstance(label, str):
+                raise ValidationError(f"a fiber label must be a string, got {label!r}")
         for _, m in pts:
             _require_int(m, "a multiplicity")
         object.__setattr__(self, "points", pts)

@@ -17,16 +17,19 @@ constant inside a polynomial is always a ``Fraction``.
 Products and linear algebra run on integers.  One entry, ``_int_lines``,
 finds the variables that occur in its lines of tower elements and scales
 each line by the lcm of its leaf denominators, and one exit,
-``_from_nested``, divides a result back.  Between them sit the determinant
-(``det``, ``char_poly``, ``resultant``: interpolation down to integer
-Bareiss), the products (``_products``: integer dot products, each entry
-divided once by its two scales; a polynomial product is its 1x1 case, so
-``_mul_into`` is the one convolution) and ``rref`` (fraction-free
-Gauss-Jordan, each entry divided once by the last pivot), and through
-``rref`` ``inverse`` and ``nullspace``.  ``pairwise_sum_poly`` scales its
-variable by the same entry's scale and runs Newton's identities on integer
-power sums, with the product's convolution (``_dot``) and the
-interpolation's weighted sum (``_combine``).
+``_from_nested``, divides a result back.  Between them sit the products
+(``_products``: integer dot products, each entry divided once by its two
+scales; a polynomial product is its 1x1 case, so ``_mul_into`` is the one
+convolution), ``rref`` (fraction-free Gauss-Jordan, each entry divided
+once by the last pivot), and through ``rref`` ``inverse`` and
+``nullspace``.  The determinant (``det``, ``char_poly``, ``resultant``)
+and ``pairwise_sum_poly`` run on Kronecker-packed integers: ``_pack``
+sets each variable to a power of two, so an element becomes one int, and
+``_unpack`` reads a result back as signed digits.  Each kernel proves a
+bound on its result's coefficients and degrees, and the slots are one bit
+wider than the first and as many as the second needs.  The determinant is
+then one integer Bareiss elimination, and ``pairwise_sum_poly`` runs
+Newton's identities as plain integer loops.
 """
 
 from __future__ import annotations
@@ -414,12 +417,6 @@ def _det_bareiss_int(rows):
 # scalar.  Zero is [] above depth 0.
 
 
-def _trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
 def _survey(e, found: set) -> int:
     """One walk over the tower element ``e``: adds the variables that occur
     in it to ``found`` and returns the lcm of its leaf denominators."""
@@ -450,65 +447,6 @@ def _from_nested(e, names, scale: int):
     return as_element(UniPoly(names[0], [_from_nested(c, names[1:], scale) for c in e]))
 
 
-def _combine(polys, weights, depth: int):
-    """sum_k weights[k] * polys[k] over integer elements of ``depth``."""
-    if depth == 0:
-        return sum(map(mul, polys, weights))
-    zero = 0 if depth == 1 else []
-    width = max(map(len, polys), default=0)
-    return _trim([
-        _combine([p[j] if j < len(p) else zero for p in polys], weights, depth - 1)
-        for j in range(width)
-    ])
-
-
-def _interpolate(nodes, values, depth: int):
-    """The integer element of ``depth`` whose outermost variable takes
-    ``values`` at ``nodes``, by Newton divided differences.  Every division
-    is exact: the divided differences of a polynomial with integer
-    coefficients at integer nodes are integers.  Above depth 1 each
-    coefficient of the next variable is interpolated on its own."""
-    if depth > 1:
-        zero = 0 if depth == 2 else []
-        width = max(map(len, values))
-        columns = [
-            _interpolate(nodes, [v[j] if j < len(v) else zero for v in values], depth - 1)
-            for j in range(width)
-        ]
-        height = max(map(len, columns), default=0)
-        return _trim([
-            _trim([c[k] if k < len(c) else zero for c in columns]) for k in range(height)
-        ])
-    n = len(nodes)
-    table = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            table[i] = (table[i] - table[i - 1]) // (nodes[i] - nodes[i - j])
-    coeffs = [table[-1]]
-    for i in range(n - 2, -1, -1):
-        node = nodes[i]
-        coeffs = [hi - node * lo for hi, lo in zip([table[i]] + coeffs, coeffs + [0])]
-    return _trim(coeffs)
-
-
-def _det_int(rows, depth: int):
-    """Determinant of a matrix of integer elements of ``depth``: evaluate
-    the outermost variable at the nodes 0, 1, -1, 2, ..., recurse, and
-    interpolate.  The degree bound is the row-wise sum of maximal entry
-    degrees, which dominates every term of the Leibniz expansion."""
-    if depth == 0:
-        return _det_bareiss_int(rows)
-    bound = sum(max(max(map(len, row)), 1) - 1 for row in rows)
-    nodes = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(bound + 1)]
-    width = max(len(e) for row in rows for e in row)
-    values = []
-    for node in nodes:
-        powers = [node**k for k in range(width)]
-        evaluated = [[_combine(e, powers, depth - 1) for e in row] for row in rows]
-        values.append(_det_int(evaluated, depth - 1))
-    return _interpolate(nodes, values, depth)
-
-
 def _int_lines(lines):
     """The single entry into the integer kernels: the variables of the tower
     that occur in ``lines``, outermost first, and each line as nested integer
@@ -527,13 +465,76 @@ def _int_lines(lines):
     return names, [([_scaled(e, names, m) for e in line], m) for line, m in zip(lines, mults)]
 
 
+def _norm(e, degrees: list, level: int = 0) -> int:
+    """The l1 norm of the nested integer element ``e`` of depth
+    ``len(degrees) - level``; raises ``degrees[level:]`` to at least its
+    degree in each of its variables, outermost first."""
+    if level == len(degrees):
+        return abs(e)
+    degrees[level] = max(degrees[level], len(e) - 1)
+    return sum(_norm(c, degrees, level + 1) for c in e)
+
+
+def _shifts(bound: int, degrees) -> list:
+    """Kronecker substitution (Harvey 2009): the shift of each variable,
+    outermost first, that ``_pack`` sets it to 2 to the power of, for results
+    whose coefficients are at most ``bound`` in absolute value and whose
+    degree in each variable is at most ``degrees``.  The innermost shift,
+    the slot, is one bit wider than ``bound``, for the sign, and each outer
+    one is the shift inside it times the degree plus one of the variable
+    inside it."""
+    shifts = [bound.bit_length() + 1] * len(degrees)
+    for i in range(len(degrees) - 2, -1, -1):
+        shifts[i] = shifts[i + 1] * (degrees[i + 1] + 1)
+    return shifts
+
+
+def _pack(e, shifts):
+    """The int of the nested integer element ``e`` with each variable set to
+    2 to the power of its shift."""
+    if not shifts:
+        return e
+    acc = 0
+    for c in reversed(e):
+        acc = (acc << shifts[0]) + _pack(c, shifts[1:])
+    return acc
+
+
+def _unpack(n: int, shifts):
+    """The nested integer element that ``_pack`` takes to ``n``, read as
+    signed digits, when its coefficients and degrees are within the bounds
+    that ``_shifts`` was given.  Then each coefficient of the innermost
+    variable is below half its slot, so each packed coefficient of an outer
+    variable is below half of its own slots too, and every digit is read
+    exactly."""
+    if not shifts:
+        return n
+    half = 1 << (shifts[0] - 1)
+    digits = []
+    while n:
+        digit = ((n + half) & ((half << 1) - 1)) - half
+        digits.append(_unpack(digit, shifts[1:]))
+        n = (n - digit) >> shifts[0]
+    return digits
+
+
 def _det(rows):
-    """Exact determinant over any ring of the tower.  The rows are scaled by
-    ``_int_lines``, the integer determinant is computed by ``_det_int``,
-    and the product of the row scales is divided out once at the end."""
+    """Exact determinant over any ring of the tower: one integer Bareiss
+    elimination of the rows, scaled to integers by ``_int_lines`` and packed
+    by ``_pack``, with the product of the row scales divided out once at the
+    end.  The Leibniz expansion takes one entry from each row, so each
+    coefficient of the integer determinant is at most the product of the
+    rows' l1 norms, and its degree in each variable at most the row-wise sum
+    of the maximal entry degrees in it."""
     names, lines = _int_lines(rows)
-    scale = prod(m for _, m in lines)
-    return _from_nested(_det_int([line for line, _ in lines], len(names)), names, scale)
+    bound, degrees = 1, [0] * len(names)
+    for line, _ in lines:
+        row_degrees = [0] * len(names)
+        bound *= sum(_norm(e, row_degrees) for e in line)
+        degrees = [a + b for a, b in zip(degrees, row_degrees)]
+    shifts = _shifts(bound, degrees)
+    det = _det_bareiss_int([[_pack(e, shifts) for e in line] for line, _ in lines])
+    return _from_nested(_unpack(det, shifts), names, prod(m for _, m in lines))
 
 
 def _mul_into(acc: list, a: list, b: list, depth: int):
@@ -648,10 +649,6 @@ class RingMatrix:
         return cls([[values[i] if j == n - 1 - i else Fraction(0) for j in range(n)] for i in range(n)])
 
     # -- access ------------------------------------------------------------
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
 
     @property
     def is_square(self) -> bool:
@@ -889,70 +886,48 @@ def resultant(f: UniPoly, g: UniPoly, var: str = None):
     return _det(_sylvester(f, g))
 
 
-def _quo(e, k: int, depth: int):
-    """``e // k`` leaf by leaf; the callers divide only where ``k`` divides
-    every leaf."""
-    if depth == 0:
-        return e // k
-    return [_quo(c, k, depth - 1) for c in e]
-
-
-def _power_sums(c, count: int, depth: int):
-    """[None, p_1, .., p_count]: the power sums of the roots of the monic
-    integer polynomial v^n + c[1] v^(n-1) + ... + c[n] (``c[0]`` unused), by
-    Newton's identities p_k = -(k c_k + sum_(0<i<k) c_i p_(k-i))."""
-    zero = 0 if depth == 0 else []
-    c = list(c) + [zero] * (count + 1 - len(c))
-    p = [None]
-    for k in range(1, count + 1):
-        p.append(_combine([_dot(c[1:k], p[k - 1:0:-1], depth), c[k]], [-1, -k], depth))
-    return p
-
-
-def _from_power_sums(s, depth: int):
-    """[None, c_1, .., c_m] of the monic polynomial whose roots have the
-    power sums ``s`` = [None, s_1, .., s_m]: the same identities solved for
-    c_k = -(s_k + sum_(0<i<k) c_i s_(k-i)) / k, each division exact for
-    integer symmetric functions."""
-    c = [None]
-    for k in range(1, len(s)):
-        c.append(_quo(_combine([_dot(c[1:k], s[k - 1:0:-1], depth), s[k]], [-1, -1], depth), k, depth))
-    return c
-
-
 def pairwise_sum_poly(f: UniPoly) -> UniPoly:
     """The monic polynomial, in the variable of ``f``, whose roots are the
     pairwise sums lambda_a + lambda_b (a < b) of the roots of the monic
     ``f``, over any coefficient ring of the tower: the naive composed sum of
-    Bostan, Flajolet, Salvy and Schost (2006), on integers.
+    Bostan, Flajolet, Salvy and Schost (2006), on packed integers.
 
     With c_k the coefficient of v^(n-k) in ``f`` and L the ``_int_lines``
     scale of c_1..c_n, the roots mu = L lambda are those of the monic
-    integer polynomial with coefficients L^k c_k.  Newton's identities give
-    its power sums p_k; the pairwise sums of the mu have the power sums
-    S_k = (sum_j C(k, j) p_j p_(k-j) - 2^k p_k) / 2 (all ordered pairs,
-    minus the equal-index terms, halved), and the identities solved for the
-    coefficients rebuild the result.  Its coefficient k is divided by L^k
-    once.  Every intermediate value is an integer symmetric function of the
-    mu, so the halving and each division by k are exact."""
+    polynomial with the integer coefficients C_k = L^k c_k, each packed by
+    ``_pack``.  Newton's identities give its power sums p_k; the pairwise
+    sums of the mu have the power sums S_k = (sum_j C(k, j) p_j p_(k-j) -
+    2^k p_k) / 2 (all ordered pairs, minus the equal-index terms, halved),
+    and the identities solved for the coefficients E_k rebuild the result.
+    Each E_k is unpacked and divided by L^k once.  Every intermediate value
+    is an integer symmetric function of the mu, so the halving and each
+    division by k are exact, and packing commutes with them.
+
+    The bounds of the packing: on the unit polydisc |C_k| is at most its l1
+    norm, so every mu is at most R = 2 max_k |C_k|^(1/k) (Fujiwara), each of
+    the m pairwise sums at most 2R, and each E_k, a sum of C(m, k) products
+    of k of them, at most (1 + 2R)^m; by Cauchy's estimate so is each of its
+    coefficients.  E_k is a sum of products of at most k <= m of the C_i,
+    so its degree in each variable is at most m times the largest degree of
+    a C_i in it.  R is rounded up to a power of two."""
     if f.is_zero or f.lead != 1:
         raise ValidationError("pairwise root sums require a monic polynomial")
     n = f.degree
     m = n * (n - 1) // 2
-    tail = f.coeffs[-2::-1]  # c_1, .., c_n
-    names, [(line, scale)] = _int_lines([tail])
-    depth = len(names)
-    # line[k] is L c_(k+1); the scaled polynomial needs L^(k+1) c_(k+1)
-    c = [None] + [_combine([e], [scale**k], depth) for k, e in enumerate(line)]
-    p = _power_sums(c, m, depth)
-    # the terms j = 0 and j = k of the binomial sum are n p_k each, p_0 = n
-    s = [None] + [
-        _quo(_combine(
-            [_dot([p[j]], [p[k - j]], depth) for j in range(1, k)] + [p[k]],
-            [comb(k, j) for j in range(1, k)] + [2 * n - 2**k],
-            depth,
-        ), 2, depth)
-        for k in range(1, m + 1)
-    ]
-    e = _from_power_sums(s, depth)
-    return UniPoly(f.var, [_from_nested(e[k], names, scale**k) for k in range(m, 0, -1)] + [Fraction(1)])
+    names, [(line, scale)] = _int_lines([f.coeffs[-2::-1]])  # L c_1, .., L c_n
+    degrees = [0] * len(names)
+    norms = [scale**k * _norm(e, degrees) for k, e in enumerate(line)]  # |C_1|, .., |C_n|
+    r = max((-(-norm.bit_length() // k) for k, norm in enumerate(norms, 1)), default=0)
+    shifts = _shifts((1 + 2 ** (r + 2)) ** m, [m * d for d in degrees])
+    c = [None] + [_pack(e, shifts) * scale**k for k, e in enumerate(line)] + [0] * (m - n)
+    p = [n]
+    for k in range(1, m + 1):
+        p.append(-k * c[k] - sum(c[i] * p[k - i] for i in range(1, k)))
+    s = [None]
+    for k in range(1, m + 1):
+        s.append((sum(comb(k, j) * p[j] * p[k - j] for j in range(k + 1)) - 2**k * p[k]) // 2)
+    e = [1]
+    for k in range(1, m + 1):
+        e.append(-sum(e[i] * s[k - i] for i in range(k)) // k)
+    coeffs = [_from_nested(_unpack(e[k], shifts), names, scale**k) for k in range(m, -1, -1)]
+    return UniPoly(f.var, coeffs)

@@ -54,6 +54,17 @@ def test_fiber_multiplicities_must_be_integers(mult):
         FiberModel("x", (("a", mult), ("b", 1)), "regular")
 
 
+@pytest.mark.parametrize("label", [None, True, 1.5, 7], ids=repr)
+@pytest.mark.parametrize(
+    "fiber",
+    [lambda l: FiberModel("x", ((l, 1), ("b", 1)), "regular"), lambda l: FiberModel(l, (("a", 1),), "regular")],
+    ids=["point", "base"],
+)
+def test_fiber_labels_must_be_strings(label, fiber):
+    with pytest.raises(ValidationError, match=f"^a fiber label must be a string, got {re.escape(repr(label))}$"):
+        fiber(label)
+
+
 @pytest.mark.parametrize("weight", NOT_INTEGERS, ids=repr)
 def test_divisor_weights_must_be_integers(weight):
     with pytest.raises(ValidationError, match=f"^a divisor weight must be an integer, got {re.escape(repr(weight))}$"):

@@ -26,13 +26,14 @@ from isolab.exact_algebra import (
 )
 from isolab.exact_algebra import (
     _as_poly_pair,
-    _combine,
-    _dot,
     _from_nested,
     _int_lines,
-    _power_sums,
+    _norm,
+    _pack,
     _rref_int,
+    _shifts,
     _sylvester,
+    _unpack,
 )
 
 Z = UniPoly.variable("z")
@@ -497,6 +498,21 @@ def test_pairwise_sum_poly_of_a_product_of_linear_factors(roots):
     assert pairwise_sum_poly(f) == expected
 
 
+@given(st.lists(tower(["z", "eta"]), min_size=2, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_pairwise_sum_poly_of_linear_factors_over_two_variables(roots):
+    """Roots of degree up to 2 in z and eta, so the packed result needs
+    several slots of z, the inner variable, per power of eta."""
+    x = UniPoly.variable("x")
+    f = UniPoly("x", [1])
+    for r in roots:
+        f = f * (x - r)
+    expected = UniPoly("x", [1])
+    for a, b in itertools.combinations(roots, 2):
+        expected = expected * (x - a - b)
+    assert pairwise_sum_poly(f) == expected
+
+
 def test_pairwise_sum_poly_small_degrees():
     assert pairwise_sum_poly(UniPoly("eta", [1])) == 1
     assert pairwise_sum_poly(ETA + Fraction(3, 7)) == 1
@@ -504,6 +520,12 @@ def test_pairwise_sum_poly_small_degrees():
     assert pairwise_sum_poly(ETA**3 - 7 * ETA + 6) == ETA**3 - 7 * ETA - 6  # roots 1, 2, -3: sums 3, -1, -2
     pair = pairwise_sum_poly(UniPoly("x", [ETA, Z, 1]))
     assert pair.var == "x" and pair == UniPoly("x", [Z, 1])
+
+
+@pytest.mark.parametrize("a", [Fraction(10**40 + 1, 7), 10**25 * Z - Fraction(3, 10**15)], ids=["Q", "Qz"])
+def test_pairwise_sum_poly_of_a_fourfold_root(a):
+    """Six pairwise sums 2a, with coefficients of more than 100 digits."""
+    assert pairwise_sum_poly((ETA - a) ** 4) == (ETA - 2 * a) ** 6
 
 
 @pytest.mark.parametrize(
@@ -517,33 +539,34 @@ def test_pairwise_sum_poly_requires_a_monic_polynomial(f):
 
 
 def pairwise_sum_replay(f):
-    """The steps of ``pairwise_sum_poly`` with the halving of each S_k and
-    each Newton division by k a ``divmod`` on every integer leaf; returns its
-    result and the remainders."""
+    """The steps of ``pairwise_sum_poly`` on the packed integers C_k, with
+    the halving of each S_k and each Newton division by k a ``divmod``;
+    returns its result and the remainders."""
     n = f.degree
     m = n * (n - 1) // 2
-    tail = f.coeffs[-2::-1]
-    names, [(line, scale)] = _int_lines([tail])
-    depth = len(names)
+    names, [(line, scale)] = _int_lines([f.coeffs[-2::-1]])
+    degrees = [0] * len(names)
+    norms = [scale**k * _norm(e, degrees) for k, e in enumerate(line)]
+    r = max((-(-norm.bit_length() // k) for k, norm in enumerate(norms, 1)), default=0)
+    shifts = _shifts((1 + 2 ** (r + 2)) ** m, [m * d for d in degrees])
     remainders = []
 
-    def divide(e, k, level):
-        if level == 0:
-            q, r = divmod(e, k)
-            remainders.append(r)
-            return q
-        return [divide(x, k, level - 1) for x in e]
+    def divide(x, k):
+        q, rem = divmod(x, k)
+        remainders.append(rem)
+        return q
 
-    c = [None] + [_combine([e], [scale**k], depth) for k, e in enumerate(line)]
-    p = _power_sums(c, m, depth)
+    c = [None] + [_pack(e, shifts) * scale**k for k, e in enumerate(line)] + [0] * (m - n)
+    p = [n]
+    for k in range(1, m + 1):
+        p.append(-k * c[k] - sum(c[i] * p[k - i] for i in range(1, k)))
     s = [None]
     for k in range(1, m + 1):
-        ordered = [_dot([p[j]], [p[k - j]], depth) for j in range(1, k)]
-        s.append(divide(_combine(ordered + [p[k]], [comb(k, j) for j in range(1, k)] + [2 * n - 2**k], depth), 2, depth))
-    e = [None]
+        s.append(divide(sum(comb(k, j) * p[j] * p[k - j] for j in range(k + 1)) - 2**k * p[k], 2))
+    e = [1]
     for k in range(1, m + 1):
-        e.append(divide(_combine([_dot(e[1:k], s[k - 1:0:-1], depth), s[k]], [-1, -1], depth), k, depth))
-    coeffs = [_from_nested(e[k], names, scale**k) for k in range(m, 0, -1)] + [Fraction(1)]
+        e.append(divide(-sum(e[i] * s[k - i] for i in range(k)), k))
+    coeffs = [_from_nested(_unpack(e[k], shifts), names, scale**k) for k in range(m, -1, -1)]
     return UniPoly(f.var, coeffs), remainders
 
 
@@ -620,15 +643,38 @@ def test_det_matches_permutation_expansion(rows):
 
 
 def test_interpolated_det_matches_bareiss_over_polynomials():
+    # a negative coefficient (-7 z^2) below a positive leading one, so the
+    # packed determinant has digits of both signs
     m = RingMatrix([[Z, Z + 1, 2], [0, Z * Z, 1], [3, Z, Z - 4]])
     assert m.det() == naive_det(m)
 
 
 def test_det_of_a_matrix_that_vanishes_at_an_interpolation_node():
-    # every entry vanishes at eta = 0, the first node, so the inner
-    # determinant there is of a zero matrix
+    # every entry is a multiple of eta, so the packed determinant's lowest
+    # slots of eta are zero digits
     m = RingMatrix([[ETA * Z, ETA], [ETA, ETA * Z]])
     assert m.det() == ETA**2 * (Z * Z - 1) == naive_det(m)
+
+
+def test_det_coefficient_equal_to_its_l1_bound():
+    # the product of the rows' l1 norms is 3 * 5 * 7 = 105, the one
+    # coefficient; without the sign bit its slot would read it as negative
+    assert RingMatrix.diagonal([-3 * Z**2, 5 * ETA * Z, -7]).det() == 105 * ETA * Z**3
+
+
+def test_det_with_a_zero_row_over_polynomials():
+    m = RingMatrix([[ETA * Z, 1, Z - ETA], [0, 0, 0], [ETA**2, Fraction(1, 3) * Z, 2]])
+    assert m.det() == 0 == naive_det(m)
+
+
+def test_det_over_three_variables():
+    x = UniPoly.variable("x")
+    m = RingMatrix([
+        [x + ETA, Z, Fraction(1, 2)],
+        [ETA * Z, x * x - Z, -ETA],
+        [3, x * ETA - Z * Z, Fraction(2, 3) * x],
+    ])
+    assert m.det() == naive_det(m)
 
 
 @given(st.lists(st.lists(tower(["z", "eta"]), min_size=3, max_size=3), min_size=3, max_size=3))

@@ -78,7 +78,7 @@ def _conjugated(h):
     form times the field stay, and the diagonal blocks become X phi21 and
     -phi21 X."""
     c = h.phi21
-    x = RingMatrix([[c[1, 0], -c[0, 0]], [0, 0]])
+    x = RingMatrix([[c.entries[1][0], -c.entries[0][0]], [0, 0]])
     return replace(h, phi11=x * c, phi22=-(c * x))
 
 
