@@ -43,10 +43,12 @@ fails instead of timing well:
   points and D(y) + 2 D(s) on a pair of the double point y with a simple
   point s, and D(y) on {y, y}; the ``sigma`` norm adds the weights of a pair
   and of its complement in the fiber;
+* the determinant of Lambda^2(A) is det(A)^3, for a rational 4x4 ``A``
+  conjugate to the companion matrix above, so det(A) = a4;
 * the cold ends, each a fresh interpreter through ``subprocess``:
   ``import isolab.cli`` exits 0 and prints nothing, and a cold
-  ``isolab base map-so6`` exits 0 with the report that ``cli.main`` prints
-  in this process.
+  ``isolab base map-so6`` or ``isolab higgs assemble-so22`` exits 0 with the
+  report that ``cli.main`` prints in this process.
 """
 
 import contextlib
@@ -161,6 +163,17 @@ def test_pfaffian_6x6(benchmark):
     matrix = q6().gram * d_iso3(sym)
     pf = benchmark(pfaffian, matrix)
     assert pf == -alpha_block(sym).det()
+
+
+def test_det_6x6_over_q(benchmark):
+    """A rational determinant, which has nothing to pack."""
+    rng = random.Random("det_6x6")
+    a2, a3, a4 = (_rational(rng) or Fraction(1) for _ in range(3))
+    square = exterior_square(_conjugate(rng, _companion(a2, a3, a4)))
+    assert all(e.__class__ is Fraction for row in square.entries for e in row)
+    assert any(e.denominator > 1 for row in square.entries for e in row)
+    det = benchmark(square.det)
+    assert det == a4**3
 
 
 def _oracle_sections(rng, degree):
@@ -358,6 +371,19 @@ def test_cold_import_cli(benchmark):
 def test_cold_base_map_so6(benchmark, monkeypatch):
     text = json.dumps({"a2": ["1/2", "-3", "2"], "a3": ["0", "5/3"], "a4": ["4", "0", "-1"]})
     argv = ["base", "map-so6", "--orientation", "-1"]
+    proc = benchmark.pedantic(_cold, (["-m", "isolab.cli", *argv], text), rounds=10)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        assert cli_main(argv) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, report.getvalue(), "")
+
+
+def test_cold_higgs_assemble_so22(benchmark, monkeypatch):
+    """The command that defines the most value types."""
+    doc = {"n1_degree": 1, "n2_degree": 0, "beta1": ["1", "2"], "gamma1": "-3", "beta2": "1/2", "gamma2": "4"}
+    text = json.dumps(doc)
+    argv = ["higgs", "assemble-so22"]
     proc = benchmark.pedantic(_cold, (["-m", "isolab.cli", *argv], text), rounds=10)
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     report = io.StringIO()

@@ -25,11 +25,10 @@ lexicographically smaller key of the orbit.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .exact_algebra import InternalError, ValidationError
+from .exact_algebra import InternalError, Record, ValidationError
 
 __all__ = [
     "REGULAR",
@@ -93,8 +92,7 @@ class _PointTable:
         return Divisor({k: m - 1 for k, m in self.points})
 
 
-@dataclass(frozen=True)
-class FiberModel(_PointTable):
+class FiberModel(_PointTable, Record):
     """One fiber of a ramified cover: labeled points with multiplicities."""
 
     base_label: str
@@ -156,8 +154,7 @@ class FiberModel(_PointTable):
         return {lbl: lbl}
 
 
-@dataclass(frozen=True)
-class PairFiber(_PointTable):
+class PairFiber(_PointTable, Record):
     """A fiber of a product of covers: ordered label pairs with total
     covering multiplicities over the base point.  ``factors`` are the two
     fibers multiplied; a self-product stores ``(f, f)``."""
@@ -189,8 +186,7 @@ class PairFiber(_PointTable):
         return _pullback(divisor, self, self.factors[which - 1], itemgetter(which - 1))
 
 
-@dataclass(frozen=True)
-class SymFiber(_PointTable):
+class SymFiber(_PointTable, Record):
     """A fiber of the symmetrized self-product: unordered label pairs with
     covering multiplicities, plus the residual fiber involution."""
 
@@ -462,8 +458,7 @@ def prym_test(family: Iterable[Tuple[object, Divisor]], covering: str) -> bool:
     return all(norm(d, carrier, covering).is_zero for carrier, d in family)
 
 
-@dataclass(frozen=True)
-class MumfordResult:
+class MumfordResult(Record):
     divisor: Divisor
     parity: str  # "even" | "odd"
 
@@ -498,8 +493,7 @@ def sigma_orbit_split(divisor: Divisor, sym: SymFiber) -> Tuple[Divisor, Divisor
     return inv_div, divisor - inv_div
 
 
-@dataclass(frozen=True)
-class TwistLedger:
+class TwistLedger(Record):
     """Per-fiber degree bookkeeping for the canonical twists.
 
     ``columns`` names the degrees listed for each fiber kind, and

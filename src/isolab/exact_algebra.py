@@ -9,7 +9,8 @@ strictly lower variable of the fixed tower
 ``z`` is the affine coordinate on the base curve, ``eta`` the spectral
 (fiber) variable, and ``x`` the variable that resultants eliminate.
 Every value is immutable and every operation is a pure function, so
-everything here is safe to share between threads.
+everything here is safe to share between threads.  ``Record`` is the frozen
+base class of the value types that the other modules return.
 
 ``as_element`` and ``as_poly`` are the only coercions of the tower, and a
 constant inside a polynomial is always a ``Fraction``.
@@ -43,6 +44,7 @@ from typing import Iterable, Sequence, Union
 __all__ = [
     "ValidationError",
     "InternalError",
+    "Record",
     "VAR_ORDER",
     "WEDGE_PAIRS",
     "UniPoly",
@@ -72,6 +74,54 @@ class ValidationError(ValueError):
 
 class InternalError(RuntimeError):
     """Raised when an internal consistency check fails (a bug, not bad input)."""
+
+
+class Record:
+    """Base of the frozen value types.  The fields of a subclass are the
+    names annotated in its own body, in order; ``__init__`` takes them
+    positionally or by keyword and then runs ``__post_init__``, if the class
+    has one.  Assignment is refused, so an instance's ``__dict__`` holds
+    exactly its fields in field order: records are equal when their classes
+    are the same and their fields are equal, and hash as their field tuple."""
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        cls = self.__class__
+        fields = cls._fields
+        if kwargs or len(args) != len(fields):
+            try:
+                args += tuple(map(kwargs.pop, fields[len(args):]))
+            except KeyError:  # a field given neither way
+                args = ()
+            if kwargs or len(args) != len(fields):
+                raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(fields)}), each once")
+        values = self.__dict__
+        for name, value in zip(fields, args):
+            values[name] = value
+        if cls._post_init is not None:
+            cls._post_init(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
 
 
 #: Fixed variable tower, innermost first.
@@ -525,15 +575,19 @@ def _det(rows):
     end.  The Leibniz expansion takes one entry from each row, so each
     coefficient of the integer determinant is at most the product of the
     rows' l1 norms, and its degree in each variable at most the row-wise sum
-    of the maximal entry degrees in it."""
+    of the maximal entry degrees in it.  A rational matrix has no variables
+    to pack, so its integer rows go to the elimination as they are."""
     names, lines = _int_lines(rows)
-    bound, degrees = 1, [0] * len(names)
-    for line, _ in lines:
-        row_degrees = [0] * len(names)
-        bound *= sum(_norm(e, row_degrees) for e in line)
-        degrees = [a + b for a, b in zip(degrees, row_degrees)]
-    shifts = _shifts(bound, degrees)
-    det = _det_bareiss_int([[_pack(e, shifts) for e in line] for line, _ in lines])
+    packed, shifts = [line for line, _ in lines], []
+    if names:
+        bound, degrees = 1, [0] * len(names)
+        for line in packed:
+            row_degrees = [0] * len(names)
+            bound *= sum(_norm(e, row_degrees) for e in line)
+            degrees = [a + b for a, b in zip(degrees, row_degrees)]
+        shifts = _shifts(bound, degrees)
+        packed = [[_pack(e, shifts) for e in line] for line in packed]
+    det = _det_bareiss_int(packed)
     return _from_nested(_unpack(det, shifts), names, prod(m for _, m in lines))
 
 

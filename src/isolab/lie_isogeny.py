@@ -17,11 +17,11 @@ Sign conventions are fixed once and recorded here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 from .exact_algebra import (
+    Record,
     RingMatrix,
     ValidationError,
     WEDGE_PAIRS,
@@ -53,8 +53,7 @@ __all__ = [
 OMEGA = RingMatrix([[0, 1], [-1, 0]])
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record):
     """A symmetric invertible Gram matrix."""
 
     gram: RingMatrix
@@ -199,8 +198,7 @@ def to_split_basis(x: RingMatrix) -> RingMatrix:
     return _SPLIT_BASIS_INV * x * SPLIT_BASIS
 
 
-@dataclass(frozen=True)
-class HiggsBlockField:
+class HiggsBlockField(Record):
     """A two-block Higgs field [[phi11, phi12], [phi21, phi22]] with
     orthogonal structures q1, q2 on the two summands.
 
@@ -248,8 +246,7 @@ def build_block_higgs_so33(adot: RingMatrix) -> HiggsBlockField:
     return HiggsBlockField(_ZERO3, alpha, alpha.transpose(), _ZERO3, _SPLIT_FORM, -_SPLIT_FORM)
 
 
-@dataclass(frozen=True)
-class HodgeSplit:
+class HodgeSplit(Record):
     """The star-operator eigenspace decomposition of the wedge square."""
 
     star: RingMatrix

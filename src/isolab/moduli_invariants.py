@@ -14,10 +14,9 @@ group-theoretic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .exact_algebra import RingMatrix, UniPoly, ValidationError, as_poly
+from .exact_algebra import Record, RingMatrix, UniPoly, ValidationError, as_poly
 
 if TYPE_CHECKING:
     from .lie_isogeny import HiggsBlockField
@@ -53,8 +52,7 @@ def check_genus(g) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class ToledoPair:
+class ToledoPair(Record):
     """A pair of integer degree labels on a genus-g surface."""
 
     d1: int
@@ -65,8 +63,7 @@ class ToledoPair:
         check_genus(self.g)
 
 
-@dataclass(frozen=True)
-class W2Label:
+class W2Label(Record):
     """A second Stiefel-Whitney label: an element of Z/2."""
 
     value: int
@@ -76,8 +73,7 @@ class W2Label:
             raise ValidationError("a Z/2 label is 0 or 1")
 
 
-@dataclass(frozen=True)
-class TorsionVector:
+class TorsionVector(Record):
     """An element of the model 2-torsion group (Z/2)^(2g)."""
 
     bits: Tuple[int, ...]
@@ -145,8 +141,7 @@ def liftable(label, which: str) -> bool:
     raise ValidationError(f"unknown group {which!r} for the lifting criterion")
 
 
-@dataclass(frozen=True)
-class PreimageCount:
+class PreimageCount(Record):
     """Counting report for the preimages of a point in the image.
 
     ``stated`` is the covering degree claimed for the moduli-space map;
@@ -213,8 +208,7 @@ def preimage_count(which: str, g: int) -> PreimageCount:
     raise ValidationError(f"unknown isogeny {which!r}")
 
 
-@dataclass(frozen=True)
-class So22Assembly:
+class So22Assembly(Record):
     """Result of assembling a rank-2 pair into the 4-dimensional block form."""
 
     higgs: HiggsBlockField
@@ -278,8 +272,7 @@ def assemble_so22(
     )
 
 
-@dataclass(frozen=True)
-class CensusSO33:
+class CensusSO33(Record):
     """Component table for the 6-dimensional split orthogonal form."""
 
     labels: Tuple[Tuple[int, int], ...]
@@ -289,8 +282,7 @@ class CensusSO33:
     total_components: int
 
 
-@dataclass(frozen=True)
-class CensusSO22:
+class CensusSO22(Record):
     """Component table for the 4-dimensional split orthogonal form."""
 
     g: int

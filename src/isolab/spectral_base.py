@@ -21,11 +21,11 @@ below rather than posited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .exact_algebra import (
+    Record,
     Ring,
     UniPoly,
     ValidationError,
@@ -53,16 +53,15 @@ __all__ = [
 ]
 
 
-class _Sections:
-    """Base of the section types: the generated ``__init__`` coerces every
-    field to a polynomial in ``z``."""
+class _Sections(Record):
+    """Base of the section types: each field is coerced to a polynomial in
+    ``z`` when the record is built."""
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, as_poly(getattr(self, f.name), "z"))
+        for name in self._fields:
+            object.__setattr__(self, name, as_poly(getattr(self, name), "z"))
 
 
-@dataclass(frozen=True)
 class BaseSL2Pair(_Sections):
     """Coefficients (a1, a2) of a pair of double covers eta^2 + a_i = 0."""
 
@@ -70,7 +69,6 @@ class BaseSL2Pair(_Sections):
     a2: UniPoly
 
 
-@dataclass(frozen=True)
 class BaseSL4(_Sections):
     """Coefficients of the rank-4 spectral curve eta^4 + a2 eta^2 + a3 eta + a4."""
 
@@ -82,7 +80,6 @@ class BaseSL4(_Sections):
         return UniPoly("eta", [self.a4, self.a3, self.a2, Fraction(0), Fraction(1)])
 
 
-@dataclass(frozen=True)
 class BaseSO4(_Sections):
     """Even quartic data (b1, pf): curve eta^4 + b1 eta^2 + pf^2."""
 
@@ -93,7 +90,6 @@ class BaseSO4(_Sections):
         return UniPoly("eta", [self.pf * self.pf, Fraction(0), self.b1, Fraction(0), Fraction(1)])
 
 
-@dataclass(frozen=True)
 class BaseSO6(_Sections):
     """Even sextic data (b1, b2, pf): curve eta^6 + b1 eta^4 + b2 eta^2 - pf^2.
 
@@ -181,8 +177,7 @@ def _extract_quartic(p: UniPoly) -> BaseSL4:
     return BaseSL4(a2=p.coeff(2), a3=p.coeff(1), a4=p.coeff(0))
 
 
-@dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(Record):
     """Smoothness report for the desingularized sextic cover.
 
     ``gcd_loose`` and ``gcd_tight`` are the common-factor checks

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .exact_algebra import RingMatrix, UniPoly, ValidationError, exterior_square, fraction_sqrt, pfaffian
+from .exact_algebra import Record, RingMatrix, UniPoly, ValidationError, exterior_square, fraction_sqrt, pfaffian
 from .lie_isogeny import (
     QuadraticForm,
     alpha_block,
@@ -72,15 +71,13 @@ ORIENTATION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     seed: int
     samples: int
     orientation: str

@@ -642,6 +642,20 @@ def test_det_matches_permutation_expansion(rows):
     assert m.det() == naive_det(m)
 
 
+@given(square_matrices(st.one_of(st.just(Fraction(0)), rationals), 5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_rational_det_with_zero_rows_and_zero_pivots(rows, data):
+    """A rational matrix skips the packing; zero leading entries send the
+    elimination through its row swaps, and a zero row through its early exit."""
+    n = len(rows)
+    if data.draw(st.booleans(), label="zero first pivot"):
+        rows[0][0] = Fraction(0)
+    for i in data.draw(st.sets(st.integers(0, n - 1), max_size=1), label="zero rows"):
+        rows[i] = [Fraction(0)] * n
+    m = RingMatrix(rows)
+    assert m.det() == naive_det(m)
+
+
 def test_interpolated_det_matches_bareiss_over_polynomials():
     # a negative coefficient (-7 z^2) below a positive leading one, so the
     # packed determinant has digits of both signs

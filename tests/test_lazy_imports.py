@@ -48,12 +48,15 @@ GROUP_RUNS = {
     "verify": (["verify", "all", "--samples", "0"], None, SUBMODULES - {"serialize"}),
 }
 
+# The run also reports whether it loaded dataclasses or inspect: no command
+# needs them, and inspect alone pulls in ast, dis and tokenize.
 RUN_ONE = """
 import io, json, sys
 sys.stdin = io.StringIO(sys.argv[2])
 from isolab.cli import main
 code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("isolab."))]), file=sys.stderr)
+heavy = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("isolab.")), heavy]), file=sys.stderr)
 """
 
 ATTRIBUTES = """
@@ -85,9 +88,10 @@ def fresh_python(code, *args):
 def test_command_group_loads_only_its_modules(group):
     argv, doc, expected = GROUP_RUNS[group]
     proc = fresh_python(RUN_ONE, json.dumps(argv), json.dumps(doc))
-    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    code, loaded, heavy = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
     assert set(loaded) == expected
+    assert heavy == []
 
 
 def test_package_attributes_import_submodules_on_first_access():

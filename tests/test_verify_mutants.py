@@ -26,7 +26,6 @@ from ``so6_base``, or a criterion 10 that compared the assembly only with
 import importlib
 import pkgutil
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -40,6 +39,12 @@ MODULES = [isolab] + [
 ]
 IDENTITY4 = RingMatrix.identity(4)
 SWAP2 = RingMatrix([[0, 1], [1, 0]])
+
+
+def replace(record, **changes):
+    """A new record of the same class with the named fields changed; it runs
+    the class's ``__post_init__`` as construction does."""
+    return record.__class__(**{**{name: getattr(record, name) for name in record._fields}, **changes})
 
 
 def _higgs(**edits):
