@@ -35,10 +35,13 @@ fails instead of timing well:
 * the star of ``hodge_split`` is Lambda^2(q)^(-1) Q6 sqrt(det q), with the
   product taken by the triple loop, and its +1 and -1 bases are three
   eigenvectors each;
+* ``so6_base`` and ``so4_base`` give (2 a2, a2^2 - 4 a4, -a3) and
+  (2(a1 + a2), -(a1 - a2)) on the same heights, with the coefficients
+  written out here by list arithmetic;
 * polynomial products (constant times constant and degree 1 times degree 1
-  over Q[z], and ``so4_oracle``'s (eta - x)^2 in x over Q[z][eta]) equal
-  their coefficients written out here, and ``div_mod`` of f g + r by g
-  returns f and r;
+  over Q[z], and the Q[z][eta][x] case (eta - x)^2, which ``so4_oracle``
+  writes out instead) equal their coefficients written out here, and
+  ``div_mod`` of f g + r by g returns f and r;
 * ``correspondence_push`` puts D(a) + D(b) on each pair {a, b} of simple
   points and D(y) + 2 D(s) on a pair of the double point y with a simple
   point s, and D(y) on {y, y}; the ``sigma`` norm adds the weights of a pair
@@ -200,6 +203,32 @@ def test_so4_oracle(benchmark, degree):
     assert quartic == so4_base(base).quartic()
 
 
+def _sum_coeffs(*lists):
+    """The coefficient list of a sum of sections, from their lists."""
+    return [sum(cs, Fraction(0)) for cs in itertools.zip_longest(*lists, fillvalue=Fraction(0))]
+
+
+@pytest.mark.parametrize("degree", [0, 3, 6, 24])
+def test_so6_base(benchmark, degree):
+    a2, a3, a4 = _oracle_sections(random.Random(f"so6_base:{degree}"), degree)
+    mapped = benchmark(so6_base, BaseSL4(a2, a3, a4), -1)
+    square = [Fraction(0)] * max(2 * len(a2.coeffs) - 1, 0)
+    for i, c in enumerate(a2.coeffs):
+        for j, d in enumerate(a2.coeffs):
+            square[i + j] += c * d
+    assert mapped.b1 == UniPoly("z", [2 * c for c in a2.coeffs])
+    assert mapped.b2 == UniPoly("z", _sum_coeffs(square, [-4 * c for c in a4.coeffs]))
+    assert mapped.pf == UniPoly("z", [-c for c in a3.coeffs])
+
+
+@pytest.mark.parametrize("degree", [0, 3, 6, 24])
+def test_so4_base(benchmark, degree):
+    a1, a2, _ = _oracle_sections(random.Random(f"so4_base:{degree}"), degree)
+    mapped = benchmark(so4_base, BaseSL2Pair(a1, a2), -1)
+    assert mapped.b1 == UniPoly("z", [2 * c for c in _sum_coeffs(a1.coeffs, a2.coeffs)])
+    assert mapped.pf == UniPoly("z", _sum_coeffs([-c for c in a1.coeffs], a2.coeffs))
+
+
 def test_eta_product_over_qz(benchmark):
     """Two degree-6 polynomials in eta with cubic Q[z] coefficients: every
     step of the product builds polynomials from tower elements."""
@@ -224,7 +253,8 @@ def test_product_degree_one_by_degree_one(benchmark):
 
 
 def test_product_so4_shift_squared(benchmark):
-    """``so4_oracle``'s (eta - x)^2 = eta^2 - 2 eta x + x^2."""
+    """The Q[z][eta][x] product case (eta - x)^2 = eta^2 - 2 eta x + x^2;
+    ``so4_oracle`` writes this square out rather than computing it."""
     shift = UniPoly("x", [ETA, Fraction(-1)])
     square = benchmark(mul, shift, shift)
     assert square.var == "x"

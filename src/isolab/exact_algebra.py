@@ -18,19 +18,19 @@ constant inside a polynomial is always a ``Fraction``.
 Products and linear algebra run on integers.  One entry, ``_int_lines``,
 finds the variables that occur in its lines of tower elements and scales
 each line by the lcm of its leaf denominators, and one exit,
-``_from_nested``, divides a result back.  Between them sit the products
-(``_products``: integer dot products, each entry divided once by its two
-scales; a polynomial product is its 1x1 case, so ``_mul_into`` is the one
-convolution), ``rref`` (fraction-free Gauss-Jordan, each entry divided
-once by the last pivot), and through ``rref`` ``inverse`` and
-``nullspace``.  The determinant (``det``, ``char_poly``, ``resultant``)
-and ``pairwise_sum_poly`` run on Kronecker-packed integers: ``_pack``
-sets each variable to a power of two, so an element becomes one int, and
-``_unpack`` reads a result back as signed digits.  Each kernel proves a
-bound on its result's coefficients and degrees, and the slots are one bit
-wider than the first and as many as the second needs.  The determinant is
-then one integer Bareiss elimination, and ``pairwise_sum_poly`` runs
-Newton's identities as plain integer loops.
+``_from_nested``, divides a result back.  Between them sit the public
+product table ``products`` (integer dot products, each divided once by its
+two scales; a polynomial product and each base map of ``spectral_base``
+are 1x1 and 1xn cases, so ``_mul_into`` is the one convolution), ``rref``
+(fraction-free Gauss-Jordan, each entry divided once by the last pivot),
+and through ``rref`` ``inverse`` and ``nullspace``.  The determinant
+(``det``, ``char_poly``, ``resultant``) and ``pairwise_sum_poly`` run on
+Kronecker-packed integers: ``_pack`` sets each variable to a power of two,
+so an element becomes one int, and ``_unpack`` reads a result back as
+signed digits.  Each kernel proves a bound on its result's coefficients and
+degrees, and the slots are one bit wider than the first and as many as the
+second needs.  The determinant is then one integer Bareiss elimination, and
+``pairwise_sum_poly`` runs Newton's identities as plain integer loops.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
     "ring_is_zero",
     "exact_div",
     "poly_gcd",
+    "products",
     "poly_sqrt",
     "squarefree_part",
     "resultant",
@@ -290,7 +291,7 @@ class UniPoly:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return as_poly(_products([(a,)], [(b,)])[0][0], a.var)
+        return as_poly(products([(a,)], [(b,)])[0][0], a.var)
 
     __rmul__ = __mul__
 
@@ -621,10 +622,10 @@ def _dot(r, c, depth: int):
     return acc
 
 
-def _products(rows, cols):
+def products(rows, cols):
     """The table of dot products of ``rows`` with ``cols``, two sequences of
-    equal-length lines of tower elements: the lines are scaled to integers
-    by ``_int_lines``, and each entry is one integer dot product divided by
+    equal-length lines of ints or tower elements: ``_int_lines`` scales the
+    lines to integers, and each entry is one integer dot product divided by
     its two scales.  A polynomial product is the 1x1 table of ``(a,)`` and
     ``(b,)``, a matrix product that of the rows and the columns."""
     names, lines = _int_lines([*rows, *cols])
@@ -737,12 +738,12 @@ class RingMatrix:
         return self.map_entries(lambda e: e * s)
 
     def __mul__(self, other):
-        """Matrix product: ``_products`` of the rows of ``self`` and the
+        """Matrix product: ``products`` of the rows of ``self`` and the
         columns of ``other``."""
         if isinstance(other, RingMatrix):
             if self.cols != other.rows:
                 raise ValidationError("matrix shape mismatch in product")
-            return RingMatrix(_products(self.entries, list(zip(*other.entries))))
+            return RingMatrix(products(self.entries, list(zip(*other.entries))))
         return self.scale(other)
 
     def __rmul__(self, other):

@@ -282,8 +282,8 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     rank-3 eigenspaces, and that each basis vector is an eigenvector.
     """
     gram = q.gram
-    if orientation not in (1, -1):
-        raise ValidationError("orientation must be +1 or -1")
+    if orientation.__class__ is not int or orientation not in (1, -1):
+        raise ValidationError("orientation sign must be the int 1 or -1")
     _require_shape(gram, 4, "star-operator construction")
     induced = exterior_square(gram)
     # the star inverts it, in closed form, over Q; det Lambda^2(q) = det(q)^3,

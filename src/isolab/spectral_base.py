@@ -32,6 +32,7 @@ from .exact_algebra import (
     as_poly,
     pairwise_sum_poly,
     poly_gcd,
+    products,
     resultant,
     ring_is_zero,
     squarefree_part,
@@ -117,31 +118,29 @@ class BaseSO6(_Sections):
 
 
 def so4_base(b: BaseSL2Pair, sign: int = 1) -> BaseSO4:
-    """Induced base map of the rank-2 isogeny:
+    """Induced base map of the rank-2 isogeny, one ``products`` table:
     (a1, a2) -> (2(a1 + a2), sign * (a1 - a2))."""
-    if sign not in (1, -1):
-        raise ValidationError("orientation sign must be +1 or -1")
-    return BaseSO4(b1=2 * (b.a1 + b.a2), pf=sign * (b.a1 - b.a2))
+    if sign.__class__ is not int or sign not in (1, -1):
+        raise ValidationError("orientation sign must be the int 1 or -1")
+    return BaseSO4(*products([(b.a1, b.a2)], [(2, 2), (sign, -sign)])[0])
 
 
 def so4_oracle(b: BaseSL2Pair) -> UniPoly:
     """Independent quartic: eliminate x between x^2 + a1 and (eta-x)^2 + a2.
 
     The four roots in eta are the pairwise sums of roots of the two
-    quadratics, so this equals the quartic of ``so4_base`` identically.
-    """
+    quadratics, so this equals the quartic of ``so4_base`` identically."""
     fx = UniPoly("x", [b.a1, Fraction(0), Fraction(1)])
-    shift = UniPoly("x", [UniPoly.variable("eta"), Fraction(-1)])  # eta - x
-    gx = shift * shift + b.a2
+    gx = UniPoly("x", [UniPoly("eta", [b.a2, 0, 1]), UniPoly("eta", [0, -2]), 1])  # (eta - x)^2 + a2
     return as_poly(resultant(fx, gx, var="x"), "eta")
 
 
 def so6_base(b: BaseSL4, sign: int = 1) -> BaseSO6:
-    """Induced base map of the rank-3 isogeny:
+    """Induced base map of the rank-3 isogeny, one ``products`` table:
     (a2, a3, a4) -> (b1, b2, pf) = (2 a2, a2^2 - 4 a4, sign * a3)."""
-    if sign not in (1, -1):
-        raise ValidationError("orientation sign must be +1 or -1")
-    return BaseSO6(b1=2 * b.a2, b2=b.a2 * b.a2 - 4 * b.a4, pf=sign * b.a3)
+    if sign.__class__ is not int or sign not in (1, -1):
+        raise ValidationError("orientation sign must be the int 1 or -1")
+    return BaseSO6(*products([(b.a2, b.a4, b.a3)], [(2, 0, 0), (b.a2, -4, 0), (0, 0, sign)])[0])
 
 
 def so6_oracle(b: BaseSL4) -> UniPoly:

@@ -227,6 +227,12 @@ def test_hodge_split_is_the_inverse_of_the_induced_form_without_inverting(rng_fa
             assert split.star == expected
 
 
+@pytest.mark.parametrize("orientation", [2, 0, True, False, 1.0, -1.0, Fraction(1), "1", None], ids=repr)
+def test_hodge_split_orientation_must_be_the_int_one_or_minus_one(orientation):
+    with pytest.raises(ValidationError, match="^orientation sign must be the int 1 or -1$"):
+        hodge_split(QuadraticForm(RingMatrix.identity(4)), orientation=orientation)
+
+
 def test_hodge_split_rejects_non_square_determinant():
     with pytest.raises(ValidationError):
         hodge_split(QuadraticForm(RingMatrix.diagonal([1, 1, 1, 2])))

@@ -9,6 +9,8 @@ from isolab.lie_isogeny import d_iso3
 from isolab.spectral_base import (
     BaseSL2Pair,
     BaseSL4,
+    BaseSO4,
+    BaseSO6,
     genericity_report,
     so4_base,
     so4_oracle,
@@ -227,6 +229,89 @@ def test_genericity_fails_exactly_at_planted_degenerate_roots(rng_factory):
 def test_orientation_sign_validation():
     with pytest.raises(ValidationError):
         so4_base(BaseSL2Pair(1, 2), sign=2)
+
+
+#: Orientation signs that are not exactly the int 1 or -1: the bools are
+#: refused although ``True.denominator == 1``, and equal floats and
+#: Fractions are refused although ``1.0 == 1``.
+BAD_SIGNS = [2, 0, True, False, 1.0, -1.0, Fraction(1), Fraction(-1), "1", None]
+
+
+@pytest.mark.parametrize("sign", BAD_SIGNS, ids=repr)
+def test_so4_base_sign_must_be_the_int_one_or_minus_one(sign):
+    with pytest.raises(ValidationError, match="^orientation sign must be the int 1 or -1$"):
+        so4_base(BaseSL2Pair(1, 2), sign=sign)
+
+
+@pytest.mark.parametrize("sign", BAD_SIGNS, ids=repr)
+def test_so6_base_sign_must_be_the_int_one_or_minus_one(sign):
+    with pytest.raises(ValidationError, match="^orientation sign must be the int 1 or -1$"):
+        so6_base(BaseSL4(1, 2, 3), sign)
+
+
+#: Sections for the differential tests: the zero section, constants, mixed
+#: degrees up to 8, and numerators up to 30 digits over small or long
+#: denominators.
+long_sections = st.lists(
+    st.builds(
+        Fraction,
+        st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30)),
+        st.one_of(st.integers(1, 12), st.integers(1, 10**12)),
+    ),
+    max_size=9,
+).map(lambda cs: UniPoly("z", cs))
+
+signs = st.sampled_from([1, -1])
+
+
+def _fields(record):
+    return [(name, getattr(record, name), repr(getattr(record, name))) for name in record._fields]
+
+
+@given(long_sections, long_sections, signs)
+@example(UniPoly("z"), UniPoly("z"), 1)
+@example(UniPoly("z", [3]), UniPoly("z", [Fraction(-1, 2)]), -1)
+@example(Z, Z, -1)  # pf vanishes
+@example(Z, -Z, 1)  # b1 vanishes
+@settings(max_examples=60, deadline=None)
+def test_so4_base_equals_its_closed_form(a1, a2, sign):
+    """The product table against (2(a1 + a2), sign (a1 - a2)) in ``UniPoly``
+    arithmetic."""
+    mapped = so4_base(BaseSL2Pair(a1, a2), sign)
+    expected = BaseSO4(b1=2 * (a1 + a2), pf=sign * (a1 - a2))
+    assert _fields(mapped) == _fields(expected)
+    assert repr(mapped) == repr(expected)
+
+
+@given(long_sections, long_sections, long_sections, signs)
+@example(UniPoly("z"), UniPoly("z"), UniPoly("z"), 1)
+@example(UniPoly("z", [2]), UniPoly("z", [-7]), UniPoly("z", [1]), -1)  # b2 = 0
+@example(Z + 1, UniPoly("z"), (Z + 1) * (Z + 1) * Fraction(1, 4), 1)  # b2 = 0, degree 2
+@example(Z**8 * 10**30, Z * Fraction(1, 3), UniPoly("z", [Fraction(1, 10**12)]), -1)
+@settings(max_examples=60, deadline=None)
+def test_so6_base_equals_its_closed_form(a2, a3, a4, sign):
+    """The product table against (2 a2, a2^2 - 4 a4, sign a3) in ``UniPoly``
+    arithmetic."""
+    mapped = so6_base(BaseSL4(a2, a3, a4), sign)
+    expected = BaseSO6(b1=2 * a2, b2=a2 * a2 - 4 * a4, pf=sign * a3)
+    assert _fields(mapped) == _fields(expected)
+    assert repr(mapped) == repr(expected)
+
+
+@given(long_sections, long_sections)
+@example(UniPoly("z"), UniPoly("z"))
+@example(UniPoly("z", [-1]), UniPoly("z", [-4]))
+@example(Z, -Z)
+@settings(max_examples=25, deadline=None)
+def test_so4_oracle_equals_the_shift_squared_construction(a1, a2):
+    """``so4_oracle`` writes (eta - x)^2 + a2 out; the product it replaced
+    gives the same Sylvester input and so the same resultant."""
+    pair = BaseSL2Pair(a1, a2)
+    shift = UniPoly("x", [ETA, Fraction(-1)])
+    fx = UniPoly("x", [pair.a1, Fraction(0), Fraction(1)])
+    expected = resultant(fx, shift * shift + pair.a2, var="x")
+    quartic = so4_oracle(pair)
+    assert quartic == expected and repr(quartic) == repr(expected)
 
 
 def test_sections_refuse_a_non_constant_fiber_polynomial():
