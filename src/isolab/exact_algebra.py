@@ -15,22 +15,21 @@ base class of the value types that the other modules return.
 ``as_element`` and ``as_poly`` are the only coercions of the tower, and a
 constant inside a polynomial is always a ``Fraction``.
 
-Products and linear algebra run on integers.  One entry, ``_int_lines``,
-finds the variables that occur in its lines of tower elements and scales
-each line by the lcm of its leaf denominators, and one exit,
-``_from_nested``, divides a result back.  Between them sit the public
-product table ``products`` (integer dot products, each divided once by its
-two scales; a polynomial product and each base map of ``spectral_base``
-are 1x1 and 1xn cases, so ``_mul_into`` is the one convolution), ``rref``
-(fraction-free Gauss-Jordan, each entry divided once by the last pivot),
-and through ``rref`` ``inverse`` and ``nullspace``.  The determinant
-(``det``, ``char_poly``, ``resultant``) and ``pairwise_sum_poly`` run on
-Kronecker-packed integers: ``_pack`` sets each variable to a power of two,
-so an element becomes one int, and ``_unpack`` reads a result back as
-signed digits.  Each kernel proves a bound on its result's coefficients and
-degrees, and the slots are one bit wider than the first and as many as the
-second needs.  The determinant is then one integer Bareiss elimination, and
-``pairwise_sum_poly`` runs Newton's identities as plain integer loops.
+Products and linear algebra run on Kronecker-packed integers (Harvey 2009).
+One entry, ``_survey``, walks the lines of tower elements once: it finds
+the variables that occur, scales each line by the lcm of its leaf
+denominators and bounds its coefficients and degrees.  ``_pack`` then sets
+each variable to a power of two, so an element times its scale becomes one
+int, and one exit, ``_unpack``, reads a result back as signed digits and
+divides it by its scale.  Each kernel proves a bound on its result's
+coefficients and degrees from the survey, and the slots are one bit wider
+than the first and as many as the second needs.  Between entry and exit sit
+the public product table ``products`` (one integer dot product per entry; a
+polynomial product and each base map of ``spectral_base`` are 1x1 and 1xn
+cases), the determinant (``det``, ``char_poly``, ``resultant``; one integer
+Bareiss elimination), ``rref`` (fraction-free Gauss-Jordan, each entry
+divided once by the last pivot; through it ``inverse`` and ``nullspace``)
+and ``pairwise_sum_poly`` (Newton's identities as plain integer loops).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, isqrt, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -462,178 +461,145 @@ def _det_bareiss_int(rows):
     return sign * work[n - 1][n - 1]
 
 
-# The integer kernels work on nested coefficient lists: at depth d an
-# element is a list, lowest degree first and without trailing zeros, of
-# depth d-1 elements in the outermost remaining variable; depth 0 is a
-# scalar.  Zero is [] above depth 0.
+#: Classes of a line entry that ``_survey`` reads as a leaf without a walk.
+_LEAVES = frozenset((Fraction, int))
 
 
-def _survey(e, found: set) -> int:
-    """One walk over the tower element ``e``: adds the variables that occur
-    in it to ``found`` and returns the lcm of its leaf denominators."""
-    if e.__class__ is not UniPoly:
-        return e.denominator
-    found.add(e.var)
-    return lcm(*(_survey(c, found) if c.__class__ is UniPoly else c.denominator for c in e.coeffs))
+def _walk(p, acc, found: set) -> int:
+    """One walk over the polynomial ``p``: adds the variables inside it to
+    ``found`` and the absolute values of its leaf numerators to ``acc[-1]``,
+    raises ``acc[VAR_ORDER[v]]`` to the degree in ``v`` of each polynomial in
+    ``v`` inside it, and returns the lcm of its leaf denominators."""
+    found.add(p.var)
+    level, coeffs = VAR_ORDER[p.var], p.coeffs
+    if len(coeffs) > acc[level] + 1:
+        acc[level] = len(coeffs) - 1
+    total, dens = 0, []
+    for c in coeffs:
+        if c.__class__ is Fraction:
+            total += abs(c.numerator)
+            dens.append(c.denominator)
+        else:
+            dens.append(_walk(c, acc, found))
+    acc[-1] += total
+    return lcm(*dens)
 
 
-def _scaled(e, names, mult: int):
-    """The nested integer element of ``e`` times ``mult`` over the nonempty
-    ``names`` (outermost first); ``mult`` is a multiple of every leaf
-    denominator."""
-    rest = names[1:]
-    if e.__class__ is UniPoly and e.var == names[0]:
-        if rest:
-            return [_scaled(c, rest, mult) for c in e.coeffs]
-        return [c.numerator * (mult // c.denominator) for c in e.coeffs]
-    if ring_is_zero(e):
-        return []
-    return [_scaled(e, rest, mult) if rest else e.numerator * (mult // e.denominator)]
+def _survey(lines):
+    """The single entry into the integer kernels, one walk over ``lines`` of
+    Fractions, ints and polynomials: the variables that occur in them,
+    outermost first, each line's scale, the lcm of its leaf denominators,
+    and, when there are variables, an accumulator for each line: its degree
+    in each variable ``v`` at ``VAR_ORDER[v]``, and last its bound, the scale
+    times the sum of the absolute values of its leaf numerators, which is at
+    least the l1 norm of the line times its scale."""
+    found, scales, accs = set(), [], []
+    for line in lines:
+        acc = [0, 0, 0, 0]
+        scales.append(lcm(*[e.denominator if e.__class__ in _LEAVES else _walk(e, acc, found) for e in line]))
+        accs.append(acc)
+    if not found:
+        return (), scales, None
+    for line, scale, acc in zip(lines, scales, accs):
+        acc[-1] = scale * (acc[-1] + sum([abs(e.numerator) for e in line if e.__class__ is not UniPoly]))
+    return tuple(sorted(found, key=VAR_ORDER.get, reverse=True)), scales, accs
 
 
-def _from_nested(e, names, scale: int):
-    """The tower element of ``e / scale``."""
-    if not names:
-        return Fraction(e, scale)
-    return as_element(UniPoly(names[0], [_from_nested(c, names[1:], scale) for c in e]))
-
-
-def _int_lines(lines):
-    """The single entry into the integer kernels: the variables of the tower
-    that occur in ``lines``, outermost first, and each line as nested integer
-    elements over them with its scale, the lcm of the line's leaf
-    denominators (the elements are the line times its scale)."""
-    found = set()
-    mults = [
-        lcm(*(_survey(e, found) if e.__class__ is UniPoly else e.denominator for e in line))
-        for line in lines
-    ]
-    names = tuple(sorted(found, key=VAR_ORDER.get, reverse=True))
-    if not names:  # a rational line is its own list of leaves
-        return names, [
-            ([e.numerator * (m // e.denominator) for e in line], m) for line, m in zip(lines, mults)
-        ]
-    return names, [([_scaled(e, names, m) for e in line], m) for line, m in zip(lines, mults)]
-
-
-def _norm(e, degrees: list, level: int = 0) -> int:
-    """The l1 norm of the nested integer element ``e`` of depth
-    ``len(degrees) - level``; raises ``degrees[level:]`` to at least its
-    degree in each of its variables, outermost first."""
-    if level == len(degrees):
-        return abs(e)
-    degrees[level] = max(degrees[level], len(e) - 1)
-    return sum(_norm(c, degrees, level + 1) for c in e)
-
-
-def _shifts(bound: int, degrees) -> list:
-    """Kronecker substitution (Harvey 2009): the shift of each variable,
-    outermost first, that ``_pack`` sets it to 2 to the power of, for results
-    whose coefficients are at most ``bound`` in absolute value and whose
-    degree in each variable is at most ``degrees``.  The innermost shift,
-    the slot, is one bit wider than ``bound``, for the sign, and each outer
-    one is the shift inside it times the degree plus one of the variable
-    inside it."""
-    shifts = [bound.bit_length() + 1] * len(degrees)
-    for i in range(len(degrees) - 2, -1, -1):
-        shifts[i] = shifts[i + 1] * (degrees[i + 1] + 1)
+def _shifts(names, bound: int, degrees) -> dict:
+    """Kronecker substitution (Harvey 2009): the shift of each variable of
+    ``names`` (outermost first) that ``_pack`` sets it to 2 to the power of,
+    for results whose coefficients are at most ``bound`` in absolute value
+    and whose degree in each variable ``v`` is at most ``degrees[VAR_ORDER[v]]``.
+    The innermost shift, the slot, is one bit wider than ``bound``, for the
+    sign, and each outer one is the shift inside it times the degree plus one
+    of the variable inside it."""
+    shifts, shift = {}, bound.bit_length() + 1
+    for name in reversed(names):
+        shifts[name] = shift
+        shift *= degrees[VAR_ORDER[name]] + 1
     return shifts
 
 
-def _pack(e, shifts):
-    """The int of the nested integer element ``e`` with each variable set to
-    2 to the power of its shift."""
-    if not shifts:
-        return e
-    acc = 0
-    for c in reversed(e):
-        acc = (acc << shifts[0]) + _pack(c, shifts[1:])
+def _pack(e, shifts: dict, scale: int) -> int:
+    """The int of ``e`` times ``scale``, a multiple of its leaf denominators,
+    with each variable set to 2 to the power of its shift: a constant packs to
+    itself, a polynomial to its value there."""
+    if e.__class__ is not UniPoly:
+        return e.numerator * (scale // e.denominator)
+    shift, acc = shifts[e.var], 0
+    for c in reversed(e.coeffs):
+        acc = (acc << shift) + (
+            c.numerator * (scale // c.denominator) if c.__class__ is Fraction else _pack(c, shifts, scale)
+        )
     return acc
 
 
-def _unpack(n: int, shifts):
-    """The nested integer element that ``_pack`` takes to ``n``, read as
-    signed digits, when its coefficients and degrees are within the bounds
-    that ``_shifts`` was given.  Then each coefficient of the innermost
-    variable is below half its slot, so each packed coefficient of an outer
-    variable is below half of its own slots too, and every digit is read
-    exactly."""
-    if not shifts:
-        return n
-    half = 1 << (shifts[0] - 1)
+def _unpack(n: int, names, shifts: dict, scale: int):
+    """The tower element that ``_pack`` takes to ``n`` with ``scale``, over
+    the variables ``names`` (outermost first), read as signed digits, when
+    its coefficients and degrees are within the bounds that ``_shifts`` was
+    given.  Then each coefficient of the innermost variable is below half its
+    slot, so each packed coefficient of an outer variable is below half of
+    its own slots too, and every digit is read exactly."""
+    if not names:
+        return Fraction(n, scale)
+    rest, shift = names[1:], shifts[names[0]]
+    half = 1 << (shift - 1)
+    mask = (half << 1) - 1
     digits = []
     while n:
-        digit = ((n + half) & ((half << 1) - 1)) - half
-        digits.append(_unpack(digit, shifts[1:]))
-        n = (n - digit) >> shifts[0]
-    return digits
+        digit = ((n + half) & mask) - half
+        digits.append(_unpack(digit, rest, shifts, scale) if rest else Fraction(digit, scale))
+        n = (n - digit) >> shift
+    if len(digits) > 1:
+        return UniPoly(names[0], digits)
+    return digits[0] if digits else Fraction(0)  # a constant in names[0]
 
 
 def _det(rows):
     """Exact determinant over any ring of the tower: one integer Bareiss
-    elimination of the rows, scaled to integers by ``_int_lines`` and packed
-    by ``_pack``, with the product of the row scales divided out once at the
-    end.  The Leibniz expansion takes one entry from each row, so each
-    coefficient of the integer determinant is at most the product of the
-    rows' l1 norms, and its degree in each variable at most the row-wise sum
-    of the maximal entry degrees in it.  A rational matrix has no variables
-    to pack, so its integer rows go to the elimination as they are."""
-    names, lines = _int_lines(rows)
-    packed, shifts = [line for line, _ in lines], []
-    if names:
-        bound, degrees = 1, [0] * len(names)
-        for line in packed:
-            row_degrees = [0] * len(names)
-            bound *= sum(_norm(e, row_degrees) for e in line)
-            degrees = [a + b for a, b in zip(degrees, row_degrees)]
-        shifts = _shifts(bound, degrees)
-        packed = [[_pack(e, shifts) for e in line] for line in packed]
-    det = _det_bareiss_int(packed)
-    return _from_nested(_unpack(det, shifts), names, prod(m for _, m in lines))
-
-
-def _mul_into(acc: list, a: list, b: list, depth: int):
-    """``acc += a * b`` in place over integer elements of ``depth`` >= 1;
-    ``acc`` may keep trailing zeros."""
-    grow = len(a) + len(b) - 1 - len(acc)
-    if depth == 1:
-        acc.extend([0] * grow)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    acc[i + j] += x * y
-        return
-    acc.extend([] for _ in range(grow))
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    _mul_into(acc[i + j], x, y, depth - 1)
-
-
-def _dot(r, c, depth: int):
-    """sum_k r[k] * c[k] over integer elements of ``depth``."""
-    if depth == 0:
-        return sum(map(mul, r, c))
-    acc = []
-    for a, b in zip(r, c):
-        if a and b:
-            _mul_into(acc, a, b, depth)
-    return acc
+    elimination of the rows, each packed by ``_pack`` with its ``_survey``
+    scale, with the product of the scales divided out once at the end.  The
+    Leibniz expansion takes one entry from each row, so each coefficient of
+    the integer determinant is at most the product of the row bounds, and its
+    degree in each variable at most the sum of the row degrees in it.  A
+    rational matrix has no variables, and its rows pack to their scaled
+    numerators."""
+    names, scales, accs = _survey(rows)
+    shifts = _shifts(names, prod(acc[-1] for acc in accs), [sum(a) for a in zip(*accs)]) if names else {}
+    packed = [[_pack(e, shifts, scale) for e in row] for row, scale in zip(rows, scales)]
+    return _unpack(_det_bareiss_int(packed), names, shifts, prod(scales))
 
 
 def products(rows, cols):
     """The table of dot products of ``rows`` with ``cols``, two sequences of
-    equal-length lines of ints or tower elements: ``_int_lines`` scales the
-    lines to integers, and each entry is one integer dot product divided by
-    its two scales.  A polynomial product is the 1x1 table of ``(a,)`` and
-    ``(b,)``, a matrix product that of the rows and the columns."""
-    names, lines = _int_lines([*rows, *cols])
-    depth = len(names)
-    int_rows, int_cols = lines[:len(rows)], lines[len(rows):]
+    equal-length lines of tower elements: each line is packed once by
+    ``_pack`` with its ``_survey`` scale, and each entry is one integer dot
+    product, read back by ``_unpack`` and divided by its two scales.  Each
+    coefficient of an entry is at most the largest row bound times the
+    largest column bound, and its degree in each variable at most the largest
+    row degree plus the largest column degree in it.  An entry that is not a
+    Fraction, int or polynomial is read by ``as_element``.  A polynomial
+    product is the 1x1 table of ``(a,)`` and ``(b,)``, a matrix product that
+    of the rows and the columns."""
+    lines = [*rows, *cols]
+    try:
+        names, scales, accs = _survey(lines)
+    except AttributeError:  # an entry outside the classes that the survey reads
+        lines = [[as_element(e) for e in line] for line in lines]
+        names, scales, accs = _survey(lines)
+    n, shifts = len(rows), {}
+    if names:  # with no rows or no columns there is no entry, and any shifts do
+        row, col = accs[0], accs[-1]
+        for acc in accs[1:n]:
+            row = [a if a > b else b for a, b in zip(row, acc)]
+        for acc in accs[n:-1]:
+            col = [a if a > b else b for a, b in zip(col, acc)]
+        shifts = _shifts(names, row[-1] * col[-1], list(map(add, row, col)))
+    packed = [[_pack(e, shifts, scale) for e in line] for line, scale in zip(lines, scales)]
     return [
-        [_from_nested(_dot(r, c, depth), names, rs * cs) for c, cs in int_cols]
-        for r, rs in int_rows
+        [_unpack(sum(map(mul, r, c)), names, shifts, rs * cs) for c, cs in zip(packed[n:], scales[n:])]
+        for r, rs in zip(packed[:n], scales[:n])
     ]
 
 
@@ -806,7 +772,8 @@ class RingMatrix:
         """Reduced row echelon form and pivot columns (rational entries), by
         fraction-free elimination of the integer-scaled rows."""
         self._require_rational("row reduction")
-        work, pivots, d = _rref_int([line for line, _ in _int_lines(self.entries)[1]])
+        scales = _survey(self.entries)[1]
+        work, pivots, d = _rref_int([[_pack(e, {}, s) for e in row] for row, s in zip(self.entries, scales)])
         return RingMatrix([[Fraction(a, d) for a in row] for row in work]), pivots
 
     def nullspace(self):
@@ -829,15 +796,11 @@ class RingMatrix:
         outermost; valid over any coefficient ring of the tower below ``eta``."""
         if not self.is_square:
             raise ValidationError("characteristic polynomial requires a square matrix")
-        found = set()
         for row in self.entries:
             for e in row:
-                _survey(e, found)
-                bad = {w for w in found if VAR_ORDER[w] >= VAR_ORDER["eta"]}
-                if bad:
-                    raise ValidationError(
-                        f"matrix entries must live below the spectral variable, found {sorted(bad)}"
-                    )
+                if e.__class__ is UniPoly and e.var != "z":
+                    bad = sorted(v for v in _survey([(e,)])[0] if v != "z")
+                    raise ValidationError(f"matrix entries must live below the spectral variable, found {bad}")
         return _det([
             [UniPoly("eta", [-e, 1]) if i == j else -e for j, e in enumerate(row)]
             for i, row in enumerate(self.entries)
@@ -947,10 +910,10 @@ def pairwise_sum_poly(f: UniPoly) -> UniPoly:
     ``f``, over any coefficient ring of the tower: the naive composed sum of
     Bostan, Flajolet, Salvy and Schost (2006), on packed integers.
 
-    With c_k the coefficient of v^(n-k) in ``f`` and L the ``_int_lines``
-    scale of c_1..c_n, the roots mu = L lambda are those of the monic
-    polynomial with the integer coefficients C_k = L^k c_k, each packed by
-    ``_pack``.  Newton's identities give its power sums p_k; the pairwise
+    With c_k the coefficient of v^(n-k) in ``f`` and L the lcm of the
+    ``_survey`` scales of c_1..c_n, the roots mu = L lambda are those of the
+    monic polynomial with the integer coefficients C_k = L^k c_k, each packed
+    by ``_pack``.  Newton's identities give its power sums p_k; the pairwise
     sums of the mu have the power sums S_k = (sum_j C(k, j) p_j p_(k-j) -
     2^k p_k) / 2 (all ordered pairs, minus the equal-index terms, halved),
     and the identities solved for the coefficients E_k rebuild the result.
@@ -962,19 +925,25 @@ def pairwise_sum_poly(f: UniPoly) -> UniPoly:
     norm, so every mu is at most R = 2 max_k |C_k|^(1/k) (Fujiwara), each of
     the m pairwise sums at most 2R, and each E_k, a sum of C(m, k) products
     of k of them, at most (1 + 2R)^m; by Cauchy's estimate so is each of its
-    coefficients.  E_k is a sum of products of at most k <= m of the C_i,
-    so its degree in each variable is at most m times the largest degree of
-    a C_i in it.  R is rounded up to a power of two."""
+    coefficients.  R is rounded up to a power of two.  Give mu weight 1, so
+    C_i is symmetric of weight i in the mu and E_k of weight k.  Each
+    monomial of E_k in the C_i, prod C_i^(a_i) with sum i a_i = k, then has
+    degree at most sum a_i deg(C_i) = sum i a_i deg(C_i) / i <= k max_i
+    deg(C_i) / i in each variable, so E_k, k <= m, has degree at most
+    floor(m max_i deg(C_i) / i)."""
     if f.is_zero or f.lead != 1:
         raise ValidationError("pairwise root sums require a monic polynomial")
     n = f.degree
     m = n * (n - 1) // 2
-    names, [(line, scale)] = _int_lines([f.coeffs[-2::-1]])  # L c_1, .., L c_n
-    degrees = [0] * len(names)
-    norms = [scale**k * _norm(e, degrees) for k, e in enumerate(line)]  # |C_1|, .., |C_n|
-    r = max((-(-norm.bit_length() // k) for k, norm in enumerate(norms, 1)), default=0)
-    shifts = _shifts((1 + 2 ** (r + 2)) ** m, [m * d for d in degrees])
-    c = [None] + [_pack(e, shifts) * scale**k for k, e in enumerate(line)] + [0] * (m - n)
+    names, scales, accs = _survey([(c,) for c in f.coeffs[-2::-1]])  # c_1, .., c_n
+    scale = lcm(*scales)
+    shifts = {}
+    if names:
+        norms = [acc[-1] // s * scale**k for k, (acc, s) in enumerate(zip(accs, scales), 1)]  # >= |C_1|, .., |C_n|
+        r = max(-(-norm.bit_length() // k) for k, norm in enumerate(norms, 1))
+        degrees = [max(m * d // k for k, d in enumerate(v, 1)) for v in zip(*accs)]
+        shifts = _shifts(names, (1 + 2 ** (r + 2)) ** m, degrees)
+    c = [None] + [_pack(e, shifts, scale) * scale ** (k - 1) for k, e in enumerate(f.coeffs[-2::-1], 1)] + [0] * (m - n)
     p = [n]
     for k in range(1, m + 1):
         p.append(-k * c[k] - sum(c[i] * p[k - i] for i in range(1, k)))
@@ -984,5 +953,4 @@ def pairwise_sum_poly(f: UniPoly) -> UniPoly:
     e = [1]
     for k in range(1, m + 1):
         e.append(-sum(e[i] * s[k - i] for i in range(k)) // k)
-    coeffs = [_from_nested(_unpack(e[k], shifts), names, scale**k) for k in range(m, -1, -1)]
-    return UniPoly(f.var, coeffs)
+    return UniPoly(f.var, [_unpack(e[k], names, shifts, scale**k) for k in range(m, -1, -1)])

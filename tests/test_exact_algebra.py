@@ -26,14 +26,13 @@ from isolab.exact_algebra import (
 )
 from isolab.exact_algebra import (
     _as_poly_pair,
-    _from_nested,
-    _int_lines,
-    _norm,
     _pack,
     _rref_int,
     _shifts,
+    _survey,
     _sylvester,
     _unpack,
+    products,
 )
 
 Z = UniPoly.variable("z")
@@ -538,17 +537,48 @@ def test_pairwise_sum_poly_requires_a_monic_polynomial(f):
         pairwise_sum_poly(f)
 
 
+def pairwise_degree_bound(m, degrees):
+    """floor(m max_i d_i / i) for the degrees d_1, .., d_n of C_1, .., C_n."""
+    return max(m * d // i for i, d in enumerate(degrees, 1))
+
+
+@pytest.mark.parametrize(
+    "f,top",
+    [
+        (ETA**2 + (10**30 * Z**3 - 1) * ETA, 3),  # E_1 = -C_1: degree 1 * 3 / 1
+        (ETA**4 + (10**20 * Z**2 + Fraction(1, 3)) * ETA, 4),  # E_6 = -C_3^2: degree 6 * 2 / 3
+        (ETA**4 + Fraction(7, 10**12) * Z, 1),  # E_4 = -4 C_4: degree floor(6 * 1 / 4)
+        (ETA**4 + (5 * Z**2 - 3) * ETA**2 + Z**3 * ETA + 10**15 * Z**4, 6),  # E_6 = -C_3^2: 6 * 3 / 3
+    ],
+    ids=["linear", "cubic-term", "floor", "so6-shape"],
+)
+def test_pairwise_sum_poly_reaches_its_degree_bound(f, top):
+    """Coefficients whose degree in z is exactly floor(m max_i deg(C_i) / i),
+    with long numerators, so the z slots that bound allows are all used."""
+    n = f.degree
+    m = n * (n - 1) // 2
+    degrees = [as_poly(f.coeff(n - i), "z").degree for i in range(1, n + 1)]
+    assert pairwise_degree_bound(m, [max(d, 0) for d in degrees]) == top
+    result = pairwise_sum_poly(f)
+    assert max(as_poly(c, "z").degree for c in result.coeffs) == top
+    expected = naive_pairwise_sums(f)
+    assert result == expected and repr(result) == repr(expected)
+
+
 def pairwise_sum_replay(f):
     """The steps of ``pairwise_sum_poly`` on the packed integers C_k, with
     the halving of each S_k and each Newton division by k a ``divmod``;
     returns its result and the remainders."""
     n = f.degree
     m = n * (n - 1) // 2
-    names, [(line, scale)] = _int_lines([f.coeffs[-2::-1]])
-    degrees = [0] * len(names)
-    norms = [scale**k * _norm(e, degrees) for k, e in enumerate(line)]
-    r = max((-(-norm.bit_length() // k) for k, norm in enumerate(norms, 1)), default=0)
-    shifts = _shifts((1 + 2 ** (r + 2)) ** m, [m * d for d in degrees])
+    coeffs = f.coeffs[-2::-1]
+    names, scales, accs = _survey([(c,) for c in coeffs])
+    scale = lcm(*scales)
+    shifts = {}
+    if names:
+        norms = [acc[-1] // s * scale**k for k, (acc, s) in enumerate(zip(accs, scales), 1)]
+        r = max(-(-norm.bit_length() // k) for k, norm in enumerate(norms, 1))
+        shifts = _shifts(names, (1 + 2 ** (r + 2)) ** m, [pairwise_degree_bound(m, v) for v in zip(*accs)])
     remainders = []
 
     def divide(x, k):
@@ -556,7 +586,7 @@ def pairwise_sum_replay(f):
         remainders.append(rem)
         return q
 
-    c = [None] + [_pack(e, shifts) * scale**k for k, e in enumerate(line)] + [0] * (m - n)
+    c = [None] + [_pack(e, shifts, scale) * scale ** (k - 1) for k, e in enumerate(coeffs, 1)] + [0] * (m - n)
     p = [n]
     for k in range(1, m + 1):
         p.append(-k * c[k] - sum(c[i] * p[k - i] for i in range(1, k)))
@@ -566,8 +596,7 @@ def pairwise_sum_replay(f):
     e = [1]
     for k in range(1, m + 1):
         e.append(divide(-sum(e[i] * s[k - i] for i in range(k)), k))
-    coeffs = [_from_nested(_unpack(e[k], shifts), names, scale**k) for k in range(m, -1, -1)]
-    return UniPoly(f.var, coeffs), remainders
+    return UniPoly(f.var, [_unpack(e[k], names, shifts, scale**k) for k in range(m, -1, -1)]), remainders
 
 
 @pytest.mark.parametrize("polys", PAIRWISE_CASES)
@@ -596,13 +625,19 @@ def leaf_denominators(e) -> list:
     return [e.denominator]
 
 
-def nested_leaves(e, depth: int) -> list:
-    """The leaves of a nested integer element of ``depth``; raises if one of
-    its lists ends in a zero."""
-    if depth == 0:
-        return [e]
-    assert not e or e[-1], f"trailing zero in {e}"
-    return [x for c in e for x in nested_leaves(c, depth - 1)]
+def leaf_numerators(e) -> list:
+    if isinstance(e, UniPoly):
+        return [n for c in e.coeffs for n in leaf_numerators(c)]
+    return [e.numerator]
+
+
+def degree_in(e, var: str) -> int:
+    """The largest degree of a polynomial in ``var`` inside ``e``, 0 for the
+    zero polynomial and when there is none."""
+    if not isinstance(e, UniPoly):
+        return 0
+    own = max(e.degree, 0) if e.var == var else 0
+    return max([own] + [degree_in(c, var) for c in e.coeffs])
 
 
 #: Elements over every subset of the tower's variables: zero, small and huge
@@ -610,26 +645,82 @@ def nested_leaves(e, depth: int) -> list:
 MIXED_ELEMENTS = st.sampled_from(
     [names for k in range(4) for names in itertools.combinations(("z", "eta", "x"), k)]
 ).flatmap(operand_coeffs)
-RATIONAL_LINES = st.lists(st.lists(operand_coeffs(()), max_size=4), min_size=1, max_size=4)
-TOWER_LINES = st.lists(st.lists(MIXED_ELEMENTS, max_size=4), min_size=1, max_size=4)
+RATIONAL_LINES = st.lists(st.lists(st.one_of(operand_coeffs(()), st.integers()), max_size=4), min_size=1, max_size=4)
+TOWER_LINES = st.lists(st.lists(st.one_of(MIXED_ELEMENTS, st.integers()), max_size=4), min_size=1, max_size=4)
 
 
 @pytest.mark.parametrize("lines", [RATIONAL_LINES, TOWER_LINES], ids=["rational", "tower"])
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_int_lines_scales_each_line_to_integers(lines, data):
+def test_survey_then_pack_and_unpack_round_trip(lines, data):
+    """The survey finds the variables, the scales, the bounds and the degrees,
+    and every element packed with its line's scale unpacks to itself."""
     lines = data.draw(lines)
-    names, scaled = _int_lines(lines)
+    names, scales, accs = _survey(lines)
     present = set().union(*(tower_vars(e) for line in lines for e in line))
     assert names == tuple(sorted(present, key=VAR_ORDER.get, reverse=True))
-    assert len(scaled) == len(lines)
-    for line, (ints, scale) in zip(lines, scaled):
+    assert len(scales) == len(lines)
+    for line, scale in zip(lines, scales):
         assert scale == lcm(*(d for e in line for d in leaf_denominators(e)))
-        assert all(type(x) is int for e in ints for x in nested_leaves(e, len(names)))
-        assert len(ints) == len(line)
-        for e, nested in zip(line, ints):
-            back = _from_nested(nested, names, scale)
-            assert back == e and e == back
+    shifts = {}
+    if names:
+        for line, scale, acc in zip(lines, scales, accs):
+            assert acc[-1] == scale * sum(abs(n) for e in line for n in leaf_numerators(e))
+            assert acc[:-1] == [max([degree_in(e, v) for e in line], default=0) for v in VAR_ORDER]
+        top = [max(column) for column in zip(*accs)]
+        shifts = _shifts(names, top[-1], top)
+    else:
+        assert accs is None
+    for line, scale in zip(lines, scales):
+        for e in line:
+            packed = _pack(e, shifts, scale)
+            back = _unpack(packed, names, shifts, scale)
+            want = as_element(e)
+            assert type(packed) is int
+            assert back == e and type(back) is type(want) and repr(back) == repr(want)
+
+
+def schoolbook_products(rows, cols):
+    """The table of dot products in Fraction arithmetic, each entry a sum of
+    ``loop_product`` terms from Fraction(0), read by ``as_element``."""
+    return [[as_element(sum((loop_product(a, b) for a, b in zip(r, c)), Fraction(0))) for c in cols] for r in rows]
+
+
+@pytest.mark.parametrize("names", [[], ["z"], ["z", "eta"], ["z", "eta", "x"]], ids=["Q", "Qz", "Qzeta", "x"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_products_match_the_fraction_schoolbook_table(names, data):
+    """Tables of 1x1 to 3x3 entries over lines of length 0 to 3, with int
+    entries, huge rationals, zero and constant polynomials, and zero lines."""
+    entries = st.one_of(st.integers(-10**15, 10**15), operand_coeffs(names))
+    m, k, n = data.draw(st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(1, 3)), label="shape")
+    rows, cols = data.draw(grid(entries, m, k), label="rows"), data.draw(grid(entries, n, k), label="cols")
+    if data.draw(st.booleans(), label="zero row"):
+        rows[0] = [0] * k
+    if data.draw(st.booleans(), label="zero column"):
+        cols[-1] = [Fraction(0)] * k
+    got, want = products(rows, cols), schoolbook_products(rows, cols)
+    assert got == want
+    assert [[(type(e), repr(e)) for e in line] for line in got] == [[(type(e), repr(e)) for e in line] for line in want]
+
+
+@pytest.mark.parametrize(
+    "entry,outcome",
+    [(True, None), (False, None), (1.5, None), (None, None), ("x", None), ("1/2", Fraction(1, 2)), (3, Fraction(3))],
+    ids=["True", "False", "float", "None", "text", "ratio-string", "int"],
+)
+@pytest.mark.parametrize("side", ["row", "column"])
+def test_products_reads_each_entry_as_a_tower_element(entry, outcome, side):
+    """An entry that is not a Fraction, int or polynomial goes through
+    ``as_element``: booleans, floats and None are refused, "1/2" is read."""
+    rows, cols = [(Z, entry)], [(Z, 2)]
+    if side == "column":
+        rows, cols = cols, rows
+    if outcome is None:
+        with pytest.raises(ValidationError):
+            products(rows, cols)
+    else:
+        assert products(rows, cols) == [[Z * Z + 2 * outcome]]
 
 
 # -- determinants --------------------------------------------------------------
@@ -883,7 +974,7 @@ def fraction_free_replay(rows):
 @given(st.one_of(any_rank, low_rank(entries=st.fractions(-40, 40, max_denominator=9))))
 @settings(max_examples=100, deadline=None)
 def test_fraction_free_divisions_are_exact(rows):
-    int_rows = [line for line, _ in _int_lines(rows)[1]]
+    int_rows = [[_pack(e, {}, scale) for e in row] for row, scale in zip(rows, _survey(rows)[1])]
     result, remainders = fraction_free_replay(int_rows)
     assert result == _rref_int(int_rows)
     assert all(rem == 0 for rem in remainders)
