@@ -27,8 +27,11 @@ fails instead of timing well:
   resultant of the same pair is nonzero, on sections whose coefficients
   come from the same heights;
 * Lambda^2(g) Lambda^2(h) = Lambda^2(g h) for the 6x6 induced forms of
-  two unimodular Gram matrices of verify criterion 6, with g h taken by a
-  triple loop in this file;
+  two unimodular Gram matrices of verify criterion 6, and for two dense
+  4x4 matrices over Q and over Q[z], with g h taken by a triple loop in
+  this file;
+* ``d_iso2(A1, A2)`` is the tensor sum A1 (x) I + I (x) A2 of two
+  traceless 2x2 matrices, taken with ``kronecker``;
 * a 4x4 product over Q[z] equals that triple loop;
 * the kernel of star - I for a non-identity form consists of three
   vectors v with star v = v, each with a unit in its own free column;
@@ -69,8 +72,17 @@ import pytest
 
 from isolab.cli import main as cli_main
 from isolab.covers_prym import Divisor, correspondence_push, norm, self_product_minus_diagonal, symmetrize
-from isolab.exact_algebra import RingMatrix, UniPoly, char_poly, exterior_square, pfaffian, poly_gcd, resultant
-from isolab.lie_isogeny import QuadraticForm, alpha_block, d_iso3, hodge_split, q6
+from isolab.exact_algebra import (
+    RingMatrix,
+    UniPoly,
+    char_poly,
+    exterior_square,
+    kronecker,
+    pfaffian,
+    poly_gcd,
+    resultant,
+)
+from isolab.lie_isogeny import QuadraticForm, alpha_block, d_iso2, d_iso3, hodge_split, q6
 from isolab.serialize import fiber_from_json
 from isolab.spectral_base import (
     BaseSL2Pair,
@@ -348,6 +360,22 @@ def test_product_6x6_over_q(benchmark):
     big_g, big_h = exterior_square(g), exterior_square(h)
     product = benchmark(mul, big_g, big_h)
     assert product == exterior_square(_triple_loop(g, h))
+
+
+@pytest.mark.parametrize("degree", [0, 2], ids=["Q", "Qz"])
+def test_exterior_square(benchmark, degree):
+    rng = random.Random(f"exterior_square:{degree}")
+    g, h = _traceless_4x4(rng, degree), _traceless_4x4(rng, degree)
+    big_g = benchmark(exterior_square, g)
+    assert big_g * exterior_square(h) == exterior_square(_triple_loop(g, h))
+
+
+def test_d_iso2(benchmark):
+    rng = random.Random("d_iso2")
+    a1, a2 = (RingMatrix([[a, b], [c, -a]]) for a, b, c in ([_rational(rng) for _ in range(3)] for _ in range(2)))
+    field = benchmark(d_iso2, a1, a2)
+    ident = RingMatrix.identity(2)
+    assert field == kronecker(a1, ident) + kronecker(ident, a2)
 
 
 def test_product_4x4_over_qz(benchmark):

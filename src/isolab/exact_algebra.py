@@ -26,10 +26,13 @@ coefficients and degrees from the survey, and the slots are one bit wider
 than the first and as many as the second needs.  Between entry and exit sit
 the public product table ``products`` (one integer dot product per entry; a
 polynomial product and each base map of ``spectral_base`` are 1x1 and 1xn
-cases), the determinant (``det``, ``char_poly``, ``resultant``; one integer
-Bareiss elimination), ``rref`` (fraction-free Gauss-Jordan, each entry
-divided once by the last pivot; through it ``inverse`` and ``nullspace``)
-and ``pairwise_sum_poly`` (Newton's identities as plain integer loops).
+cases), the determinant (``det``, ``resultant`` and ``char_poly``, which
+packs ``eta`` on the diagonal; one integer Bareiss elimination),
+``exterior_square`` (one integer 2x2 minor per entry), ``pfaffian`` (the
+first-row expansion on the packed entries), ``rref`` (fraction-free
+Gauss-Jordan, each entry divided once by the last pivot; through it
+``inverse`` and ``nullspace``) and ``pairwise_sum_poly`` (Newton's
+identities as plain integer loops).
 """
 
 from __future__ import annotations
@@ -366,6 +369,7 @@ class UniPoly:
 
 #: Operand types of the tower; any other operand (a matrix) handles the operation.
 _TOWER_TYPES = (UniPoly, Fraction, int, str)
+_ETA = UniPoly.variable("eta")  # ``char_poly`` appends it to each row it surveys
 
 
 def exact_div(a, b):
@@ -434,8 +438,9 @@ def poly_sqrt(p: UniPoly) -> UniPoly:
     raise ValidationError("polynomial is not a perfect square")
 
 
-def _det_bareiss_int(rows):
-    """Integer Bareiss; divisions are exact by the Sylvester identity."""
+def _det_bareiss(rows, names, shifts: dict, scales):
+    """The tail of each determinant: integer Bareiss on the packed ``rows``
+    (exact divisions by the Sylvester identity), read back with prod(scales)."""
     n = len(rows)
     work = [list(r) for r in rows]
     sign = 1
@@ -448,7 +453,7 @@ def _det_bareiss_int(rows):
                     sign = -sign
                     break
             else:
-                return 0
+                return Fraction(0)
         pivot = work[k][k]
         for i in range(k + 1, n):
             left = work[i][k]
@@ -458,7 +463,7 @@ def _det_bareiss_int(rows):
                 row_i[j] = (row_i[j] * pivot - left * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * work[n - 1][n - 1]
+    return _unpack(sign * work[n - 1][n - 1], names, shifts, prod(scales))
 
 
 #: Classes of a line entry that ``_survey`` reads as a leaf without a walk.
@@ -556,19 +561,19 @@ def _unpack(n: int, names, shifts: dict, scale: int):
     return digits[0] if digits else Fraction(0)  # a constant in names[0]
 
 
+def _det_shifts(names, accs) -> dict:
+    """Shifts for a determinant: the Leibniz expansion takes one entry from
+    each row, so each coefficient is at most the product of the row bounds,
+    and each degree at most the sum of the row degrees."""
+    return _shifts(names, prod(acc[-1] for acc in accs), [sum(a) for a in zip(*accs)]) if names else {}
+
+
 def _det(rows):
-    """Exact determinant over any ring of the tower: one integer Bareiss
-    elimination of the rows, each packed by ``_pack`` with its ``_survey``
-    scale, with the product of the scales divided out once at the end.  The
-    Leibniz expansion takes one entry from each row, so each coefficient of
-    the integer determinant is at most the product of the row bounds, and its
-    degree in each variable at most the sum of the row degrees in it.  A
-    rational matrix has no variables, and its rows pack to their scaled
-    numerators."""
+    """Exact determinant over any ring of the tower: each row packed once with
+    its ``_survey`` scale (a rational row to its scaled numerators)."""
     names, scales, accs = _survey(rows)
-    shifts = _shifts(names, prod(acc[-1] for acc in accs), [sum(a) for a in zip(*accs)]) if names else {}
-    packed = [[_pack(e, shifts, scale) for e in row] for row, scale in zip(rows, scales)]
-    return _unpack(_det_bareiss_int(packed), names, shifts, prod(scales))
+    shifts = _det_shifts(names, accs)
+    return _det_bareiss([[_pack(e, shifts, s) for e in row] for row, s in zip(rows, scales)], names, shifts, scales)
 
 
 def products(rows, cols):
@@ -743,9 +748,6 @@ class RingMatrix:
     def is_symmetric(self) -> bool:
         return self.is_square and self == self.transpose()
 
-    def is_antisymmetric(self) -> bool:
-        return self.is_square and (self + self.transpose()).is_zero()
-
     # -- linear algebra over the rationals ----------------------------------
 
     def _require_rational(self, what: str):
@@ -792,8 +794,10 @@ class RingMatrix:
     # -- characteristic polynomial -------------------------------------------
 
     def char_poly(self) -> UniPoly:
-        """det(eta*I - M) through the shared determinant kernel, ``eta``
-        outermost; valid over any coefficient ring of the tower below ``eta``."""
+        """det(eta*I - M), ``eta`` outermost, over any ring of the tower below
+        ``eta``.  Row i surveyed with ``eta`` appended has the scale, bound and
+        degrees of row i of eta*I - M; it is packed negated, with ``eta`` on
+        the diagonal as its scale shifted by the slot of ``eta``."""
         if not self.is_square:
             raise ValidationError("characteristic polynomial requires a square matrix")
         for row in self.entries:
@@ -801,10 +805,12 @@ class RingMatrix:
                 if e.__class__ is UniPoly and e.var != "z":
                     bad = sorted(v for v in _survey([(e,)])[0] if v != "z")
                     raise ValidationError(f"matrix entries must live below the spectral variable, found {bad}")
-        return _det([
-            [UniPoly("eta", [-e, 1]) if i == j else -e for j, e in enumerate(row)]
-            for i, row in enumerate(self.entries)
-        ])
+        names, scales, accs = _survey([(*row, _ETA) for row in self.entries])
+        shifts = _det_shifts(names, accs)
+        packed = [[-_pack(e, shifts, s) for e in row] for row, s in zip(self.entries, scales)]
+        for i, s in enumerate(scales):
+            packed[i][i] += s << shifts["eta"]
+        return _det_bareiss(packed, names, shifts, scales)
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
@@ -816,32 +822,33 @@ def char_poly(matrix: RingMatrix) -> UniPoly:
 
 
 def pfaffian(matrix: RingMatrix):
-    """Pfaffian by first-row expansion; convention Pf([[0, c], [-c, 0]]) = c."""
+    """Pfaffian by first-row expansion; convention Pf([[0, c], [-c, 0]]) = c.
+    Antisymmetry is checked and the expansion run on the entries packed with
+    L, the lcm of the row scales, and read back with L^(n/2).  By induction on
+    the expansion its coefficients are at most the product of the max(1, B_i),
+    B_i the bound of row i times L, and its degrees half the sum of the row
+    degrees; both bounds are at least each row's, so the comparisons are exact."""
     if not matrix.is_square:
         raise ValidationError("pfaffian requires a square matrix")
     n = matrix.rows
     if n % 2 != 0:
         raise ValidationError("pfaffian requires even size")
-    if not matrix.is_antisymmetric():
+    names, scales, accs = _survey(matrix.entries)
+    scale, shifts = lcm(*scales), {}
+    if names:
+        bound = prod(max(1, acc[-1] // s * scale) for acc, s in zip(accs, scales))
+        shifts = _shifts(names, bound, [max(max(d), sum(d) // 2) for d in zip(*accs)])
+    p = [[_pack(e, shifts, scale) for e in row] for row in matrix.entries]
+    if any(p[i][j] != -p[j][i] for i in range(n) for j in range(i, n)):
         raise ValidationError("pfaffian requires an antisymmetric matrix")
-
-    entries = matrix.entries
 
     def expand(ids):
         if not ids:
-            return Fraction(1)
-        i0 = ids[0]
-        total: Ring = Fraction(0)
-        for t in range(1, len(ids)):
-            j = ids[t]
-            if ring_is_zero(entries[i0][j]):
-                continue
-            rest = ids[1:t] + ids[t + 1:]
-            term = entries[i0][j] * expand(rest)
-            total = total + term if t % 2 == 1 else total - term
-        return total
+            return 1
+        first, rest = p[ids[0]], ids[1:]
+        return sum((-1) ** t * first[j] * expand(rest[:t] + rest[t + 1:]) for t, j in enumerate(rest) if first[j])
 
-    return expand(tuple(range(n)))
+    return _unpack(expand(tuple(range(n))), names, shifts, scale ** (n // 2))
 
 
 def kronecker(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -859,16 +866,22 @@ def kronecker(a: RingMatrix, b: RingMatrix) -> RingMatrix:
 
 def exterior_square(m: RingMatrix) -> RingMatrix:
     """Induced map on the second exterior power of a 4-dimensional space,
-    in the fixed wedge basis; entries are the 2x2 minors of ``m``."""
+    in the fixed wedge basis; entries are the 2x2 minors of ``m``, each the
+    int p_ik p_jl - p_il p_jk of the packed rows, read back with s_i s_j.
+    Its coefficients are at most the square of the largest row bound, and
+    its degrees at most twice the largest row degree."""
     if (m.rows, m.cols) != (4, 4):
         raise ValidationError("exterior square is implemented for 4x4 matrices")
-    out = []
-    for (i, j) in WEDGE_PAIRS:
-        row = []
-        for (k, l) in WEDGE_PAIRS:
-            row.append(m.entries[i][k] * m.entries[j][l] - m.entries[i][l] * m.entries[j][k])
-        out.append(row)
-    return RingMatrix(out)
+    names, scales, accs = _survey(m.entries)
+    shifts = {}
+    if names:
+        top = [max(a) for a in zip(*accs)]
+        shifts = _shifts(names, top[-1] ** 2, [2 * d for d in top])
+    p = [[_pack(e, shifts, s) for e in row] for row, s in zip(m.entries, scales)]
+    return RingMatrix([
+        [_unpack(p[i][k] * p[j][l] - p[i][l] * p[j][k], names, shifts, scales[i] * scales[j]) for k, l in WEDGE_PAIRS]
+        for i, j in WEDGE_PAIRS
+    ])
 
 
 def _sylvester(f: UniPoly, g: UniPoly) -> list:

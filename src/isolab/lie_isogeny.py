@@ -24,10 +24,10 @@ from .exact_algebra import (
     Record,
     RingMatrix,
     ValidationError,
-    WEDGE_PAIRS,
     exterior_square,
     fraction_sqrt,
     kronecker,
+    products,
     ring_is_zero,
 )
 
@@ -66,7 +66,9 @@ class QuadraticForm(Record):
 
 
 _Q4 = QuadraticForm(kronecker(OMEGA, OMEGA))
-_Q6 = QuadraticForm(RingMatrix.antidiagonal([1, -1, 1, 1, -1, 1]))
+#: The signs of the antidiagonal of the wedge form, row by row.
+_Q6_SIGNS = (1, -1, 1, 1, -1, 1)
+_Q6 = QuadraticForm(RingMatrix.antidiagonal(_Q6_SIGNS))
 
 
 def q4() -> QuadraticForm:
@@ -121,33 +123,32 @@ def d_iso2(a1dot: RingMatrix, a2dot: RingMatrix) -> RingMatrix:
     _require_shape(a2dot, 2, "rank-2 derivative")
     _require_traceless(a1dot, "rank-2 derivative")
     _require_traceless(a2dot, "rank-2 derivative")
-    ident = RingMatrix.identity(2)
-    return kronecker(a1dot, ident) + kronecker(ident, a2dot)
+    a, b, z = a1dot.entries, a2dot.entries, Fraction(0)
+    return RingMatrix([
+        [a[0][0] + b[0][0], b[0][1], a[0][1], z],
+        [b[1][0], a[0][0] + b[1][1], z, a[0][1]],
+        [a[1][0], z, a[1][1] + b[0][0], b[0][1]],
+        [z, a[1][0], b[1][0], a[1][1] + b[1][1]],
+    ])
 
 
 def d_iso3(adot: RingMatrix) -> RingMatrix:
     """Derivative of the rank-3 isogeny: v^w -> (Av)^w + v^(Aw) in the
     fixed wedge basis; skew for the 6-dimensional form, eigenvalues are
-    the pairwise sums of the input's eigenvalues."""
+    the pairwise sums of the input's eigenvalues.  The entry of row e_i^e_j
+    and column e_k^e_l is a_ii + a_jj on the diagonal, else a_ik if j = l,
+    -a_jk if i = l, a_jl if i = k, -a_il if j = k, and 0."""
     _require_shape(adot, 4, "rank-3 derivative")
     _require_traceless(adot, "rank-3 derivative")
-    a = adot.entries
-    out = []
-    for (i, j) in WEDGE_PAIRS:
-        row = []
-        for (k, l) in WEDGE_PAIRS:
-            val = Fraction(0)
-            if j == l:
-                val = val + a[i][k]
-            if i == l:
-                val = val - a[j][k]
-            if i == k:
-                val = val + a[j][l]
-            if j == k:
-                val = val - a[i][l]
-            row.append(val)
-        out.append(row)
-    return RingMatrix(out)
+    a, z = adot.entries, Fraction(0)
+    return RingMatrix([
+        [a[0][0] + a[1][1], a[1][2], a[1][3], -a[0][2], -a[0][3], z],
+        [a[2][1], a[0][0] + a[2][2], a[2][3], a[0][1], z, -a[0][3]],
+        [a[3][1], a[3][2], a[0][0] + a[3][3], z, a[0][1], a[0][2]],
+        [-a[2][0], a[1][0], z, a[1][1] + a[2][2], a[2][3], -a[1][3]],
+        [-a[3][0], z, a[1][0], a[3][2], a[1][1] + a[3][3], a[1][2]],
+        [z, -a[3][0], a[2][0], -a[3][1], a[2][1], a[2][2] + a[3][3]],
+    ])
 
 
 def alpha_block(adot: RingMatrix) -> RingMatrix:
@@ -273,13 +274,14 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     trivialization), and return its +/-1 eigenspace data.
 
     Since Lambda^2(q)^T Q6 Lambda^2(q) = det(q) Q6, Q6^{-1} = Q6 and q is
-    symmetric, the star is the closed form
-    orientation * Q6 * Lambda^2(q) / sqrt(det q).  ``q`` is the 4x4
-    orthogonal structure with rational entries; its determinant must be a
-    rational square.  Orientation -1 flips the star and therefore swaps the
-    two eigenspaces.  Verify criterion 6 certifies the star against the
-    inverse of the induced form, that it squares to the identity with
-    rank-3 eigenspaces, and that each basis vector is an eigenvector.
+    symmetric, the star is the closed form orientation * Q6 * Lambda^2(q) /
+    sqrt(det q), whose row r is row 5 - r of Lambda^2(q), signed and scaled.
+    ``q`` is the 4x4 orthogonal structure with rational entries; its
+    determinant must be a rational square.  Orientation -1 flips the star
+    and therefore swaps the two eigenspaces.  Verify criterion 6 certifies
+    the star against the inverse of the induced form, that it squares to the
+    identity with rank-3 eigenspaces, and that each basis vector is an
+    eigenvector.
     """
     gram = q.gram
     if orientation.__class__ is not int or orientation not in (1, -1):
@@ -290,14 +292,16 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     # so checking before the square root turns away no form it accepts
     induced._require_rational("matrix inversion")
     scale = fraction_sqrt(gram.det())  # ValidationError if det is not a rational square
-    q6_gram = q6().gram
-    star = (q6_gram * induced).scale(Fraction(orientation) / scale)
-    ident = RingMatrix.identity(6)
-    plus = _canonical_basis((star - ident).nullspace())
-    minus = _canonical_basis((star + ident).nullspace())
+    signed = [s * Fraction(orientation) / scale for s in _Q6_SIGNS]
+    star = RingMatrix([[e * f for e in row] for f, row in zip(signed, reversed(induced.entries))])
 
-    def restrict(basis):
-        b = RingMatrix([[vec[i] for vec in basis] for i in range(6)])
-        return QuadraticForm(b.transpose() * q6_gram * b)
+    def eigenbasis(v):  # the kernel of star - v I, shifting only the diagonal
+        shifted = [[e - v if i == j else e for j, e in enumerate(row)] for i, row in enumerate(star.entries)]
+        return _canonical_basis(RingMatrix(shifted).nullspace())
 
+    def restrict(basis):  # the basis against its images under Q6, their signed reversals
+        images = [[c if s > 0 else -c for s, c in zip(_Q6_SIGNS, reversed(v))] for v in basis]
+        return QuadraticForm(RingMatrix(products(basis, images)))
+
+    plus, minus = eigenbasis(1), eigenbasis(-1)
     return HodgeSplit(star, plus, minus, restrict(plus), restrict(minus))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from isolab.exact_algebra import (
     VAR_ORDER,
+    WEDGE_PAIRS,
     RingMatrix,
     UniPoly,
     ValidationError,
@@ -41,15 +42,24 @@ ETA = UniPoly.variable("eta")
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
-def tower(names):
+def tower(names, scalars=st.fractions(min_value=-3, max_value=3, max_denominator=6)):
     """Elements of Q[names[0]][names[1]]...: rationals with non-trivial
     denominators, zero included, and polynomials of degree 0 to 2 in each
     variable whose coefficients are drawn one level down."""
-    scalars = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     if not names:
         return scalars
-    lower = tower(names[:-1])
+    lower = tower(names[:-1], scalars)
     return st.one_of(lower, st.lists(lower, min_size=1, max_size=3).map(lambda cs: UniPoly(names[-1], cs)))
+
+
+#: Rationals with up to 40-digit numerators and denominators.
+LONG_RATIONALS = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+
+
+def with_zero_rows(entries, n):
+    """n x n lists of ``entries`` in which any row may be zero."""
+    row = st.one_of(st.just([Fraction(0)] * n), st.lists(entries, min_size=n, max_size=n))
+    return st.lists(row, min_size=n, max_size=n)
 
 
 def x_poly(coeffs, min_degree, max_degree):
@@ -1029,6 +1039,23 @@ def test_char_poly_matches_permutation_expansion_over_polynomials(rows):
     assert_char_poly_is_det_of_eta_minus(rows)
 
 
+@given(
+    st.sampled_from([(), ("z",)]).flatmap(
+        lambda names: square_matrices(st.one_of(st.just(Fraction(0)), tower(names, LONG_RATIONALS)), 3)
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_char_poly_with_long_coefficients_matches_permutation_expansion(rows):
+    """40-digit entries over Q and Q[z]: the same result, value and repr, as
+    the determinant of the matrix with eta - m_ii on the diagonal."""
+    assert_char_poly_is_det_of_eta_minus(rows)
+    m = RingMatrix(rows)
+    shifted = RingMatrix(
+        [[UniPoly("eta", [-e, 1]) if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(m.entries)]
+    )
+    assert repr(char_poly(m)) == repr(shifted.det())
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_cayley_hamilton(n, rng_factory):
     rng = rng_factory(n)
@@ -1078,6 +1105,56 @@ def test_pfaffian_validation():
         pfaffian(RingMatrix([[0] * 3] * 3))
 
 
+def antisymmetric_rows(draw, names, n):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = draw(tower(names))
+            rows[i][j], rows[j][i] = e, -e
+    for k in draw(st.sets(st.integers(0, n - 1), max_size=2), label="zero rows"):
+        for j in range(n):
+            rows[k][j] = rows[j][k] = Fraction(0)
+    return rows
+
+
+@given(st.sampled_from([(), ("z",), ("z", "eta")]), st.sampled_from([2, 4, 6]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pfaffian_matches_the_sum_over_matchings(names, n, data):
+    """Over Q, Q[z] and Q[z][eta], with zero rows: the value of the sum over
+    perfect matchings, as a canonical tower element."""
+    m = RingMatrix(antisymmetric_rows(data.draw, names, n))
+    expected = as_element(naive_pfaffian(m))
+    assert pfaffian(m) == expected and repr(pfaffian(m)) == repr(expected)
+
+
+@given(st.sampled_from([("z",), ("z", "eta")]), st.sampled_from([2, 4, 6]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pfaffian_refuses_what_is_not_antisymmetric(names, n, data):
+    """The packed check agrees with A + A^T = 0 on matrices that are
+    antisymmetric up to one changed entry, zero rows included."""
+    rows = antisymmetric_rows(data.draw, names, n)
+    i, j = data.draw(st.integers(0, n - 1), label="i"), data.draw(st.integers(0, n - 1), label="j")
+    rows[i][j] = rows[i][j] + data.draw(tower(names), label="change")
+    m = RingMatrix(rows)
+    if (m + m.transpose()).is_zero():
+        assert pfaffian(m) == naive_pfaffian(m)
+    else:
+        with pytest.raises(ValidationError, match="^pfaffian requires an antisymmetric matrix$"):
+            pfaffian(m)
+
+
+@pytest.mark.parametrize("upper,lower", [(Z, Fraction(-2)), (Z * Z, -ETA)], ids=["zero-rows", "row-degree"])
+def test_pfaffian_refuses_near_misses(upper, lower):
+    """Rows 0 and 3 are zero, so the product of the row bounds is 0: with a
+    one-bit slot z would pack to 2, as -(-2) does.  Half the sum of the row
+    degrees in z is 1: with z slots for degree 1 only, z^2 would pack as
+    eta does."""
+    rows = [[Fraction(0)] * 4 for _ in range(4)]
+    rows[1][2], rows[2][1] = upper, lower
+    with pytest.raises(ValidationError, match="antisymmetric"):
+        pfaffian(RingMatrix(rows))
+
+
 # -- kronecker and exterior square -----------------------------------------------
 
 
@@ -1089,6 +1166,34 @@ def test_kronecker_examples():
     assert kronecker(RingMatrix.diagonal([1, -1]), RingMatrix.diagonal([2, -2])) == RingMatrix.diagonal(
         [2, -2, -2, 2]
     )
+
+
+def fraction_exterior_square(m: RingMatrix) -> RingMatrix:
+    """The 2x2 minors in tower arithmetic, entry by entry."""
+    e = m.entries
+    return RingMatrix([[e[i][k] * e[j][l] - e[i][l] * e[j][k] for (k, l) in WEDGE_PAIRS] for (i, j) in WEDGE_PAIRS])
+
+
+@given(
+    st.sampled_from([(), ("z",), ("z", "eta")]).flatmap(
+        lambda names: with_zero_rows(st.one_of(tower(names), tower(names, LONG_RATIONALS)), 4)
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_exterior_square_matches_the_fraction_minors(rows):
+    """Over Q, Q[z] and Q[z][eta], with zero rows and 40-digit entries."""
+    m = RingMatrix(rows)
+    got, want = exterior_square(m), fraction_exterior_square(m)
+    assert got == want and repr(got) == repr(want)
+
+
+def test_exterior_square_minor_reaches_its_bound():
+    """The minor of rows 3 z eta e1 and 3 z eta e2 is 9 z^2 eta^2: its
+    coefficient is the square of the largest row bound, 3, and its degree in
+    z, which sits inside eta, twice the largest row degree."""
+    m = RingMatrix([[3 * Z * ETA, 0, 0, 0], [0, 3 * Z * ETA, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert exterior_square(m) == fraction_exterior_square(m)
+    assert exterior_square(m).entries[0][0] == 9 * Z**2 * ETA**2
 
 
 def test_exterior_square_examples():

@@ -1,16 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isolab.exact_algebra import (
+    WEDGE_PAIRS,
     RingMatrix,
     UniPoly,
     ValidationError,
     exterior_square,
     fraction_sqrt,
+    kronecker,
     pfaffian,
 )
 from isolab.lie_isogeny import (
+    HodgeSplit,
     QuadraticForm,
     SPLIT_BASIS,
     alpha_block,
@@ -24,10 +29,65 @@ from isolab.lie_isogeny import (
     q6,
     to_split_basis,
 )
+from isolab.lie_isogeny import _canonical_basis
 from isolab.spectral_base import quartic_of_char_pair, sextic_of_quartic
 from isolab.verify import rand_symmetric_traceless, rand_traceless, rand_unimodular
 
 Z = UniPoly.variable("z")
+
+#: Rationals and polynomials in z, zero and 40-digit coefficients included.
+SCALARS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+ENTRIES = st.one_of(SCALARS, st.lists(SCALARS, min_size=1, max_size=3).map(lambda cs: UniPoly("z", cs)))
+
+
+def traceless(n):
+    """n x n matrices over Q and Q[z] with trace zero."""
+
+    def close(rows):
+        rows[-1][-1] = -sum((rows[i][i] for i in range(n - 1)), Fraction(0))
+        return RingMatrix(rows)
+
+    return st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n).map(close)
+
+
+def loop_d_iso3(adot):
+    """The rank-3 derivative as its four index rules, entry by entry."""
+    a = adot.entries
+    out = []
+    for (i, j) in WEDGE_PAIRS:
+        row = []
+        for (k, l) in WEDGE_PAIRS:
+            val = Fraction(0)
+            if j == l:
+                val = val + a[i][k]
+            if i == l:
+                val = val - a[j][k]
+            if i == k:
+                val = val + a[j][l]
+            if j == k:
+                val = val - a[i][l]
+            row.append(val)
+        out.append(row)
+    return RingMatrix(out)
+
+
+@given(traceless(2), traceless(2))
+@settings(max_examples=60, deadline=None)
+def test_d_iso2_is_the_tensor_sum(a1, a2):
+    ident = RingMatrix.identity(2)
+    got, want = d_iso2(a1, a2), kronecker(a1, ident) + kronecker(ident, a2)
+    assert got == want and repr(got) == repr(want)
+
+
+@given(traceless(4))
+@settings(max_examples=60, deadline=None)
+def test_d_iso3_matches_the_index_rules(adot):
+    got, want = d_iso3(adot), loop_d_iso3(adot)
+    assert got == want and repr(got) == repr(want)
 
 
 def test_forms_are_the_fixed_antidiagonals():
@@ -231,6 +291,56 @@ def test_hodge_split_is_the_inverse_of_the_induced_form_without_inverting(rng_fa
 def test_hodge_split_orientation_must_be_the_int_one_or_minus_one(orientation):
     with pytest.raises(ValidationError, match="^orientation sign must be the int 1 or -1$"):
         hodge_split(QuadraticForm(RingMatrix.identity(4)), orientation=orientation)
+
+
+def closed_form_hodge_split(q, orientation):
+    """The star as the product Q6 * Lambda^2(q), scaled, its eigenspaces as
+    the kernels of star -/+ I, and each restricted form as B^T Q6 B."""
+    gram = q.gram
+    induced = exterior_square(gram)
+    induced._require_rational("matrix inversion")
+    scale = fraction_sqrt(gram.det())
+    star = (q6().gram * induced).scale(Fraction(orientation) / scale)
+    ident = RingMatrix.identity(6)
+
+    def restrict(basis):
+        b = RingMatrix([[vec[i] for vec in basis] for i in range(6)])
+        return QuadraticForm(b.transpose() * q6().gram * b)
+
+    plus, minus = _canonical_basis((star - ident).nullspace()), _canonical_basis((star + ident).nullspace())
+    return HodgeSplit(star, plus, minus, restrict(plus), restrict(minus))
+
+
+def test_hodge_split_matches_its_closed_form_by_products(rng_factory):
+    rng = rng_factory("hodge products")
+    for k in range(12):
+        p = rand_unimodular(rng, 4, steps=5)
+        sign = rng.choice((1, -1))
+        gram = p.transpose() * RingMatrix.diagonal([rng.choice((1, 4, "9/4", "1/9")), 1, sign, sign]) * p
+        for orientation in (1, -1):
+            got = hodge_split(QuadraticForm(gram), orientation=orientation)
+            want = closed_form_hodge_split(QuadraticForm(gram), orientation)
+            assert got == want and repr(got) == repr(want)
+
+
+def test_hodge_split_checks_the_induced_form_for_rational_entries():
+    """A Q[z] form is refused because its minors are polynomials.  A Q[z]
+    Gram matrix whose 2x2 minors are all constant passes that check: it is
+    singular (Lambda^2 is injective up to sign on invertible matrices), so it
+    is built around the form's own check, and fails at the square root of its
+    determinant 0, as the closed form does."""
+    with pytest.raises(ValidationError, match="^matrix inversion requires rational entries$"):
+        hodge_split(QuadraticForm(RingMatrix([[1, Z, 0, 0], [Z, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])))
+    gram = RingMatrix([[1, Z, 0, 0], [Z, 1 + Z * Z, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert all(e.__class__ is Fraction for row in exterior_square(gram).entries for e in row)
+    form = object.__new__(QuadraticForm)
+    form.__dict__["gram"] = gram
+    for orientation in (1, -1):
+        with pytest.raises(ZeroDivisionError) as got:
+            hodge_split(form, orientation=orientation)
+        with pytest.raises(ZeroDivisionError) as want:
+            closed_form_hodge_split(form, orientation)
+        assert str(got.value) == str(want.value)
 
 
 def test_hodge_split_rejects_non_square_determinant():

@@ -12,8 +12,11 @@ or a ``Class.method`` in it.  The checkout is copied once to a temporary
 directory.  For each function, one mutant at a time is written into the copy
 and ``python -m pytest PYTEST_ARGS`` runs there, with ``src/`` of the copy on
 ``PYTHONPATH``.  A mutant is killed when pytest fails or runs longer than
-``TIMEOUT`` seconds, and survives when it passes.  The mutants, each one
-change inside the function:
+``TIMEOUT`` seconds, and survives when it passes.  Each test run's address
+space is capped at ``MEMORY`` bytes (``RLIMIT_AS``), so a mutant that makes
+the tests allocate without bound fails with ``MemoryError`` and is killed
+instead of exhausting the machine's memory.  The mutants, each one change
+inside the function:
 
 * a binary or augmented operator swapped (+ and -, * and //, / and *,
   % and //, ** and *, << and >>, & and |);
@@ -38,6 +41,7 @@ import argparse
 import ast
 import copy
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -58,6 +62,9 @@ NEGATED = {
 }
 #: Seconds one test run may take; a run that takes longer kills its mutant.
 TIMEOUT = 300.0
+#: Bytes of address space one test run may map; a run that needs more fails
+#: with MemoryError, which kills its mutant.
+MEMORY = 2 * 1024**3
 IGNORED = (".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks", "out")
 PLUGIN = """\
 try:
@@ -138,6 +145,13 @@ def mutated_source(source: str, qualname: str, mutant: Mutant) -> Tuple[str, str
     return ast.unparse(tree), f"line {node.lineno} col {node.col_offset + 1}: {before} -> {after}"
 
 
+def cap_memory() -> None:
+    """Run in the test run's child before pytest starts: cap its address
+    space at ``MEMORY`` bytes, or at a lower hard limit already in place."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY if hard == resource.RLIM_INFINITY else min(MEMORY, hard), hard))
+
+
 def run_tests(workdir: str, pytest_args: List[str]) -> Tuple[bool, float]:
     """Whether the selection passes in ``workdir``, and its wall time."""
     path = os.pathsep.join([os.path.join(workdir, "src"), os.path.dirname(workdir)])
@@ -147,6 +161,7 @@ def run_tests(workdir: str, pytest_args: List[str]) -> Tuple[bool, float]:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-p", "mutate_plugin", *pytest_args],
             cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT,
+            preexec_fn=cap_memory,
         )
         passed = done.returncode == 0
     except subprocess.TimeoutExpired:
