@@ -23,14 +23,9 @@ process pays only for the modules it uses.
 
 import importlib
 
-from .exact_algebra import (
-    InternalError,
-    RingMatrix,
-    UniPoly,
-    ValidationError,
-)
+from .exact_algebra import RingMatrix, UniPoly, ValidationError
 
-__all__ = ["InternalError", "RingMatrix", "UniPoly", "ValidationError"]
+__all__ = ["RingMatrix", "UniPoly", "ValidationError"]
 __version__ = "0.1.0"
 
 _SUBMODULES = (

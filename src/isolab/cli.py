@@ -22,7 +22,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
-from .exact_algebra import InternalError, ValidationError
+from .exact_algebra import ValidationError
 
 if TYPE_CHECKING:
     from . import covers_prym as cp
@@ -452,9 +452,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -20,6 +20,11 @@ the fiber's points counted with multiplicity: on a branch fiber
 fibers are keyed by ordered label pairs, points of symmetrized fibers by
 sorted label pairs, and points of an involution quotient by the
 lexicographically smaller key of the orbit.
+
+Only a hand-built ``PairFiber`` has multiplicities that do not divide
+along a fiber map or a swap orbit of odd total: both raise
+``ValidationError``.  That the push divides exactly and that the
+square-root twist degrees are even is certified by verify criteria 8 and 7.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .exact_algebra import InternalError, Record, ValidationError
+from .exact_algebra import Record, ValidationError
 
 __all__ = [
     "REGULAR",
@@ -218,7 +223,7 @@ def _index(up: _PointTable, down: _PointTable, image: Callable, key: Key) -> int
     ``image`` from ``up`` to ``down`` at the point ``key`` upstairs."""
     e, rest = divmod(up.multiplicity(key), down.multiplicity(image(key)))
     if rest:
-        raise InternalError("inconsistent multiplicities along a fiber map")
+        raise ValidationError("inconsistent multiplicities along a fiber map")
     return e
 
 
@@ -360,7 +365,7 @@ def symmetrize(pf: PairFiber) -> SymFiber:
     points = []
     for key in sorted(totals):
         if totals[key] % 2 != 0:
-            raise InternalError("swap orbit with odd total multiplicity")
+            raise ValidationError("swap orbit with odd total multiplicity")
         points.append((key, totals[key] // 2))
     fiber = Counter(dict(pf.factors[0].points))
     sigma = tuple((k, _unordered((fiber - Counter(k)).elements())) for k, _ in points)
@@ -400,21 +405,15 @@ def correspondence_push(divisor: Divisor, f: FiberModel) -> Divisor:
     """Push a divisor on a 4-fold cover fiber to the symmetrized 6-fold
     cover fiber: pull back along both projections of the self-product, then
     divide by the quotient map at one representative of each swap orbit
-    (the combined divisor is swap-invariant, as verify criterion 8
-    certifies).  On a regular fiber the weight on the unordered pair
-    {a, b} is D(a) + D(b); on a branch fiber the projections' extra
+    (the combined divisor is swap-invariant and descends, as verify
+    criterion 8 certifies).  On a regular fiber the weight on the unordered
+    pair {a, b} is D(a) + D(b); on a branch fiber the projections' extra
     multiplicity doubles the simple-point contributions against y1."""
     _require_support(divisor, f.labels)
     pf = self_product_minus_diagonal(f)
     sym = symmetrize(pf)
     combined = pf.pullback(divisor, 1) + pf.pullback(divisor, 2)
-    weights: Dict[Key, int] = {}
-    for key in sym.keys:
-        w, e = combined.get(key), _index(pf, sym, _unordered, key)
-        if w % e != 0:
-            raise InternalError("combined pullback does not descend to the quotient")
-        weights[key] = w // e
-    return Divisor(weights)
+    return Divisor({key: combined.get(key) // _index(pf, sym, _unordered, key) for key in sym.keys})
 
 
 def norm(divisor: Divisor, carrier, covering: str) -> Divisor:
@@ -554,12 +553,7 @@ def twist_ledger(context: str) -> TwistLedger:
         lhs = sum(d.degree() for d in _pulled_back_ramification(pf))
         mid = sym.quotient_pullback(sym.ramification_divisor()).degree()
         r0 = sym.quotient_ramification().degree()
-        if context == "sl4":
-            rows.append((lhs, mid, 2 * r0))
-        elif lhs % 2 or mid % 2:
-            raise InternalError("square-root twist degrees must be even")
-        else:
-            rows.append((lhs // 2, mid // 2, r0))
+        rows.append((lhs, mid, 2 * r0) if context == "sl4" else (lhs // 2, mid // 2, r0))
     reg, br = rows
     return TwistLedger(
         context=context,

@@ -11,6 +11,8 @@ strictly lower variable of the fixed tower
 Every value is immutable and every operation is a pure function, so
 everything here is safe to share between threads.  ``Record`` is the frozen
 base class of the value types that the other modules return.
+isolab raises one error of its own, ``ValidationError``, for input outside
+an operation's contract; the verify suite, not each call, checks results.
 
 ``as_element`` and ``as_poly`` are the only coercions of the tower, and a
 constant inside a polynomial is always a ``Fraction``.
@@ -29,10 +31,10 @@ polynomial product and each base map of ``spectral_base`` are 1x1 and 1xn
 cases), the determinant (``det``, ``resultant`` and ``char_poly``, which
 packs ``eta`` on the diagonal; one integer Bareiss elimination),
 ``exterior_square`` (one integer 2x2 minor per entry), ``pfaffian`` (the
-first-row expansion on the packed entries), ``rref`` (fraction-free
-Gauss-Jordan, each entry divided once by the last pivot; through it
-``inverse`` and ``nullspace``) and ``pairwise_sum_poly`` (Newton's
-identities as plain integer loops).
+first-row expansion on the packed entries), ``_rref_int`` (fraction-free
+Gauss-Jordan under ``inverse`` and ``nullspace``, which divide only the
+entries they return by the last pivot) and ``pairwise_sum_poly``
+(Newton's identities as plain integer loops).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from typing import Iterable, Sequence, Union
 
 __all__ = [
     "ValidationError",
-    "InternalError",
     "Record",
     "VAR_ORDER",
     "WEDGE_PAIRS",
@@ -73,10 +74,6 @@ __all__ = [
 
 class ValidationError(ValueError):
     """Raised when an input violates an operation's contract."""
-
-
-class InternalError(RuntimeError):
-    """Raised when an internal consistency check fails (a bug, not bad input)."""
 
 
 class Record:
@@ -172,7 +169,7 @@ def fraction_sqrt(value: Fraction) -> Fraction:
 def ring_is_zero(elem) -> bool:
     if isinstance(elem, UniPoly):
         return elem.is_zero
-    return elem == 0
+    return not elem
 
 
 def as_element(value) -> Ring:
@@ -609,14 +606,15 @@ def products(rows, cols):
 
 
 def _rref_int(rows):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of rational rows,
+    each scaled to integers by its ``_survey`` scale.
 
     Returns the reduced rows, the pivot columns and the last pivot ``d``;
     the reduced row echelon form is the reduced rows divided by ``d``.
     After t pivots every pivot equals the t x t pivot minor, the rows below
     hold (t+1)x(t+1) minors and the rows above t x t minors, so each ``//``
     by the previous pivot is exact by Sylvester's identity."""
-    work = [list(r) for r in rows]
+    work = [[_pack(e, {}, s) for e in row] for row, s in zip(rows, _survey(rows)[1])]
     height = len(work)
     pivots = []
     prev = 1
@@ -765,29 +763,24 @@ class RingMatrix:
             raise ValidationError("inverse requires a square matrix")
         n = self.rows
         ident = RingMatrix.identity(n).entries
-        reduced, pivots = RingMatrix([row + ident[i] for i, row in enumerate(self.entries)]).rref()
+        work, pivots, d = _rref_int([row + ident[i] for i, row in enumerate(self.entries)])
         if pivots != tuple(range(n)):
             raise ValidationError("matrix is singular")
-        return reduced.block(0, n, n, n)
-
-    def rref(self):
-        """Reduced row echelon form and pivot columns (rational entries), by
-        fraction-free elimination of the integer-scaled rows."""
-        self._require_rational("row reduction")
-        scales = _survey(self.entries)[1]
-        work, pivots, d = _rref_int([[_pack(e, {}, s) for e in row] for row, s in zip(self.entries, scales)])
-        return RingMatrix([[Fraction(a, d) for a in row] for row in work]), pivots
+        return RingMatrix([[Fraction(a, d) for a in row[n:]] for row in work])
 
     def nullspace(self):
-        """Canonical rational kernel basis: unit in each free column."""
-        reduced, pivots = self.rref()
+        """Canonical rational kernel basis: unit in each free column, read
+        off the fraction-free reduced rows; only the free columns become
+        Fractions."""
+        self._require_rational("row reduction")
+        work, pivots, d = _rref_int(self.entries)
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
             vec = [Fraction(0)] * self.cols
             vec[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                vec[pc] = -reduced.entries[r][fc]
+            for row, pc in zip(work, pivots):
+                vec[pc] = Fraction(-row[fc], d)
             basis.append(tuple(vec))
         return basis
 

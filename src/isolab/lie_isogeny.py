@@ -54,15 +54,10 @@ OMEGA = RingMatrix([[0, 1], [-1, 0]])
 
 
 class QuadraticForm(Record):
-    """A symmetric invertible Gram matrix."""
+    """A symmetric invertible Gram matrix; ``hodge_split``, which takes one
+    from outside, checks the form it is given."""
 
     gram: RingMatrix
-
-    def __post_init__(self):
-        if not self.gram.is_symmetric():
-            raise ValidationError("quadratic form requires a symmetric Gram matrix")
-        if ring_is_zero(self.gram.det()):
-            raise ValidationError("quadratic form must be non-degenerate")
 
 
 _Q4 = QuadraticForm(kronecker(OMEGA, OMEGA))
@@ -276,14 +271,20 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     Since Lambda^2(q)^T Q6 Lambda^2(q) = det(q) Q6, Q6^{-1} = Q6 and q is
     symmetric, the star is the closed form orientation * Q6 * Lambda^2(q) /
     sqrt(det q), whose row r is row 5 - r of Lambda^2(q), signed and scaled.
-    ``q`` is the 4x4 orthogonal structure with rational entries; its
-    determinant must be a rational square.  Orientation -1 flips the star
-    and therefore swaps the two eigenspaces.  Verify criterion 6 certifies
-    the star against the inverse of the induced form, that it squares to the
-    identity with rank-3 eigenspaces, and that each basis vector is an
-    eigenvector.
+    ``q`` is the 4x4 orthogonal structure with rational entries, checked
+    first to be symmetric and non-degenerate; its determinant must be a
+    rational square.  Orientation -1 flips the star and so swaps the two
+    eigenspaces.  Verify criterion 6 certifies the star against the inverse
+    of the induced form, that it squares to the identity with rank-3
+    eigenspaces, that each basis vector is an eigenvector, and that both
+    restricted forms are symmetric and non-degenerate.
     """
     gram = q.gram
+    if not gram.is_symmetric():
+        raise ValidationError("quadratic form requires a symmetric Gram matrix")
+    det = gram.det()
+    if ring_is_zero(det):
+        raise ValidationError("quadratic form must be non-degenerate")
     if orientation.__class__ is not int or orientation not in (1, -1):
         raise ValidationError("orientation sign must be the int 1 or -1")
     _require_shape(gram, 4, "star-operator construction")
@@ -291,7 +292,7 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     # the star inverts it, in closed form, over Q; det Lambda^2(q) = det(q)^3,
     # so checking before the square root turns away no form it accepts
     induced._require_rational("matrix inversion")
-    scale = fraction_sqrt(gram.det())  # ValidationError if det is not a rational square
+    scale = fraction_sqrt(det)  # ValidationError if det is not a rational square
     signed = [s * Fraction(orientation) / scale for s in _Q6_SIGNS]
     star = RingMatrix([[e * f for e in row] for f, row in zip(signed, reversed(induced.entries))])
 

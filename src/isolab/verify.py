@@ -317,7 +317,7 @@ def check_alpha_and_pfaffian(rng: random.Random, samples: int) -> Tuple[bool, st
 
 def check_hodge_split(rng: random.Random, samples: int) -> Tuple[bool, str]:
     """Star operator squares to one; eigenspaces have rank 3 with
-    nondegenerate restricted forms; the closed-form star equals its
+    symmetric nondegenerate restricted forms; the closed-form star equals its
     definition sqrt(det q) (induced form)^{-1} Q6, and every basis vector is
     an eigenvector with the eigenvalue of its eigenspace; orientation -1
     negates the star and swaps the eigenspaces, on the identity form and on
@@ -337,6 +337,8 @@ def check_hodge_split(rng: random.Random, samples: int) -> Tuple[bool, str]:
             return False, f"involution sample {k}"
         if len(split.plus_basis) != 3 or len(split.minus_basis) != 3:
             return False, f"rank sample {k}"
+        if not (split.q_plus.gram.is_symmetric() and split.q_minus.gram.is_symmetric()):
+            return False, f"asymmetric restriction {k}"
         if split.q_plus.gram.det() == 0 or split.q_minus.gram.det() == 0:
             return False, f"degenerate restriction {k}"
         reference = exterior_square(gram).inverse() * q6().gram
@@ -359,7 +361,8 @@ def check_hodge_split(rng: random.Random, samples: int) -> Tuple[bool, str]:
 
 def check_ramification_identity(rng: random.Random, samples: int) -> Tuple[bool, str]:
     """Pulled-back ramification equals quotient data on both fiber kinds,
-    and the twist degree bookkeeping adds up."""
+    the twist degree bookkeeping adds up, and each square-root twist row
+    doubled is the self-product row."""
     for fiber in (REGULAR_FIBER, BRANCH_FIBER):
         ok, ledger = ramification_check(fiber)
         if not ok:
@@ -371,15 +374,19 @@ def check_ramification_identity(rng: random.Random, samples: int) -> Tuple[bool,
     if not so4l.identity_holds or so4l.branch != (2, 2):
         return False, "two-factor twist degrees"
     so6l = twist_ledger("so6")
+    rows = zip((so6l.regular, so6l.branch), (sl4.regular, sl4.branch))
+    if any(tuple(2 * d for d in half) != full for half, full in rows):
+        return False, "square-root twist rows are not the halved self-product rows"
     if not so6l.identity_holds or so6l.branch != (3, 2, 1):
         return False, "square-root twist degrees"
     return True, "both fiber kinds, 6 = 4 + 2"
 
 
 def check_prym_preservation(rng: random.Random, samples: int) -> Tuple[bool, str]:
-    """Pushed zero-sum divisors pull back to swap-symmetric divisors on the
-    self-product and have vanishing quotient norm, exhaustively, and the
-    residual involutions are fixed-point free involutions."""
+    """Zero-sum divisors pull back to swap-symmetric divisors on the
+    self-product, and their pushes descend (the push pulled back to the
+    self-product is that divisor) and have vanishing quotient norm,
+    exhaustively; the residual involutions are fixed-point free involutions."""
     fibers = []
     for name, fiber in (("regular", REGULAR_FIBER), ("branch", BRANCH_FIBER)):
         pf = self_product_minus_diagonal(fiber)
@@ -400,7 +407,10 @@ def check_prym_preservation(rng: random.Random, samples: int) -> Tuple[bool, str
             combined = pf.pullback(d, 1) + pf.pullback(d, 2)
             if any(combined.get((a, b)) != combined.get((b, a)) for a, b in pf.keys):
                 return False, f"{name} fiber weights {weights}: pullback differs under the swap"
-            if not norm(correspondence_push(d, fiber), sym, "sigma").is_zero:
+            pushed = correspondence_push(d, fiber)
+            if sym.quotient_pullback(pushed) != combined:
+                return False, f"{name} fiber weights {weights}: push does not descend"
+            if not norm(pushed, sym, "sigma").is_zero:
                 return False, f"{name} fiber weights {weights}"
             checked += 1
     # linearity of the push on random pairs

@@ -666,8 +666,14 @@ def test_iso_hodge_polynomial_form_is_refused_by_the_inverse(capsys, monkeypatch
             [[["0", "1"], "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
             "matrix inversion requires rational entries",
         ),
+        ([[0] * 4] * 4, "quadratic form must be non-degenerate"),
+        ([[0, 0], [0, 0]], "quadratic form must be non-degenerate"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "star-operator construction requires a 4x4 matrix, got 3x3"),
     ],
-    ids=["determinant-not-a-square", "2x2", "non-symmetric", "polynomial-determinant"],
+    ids=[
+        "determinant-not-a-square", "2x2", "non-symmetric", "polynomial-determinant",
+        "degenerate", "degenerate-2x2", "3x3",
+    ],
 )
 def test_iso_hodge_errors_name_the_q_field(capsys, monkeypatch, q, message):
     code, out, err = run_cli(capsys, ["iso", "hodge"], {"q": q}, monkeypatch)

@@ -8,6 +8,7 @@ from isolab.covers_prym import (
     Divisor,
     FiberModel,
     GENERIC_BRANCH,
+    PairFiber,
     correspondence_push,
     fiber_product,
     mumford_divisor,
@@ -206,6 +207,30 @@ def test_symmetrize_requires_diagonal_removal():
         symmetrize(pf)
 
 
+def test_symmetrize_refuses_a_hand_built_orbit_of_odd_multiplicity():
+    pf = PairFiber("x", ((("y2", "y3"), 1),), (BR4, BR4))
+    with pytest.raises(ValidationError, match="^swap orbit with odd total multiplicity$"):
+        symmetrize(pf)
+
+
+@pytest.mark.parametrize(
+    "pull",
+    [
+        lambda pf: pf.pullback(Divisor({"y1": 1}), 1),
+        lambda pf: pf.pullback(Divisor({"y2": 1}), 2),
+        lambda pf: symmetrize(pf).quotient_ramification(),
+    ],
+    ids=["first-projection", "second-projection", "quotient"],
+)
+def test_fiber_maps_refuse_hand_built_multiplicities_that_do_not_divide(pull):
+    """(y1, y2) has multiplicity 1 over the double point y1 of the first
+    factor, and its swap orbit has total multiplicity 4, so 2 on the
+    quotient: no ramification index divides either way."""
+    pf = PairFiber("x", ((("y1", "y2"), 1), (("y2", "y1"), 3)), (BR4, BR4))
+    with pytest.raises(ValidationError, match="^inconsistent multiplicities along a fiber map$"):
+        pull(pf)
+
+
 # -- ramification ----------------------------------------------------------------
 
 
@@ -308,6 +333,21 @@ def test_norm_on_paired_involution_quotient():
     d = Divisor({("p", "q1"): 3, ("p", "q2"): -3})
     assert norm(d, pf, "sigma4").is_zero
     assert norm(Divisor({("p", "q1"): 1}), pf, "sigma4") == Divisor({("p", "q1"): 1})
+
+
+@pytest.mark.parametrize(
+    "carrier,covering,what",
+    [
+        (sym_of(REG4), "pi", "the pi covering pushes down a cover fiber"),
+        (REG4, "sigma", "the sigma covering pushes down a symmetrized fiber"),
+        (REG4, "sigma4", "the sigma4 covering pushes down a two-factor product fiber"),
+        (self_product_minus_diagonal(REG4), "sigma4", "the sigma4 covering pushes down a two-factor product fiber"),
+    ],
+    ids=["pi-of-sym", "sigma-of-fiber", "sigma4-of-fiber", "sigma4-of-self-product"],
+)
+def test_norm_refuses_a_carrier_of_another_covering(carrier, covering, what):
+    with pytest.raises(ValidationError, match=f"^{what}$"):
+        norm(Divisor({}), carrier, covering)
 
 
 def test_norm_unknown_covering():

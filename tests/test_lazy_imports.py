@@ -102,4 +102,4 @@ def test_package_attributes_import_submodules_on_first_access():
     assert set(report["names"]) == SUBMODULES
     assert all(report["found"])
     assert report["error"] == "module 'isolab' has no attribute 'no_such_module'"
-    assert report["all"] == ["InternalError", "RingMatrix", "UniPoly", "ValidationError"]
+    assert report["all"] == ["RingMatrix", "UniPoly", "ValidationError"]

@@ -325,22 +325,34 @@ def test_hodge_split_matches_its_closed_form_by_products(rng_factory):
 
 def test_hodge_split_checks_the_induced_form_for_rational_entries():
     """A Q[z] form is refused because its minors are polynomials.  A Q[z]
-    Gram matrix whose 2x2 minors are all constant passes that check: it is
-    singular (Lambda^2 is injective up to sign on invertible matrices), so it
-    is built around the form's own check, and fails at the square root of its
-    determinant 0, as the closed form does."""
+    Gram matrix whose 2x2 minors are all constant would pass that check, but
+    it is singular (Lambda^2 is injective up to sign on invertible matrices),
+    so it is refused first, as a degenerate form."""
     with pytest.raises(ValidationError, match="^matrix inversion requires rational entries$"):
         hodge_split(QuadraticForm(RingMatrix([[1, Z, 0, 0], [Z, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])))
     gram = RingMatrix([[1, Z, 0, 0], [Z, 1 + Z * Z, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     assert all(e.__class__ is Fraction for row in exterior_square(gram).entries for e in row)
-    form = object.__new__(QuadraticForm)
-    form.__dict__["gram"] = gram
     for orientation in (1, -1):
-        with pytest.raises(ZeroDivisionError) as got:
-            hodge_split(form, orientation=orientation)
-        with pytest.raises(ZeroDivisionError) as want:
-            closed_form_hodge_split(form, orientation)
-        assert str(got.value) == str(want.value)
+        with pytest.raises(ValidationError, match="^quadratic form must be non-degenerate$"):
+            hodge_split(QuadraticForm(gram), orientation=orientation)
+
+
+@pytest.mark.parametrize(
+    "gram,message",
+    [
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "quadratic form requires a symmetric Gram matrix"),
+        ([[1, 0, 0], [0, 1, 0]], "quadratic form requires a symmetric Gram matrix"),
+        ([[0, 0], [0, 0]], "quadratic form must be non-degenerate"),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], "quadratic form must be non-degenerate"),
+    ],
+    ids=["non-symmetric", "non-square", "degenerate-2x2", "degenerate"],
+)
+def test_hodge_split_checks_its_form_before_the_orientation(gram, message):
+    """The form is checked first; a bad orientation is reported only for a
+    symmetric non-degenerate form."""
+    for orientation in (1, 0):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            hodge_split(QuadraticForm(RingMatrix(gram)), orientation=orientation)
 
 
 def test_hodge_split_rejects_non_square_determinant():

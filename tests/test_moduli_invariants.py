@@ -66,6 +66,9 @@ def test_liftable_criteria():
     assert liftable((1, 1), "so33")
     assert liftable((W2Label(0), W2Label(0)), "so33")
     assert not liftable((0, 1), "so33")
+    for labels in ((2, 1), (0, 2)):
+        with pytest.raises(ValidationError, match="^Z/2 labels are 0 or 1$"):
+            liftable(labels, "so33")
 
 
 def test_bounded_sources_land_in_liftable_targets():
@@ -93,8 +96,9 @@ def test_preimage_count_rank3():
         assert report.stated == 2 ** (2 * g)
         assert report.enumerated == report.stated
         assert not report.discrepancy
-    big = preimage_count("rank3", 5)
-    assert big.enumerated is None and big.stated == 2**10
+    for g, stated in ((4, 2**8), (5, 2**10)):
+        big = preimage_count("rank3", g)
+        assert big.enumerated is None and big.stated == stated
 
 
 def test_preimage_count_rank2_reports_discrepancy():
@@ -103,7 +107,14 @@ def test_preimage_count_rank2_reports_discrepancy():
     assert report.proof_count == 16
     assert report.enumerated == 256
     assert report.discrepancy
-    assert "32" in report.note and "16" in report.note and "256" in report.note
+    assert report.note == (
+        "stated covering degree 2^5=32, per-bundle solution count 2^4=16, "
+        "ordered solution pairs 2^8=256; the intended identification is left open"
+    )
+    big = preimage_count("rank2", 4)
+    assert big.enumerated is None
+    assert big.note.startswith("stated covering degree 2^9=512, per-bundle solution count 2^8=256, "
+                               "ordered solution pairs 2^16=65536;")
 
 
 @pytest.mark.parametrize("g", [1, MAX_GENUS + 1, 4000, True, 2.0, "3"])

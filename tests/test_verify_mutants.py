@@ -2,17 +2,22 @@
 can fail.
 
 The builders (``build_block_higgs_so33``, ``hodge_split``,
-``assemble_so22``, ``symmetrize``) do not re-check their own results,
-and ``correspondence_push`` does not re-check that the self-product
-table of ``self_product_minus_diagonal`` is swap-symmetric; each identity
-is checked once, by the criterion named below.  The so(3,3) and so(2,2)
-builders and the star operator return closed forms (``alpha_block``, the
-so(2,2) blocks, ``so4_base``, Q6 Lambda^2(q) / sqrt(det q)), and their
-criteria hold the definitions as the reference: the split-basis
-conjugation of the rank-3 derivative; the reordered Kronecker tensor sum
-and the characteristic polynomial and Pfaffian of the assembled field;
-the inverse of the induced form times Q6, whose eigenvectors must be the
-returned bases, and whose sign orientation -1 must flip.
+``assemble_so22``, ``symmetrize``, ``twist_ledger``) do not re-check their
+own results, and ``correspondence_push`` re-checks neither that the
+self-product table of ``self_product_minus_diagonal`` is swap-symmetric
+nor that its push divides exactly; each identity is checked once, by the
+criterion named below.  The so(3,3) and so(2,2) builders and the star
+operator return closed forms (``alpha_block``, the so(2,2) blocks,
+``so4_base``, Q6 Lambda^2(q) / sqrt(det q)), and their criteria hold the
+definitions as the reference: the split-basis conjugation of the rank-3
+derivative; the reordered Kronecker tensor sum and the characteristic
+polynomial and Pfaffian of the assembled field; the inverse of the induced
+form times Q6, whose eigenvectors must be the returned bases, whose sign
+orientation -1 must flip, and whose restrictions to the eigenspaces must
+be symmetric and non-degenerate.  The fiber builders' references are the
+definitions too: each square-root twist row doubled is the self-product
+row (criterion 7), and a pushed divisor pulled back to the self-product is
+the sum of the two projections' pullbacks (criterion 8).
 
 Each case swaps one function for a variant that breaks exactly one
 identity, in every isolab module namespace that holds the function, and
@@ -31,6 +36,7 @@ import pytest
 
 import isolab
 from isolab import verify
+from isolab.covers_prym import Divisor, self_product_minus_diagonal, symmetrize
 from isolab.exact_algebra import RingMatrix, UniPoly
 from isolab.lie_isogeny import QuadraticForm, hodge_split
 
@@ -69,6 +75,31 @@ def _asymmetric(pf, *_):
     even, so ``symmetrize`` still accepts the table."""
     (key, m), *rest = pf.points
     return replace(pf, points=((key, m + 2), *rest))
+
+
+def _asymmetric_restriction(s, *_):
+    """q_plus times a unipotent matrix: its determinant stays, its symmetry
+    goes."""
+    unipotent = RingMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    return replace(s, q_plus=QuadraticForm(s.q_plus.gram * unipotent))
+
+
+def _halved_up(ledger, context):
+    """The square-root twist rows with the two halved degrees one too large:
+    first == second + third still holds on both fibers."""
+    if context != "so6":
+        return ledger
+    up = lambda row: (row[0] + 1, row[1] + 1, row[2])
+    return replace(ledger, regular=up(ledger.regular), branch=up(ledger.branch))
+
+
+def _undivided(pushed, d, f):
+    """The push without the division by the quotient map's ramification
+    index: the same push on a regular fiber, where every index is 1, and
+    twice the weight at (y1, y1) on a branch fiber."""
+    pf = self_product_minus_diagonal(f)
+    combined = pf.pullback(d, 1) + pf.pullback(d, 2)
+    return Divisor({key: combined.get(key) for key in symmetrize(pf).keys})
 
 
 def _congruence_only(edit):
@@ -138,6 +169,15 @@ CASES = {
         6, "hodge_split",
         lambda s, q, *_: s if q.gram == IDENTITY4 else hodge_split(q),
         "orientation sample 0",
+    ),
+    "restricted forms are symmetric": (
+        6, "hodge_split", _asymmetric_restriction, "asymmetric restriction 0",
+    ),
+    "square-root twist rows are the halved self-product rows": (
+        7, "twist_ledger", _halved_up, "square-root twist rows are not the halved self-product rows",
+    ),
+    "push descends to the quotient": (
+        8, "correspondence_push", _undivided, "branch fiber weights (-2, 0, 2): push does not descend",
     ),
     "residual involution fixed-point free": (
         8, "symmetrize", _fixed_point, "involution fixed point",

@@ -13,7 +13,9 @@ tree one child process imports ``isolab.cli`` from that tree and runs
 * help and usage errors: ``--help``, an unknown group, and for each group
   its ``--help``, a missing command, an unknown command, and for each
   command its ``--help`` and an unknown option after and before it;
-* ``verify all --samples 1``.
+* ``verify all --samples 1``;
+* the ``iso hodge`` documents of ``HODGE_FORMS``, each with orientation 1
+  and -1, for the order in which a form and an orientation are refused.
 
 It compares exit code, stdout and stderr call by call, prints the call
 count, a digest of each side and every difference, and exits 1 when some
@@ -40,6 +42,9 @@ from workloads import _cli_documents  # noqa: E402
 SEEDS = (0, 1, 2)
 CYCLES = 2
 REPLACEMENTS = ("x?", [], {}, None, True, 1.5, [["x?"]])
+#: Gram matrices refused by ``iso hodge``: degenerate 4x4, degenerate 2x2
+#: (refused as degenerate before its shape) and a non-degenerate 3x3.
+HODGE_FORMS = ([["0"] * 4] * 4, [["0", "0"], ["0", "0"]], [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
 #: Runs in the child: reads the calls from the JSON file named by its
 #: argument and prints, per call, [exit code, stdout, stderr] as one JSON list.
@@ -100,6 +105,8 @@ def calls() -> List[Tuple[List[str], str]]:
     for command in commands:
         out += [([*command, "--help"], ""), ([*command, "--no-such-option"], ""), (["--no-such-option", *command], "")]
     out.append((["verify", "all", "--samples", "1"], ""))
+    for q in HODGE_FORMS:
+        out += [(["iso", "hodge", "--orientation", sign], json.dumps({"q": q})) for sign in ("1", "-1")]
     return out
 
 
