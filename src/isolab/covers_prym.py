@@ -422,8 +422,9 @@ def norm(divisor: Divisor, carrier, covering: str) -> Divisor:
     ``covering`` selects the projection: "pi" (a cover fiber down to its
     base point), "sigma" (a symmetrized fiber to its involution quotient),
     or "sigma4" (a two-factor product fiber to its paired-involution
-    quotient).  Quotient points are keyed by the lexicographically smaller
-    orbit representative."""
+    quotient).  Either involution must be fixed-point free and square to
+    one.  Quotient points are keyed by the lexicographically smaller orbit
+    representative."""
     if covering == "pi":
         if not isinstance(carrier, FiberModel):
             raise ValidationError("the pi covering pushes down a cover fiber")
@@ -433,16 +434,18 @@ def norm(divisor: Divisor, carrier, covering: str) -> Divisor:
     if covering == "sigma":
         if not isinstance(carrier, SymFiber):
             raise ValidationError("the sigma covering pushes down a symmetrized fiber")
-        inv = carrier.sigma()
+        inv, name = carrier.sigma(), "residual involution"
     elif covering == "sigma4":
         if not isinstance(carrier, PairFiber) or carrier.diagonal_removed:
             raise ValidationError("the sigma4 covering pushes down a two-factor product fiber")
-        inv = carrier.product_involution()
-        for k, img in inv.items():
-            if k == img:
-                raise ValidationError("paired involution has a fixed point on this fiber")
+        inv, name = carrier.product_involution(), "paired involution"
     else:
         raise ValidationError(f"unknown covering {covering!r}")
+    for k, img in inv.items():
+        if k == img:
+            raise ValidationError(f"{name} has a fixed point on this fiber")
+        if inv.get(img) != k:
+            raise ValidationError(f"{name} does not square to one on this fiber")
     _require_support(divisor, inv)
     weights: Dict[Key, int] = {}
     for key in inv:

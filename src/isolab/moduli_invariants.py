@@ -91,10 +91,6 @@ class TorsionVector(Record):
         return TorsionVector(tuple(a ^ b for a, b in zip(self.bits, other.bits)), self.g)
 
     @classmethod
-    def zero(cls, g: int) -> "TorsionVector":
-        return cls((0,) * (2 * g), g)
-
-    @classmethod
     def enumerate(cls, g: int):
         for bits in itertools.product((0, 1), repeat=2 * g):
             yield cls(bits, g)

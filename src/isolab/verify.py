@@ -1,13 +1,16 @@
 """Seeded, exact verification suite.
 
-Each check re-derives a structural identity by two independent routes and
-compares exactly (zero tolerance).  ``run_all`` drives every check with a
-deterministic RNG so that reports are byte-for-byte reproducible from the
-seed.  The fixed sign conventions are echoed in the report: orientation
-parameters default to +1, the Pfaffian convention is first-row expansion
-with Pf([[0,1],[-1,0]]) = +1, and under these choices the 6-dimensional
-Pfaffian of a split rank-3 image equals minus the determinant of its
-off-diagonal block.
+Each criterion re-derives structural identities by two independent routes
+and compares exactly (zero tolerance).  It is a generator that yields
+``(label, holds)`` for each comparison and returns its pass detail;
+``criterion`` makes it a check that returns ``(False, label)`` at the first
+comparison that does not hold, else ``(True, detail)``.  ``run_all`` drives
+every check with a deterministic RNG so that reports are byte-for-byte
+reproducible from the seed.  The fixed sign conventions are echoed in the
+report: orientation parameters default to +1, the Pfaffian convention is
+first-row expansion with Pf([[0,1],[-1,0]]) = +1, and under these choices
+the 6-dimensional Pfaffian of a split rank-3 image equals minus the
+determinant of its off-diagonal block.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Generator, List, Optional, Tuple
 
 from .exact_algebra import Record, RingMatrix, UniPoly, ValidationError, exterior_square, fraction_sqrt, pfaffian
 from .lie_isogeny import (
@@ -171,35 +174,59 @@ BRANCH_FIBER = FiberModel.generic_branch("x", ("y1", "y2", "y3"))
 
 # -- criteria -----------------------------------------------------------------
 
+#: A criterion yields (label, holds) per comparison and returns its detail.
+Comparisons = Generator[Tuple[str, bool], None, str]
+Check = Callable[[random.Random, int], Tuple[bool, str]]
+
+
+def criterion(comparisons: Callable[[random.Random, int], Comparisons]) -> Check:
+    """The check that runs a criterion's comparisons: ``(False, label)`` at
+    the first comparison that does not hold, without resuming the generator,
+    and ``(True, detail)`` when the generator returns ``detail``."""
+
+    def check(rng: random.Random, samples: int) -> Tuple[bool, str]:
+        run = comparisons(rng, samples)
+        while True:
+            try:
+                label, holds = next(run)
+            except StopIteration as done:
+                return True, done.value
+            if not holds:
+                return False, label
+
+    check.__name__, check.__doc__ = comparisons.__name__, comparisons.__doc__
+    return check
+
 
 def _orthogonal_transpose(higgs) -> RingMatrix:
     """-q2^{-1} phi12^T q1: the bottom-left block a Higgs field must have."""
     return -(higgs.q2.inverse() * higgs.phi12.transpose() * higgs.q1)
 
 
-def check_base_map_rank2(rng: random.Random, samples: int) -> Tuple[bool, str]:
+@criterion
+def check_base_map_rank2(rng: random.Random, samples: int) -> Comparisons:
     """Base map against the elimination oracle for the rank-2 isogeny."""
     fixed = BaseSL2Pair(-1, -4)
     expected = UniPoly("eta", [9, 0, -10, 0, 1])
-    if so4_base(fixed).quartic() != expected or so4_oracle(fixed) != expected:
-        return False, "fixed instance (-1,-4) failed"
+    yield "fixed instance (-1,-4) failed", (
+        so4_base(fixed).quartic() == expected and so4_oracle(fixed) == expected
+    )
     for k in range(samples):
         pair = BaseSL2Pair(rand_section(rng, 6), rand_section(rng, 6))
         for sign in (1, -1):
-            if so4_base(pair, sign).quartic() != so4_oracle(pair):
-                return False, f"sample {k} sign {sign} mismatch"
-    return True, f"{samples} samples + fixed instance"
+            yield f"sample {k} sign {sign} mismatch", so4_base(pair, sign).quartic() == so4_oracle(pair)
+    return f"{samples} samples + fixed instance"
 
 
-def check_base_map_rank3(rng: random.Random, samples: int) -> Tuple[bool, str]:
+@criterion
+def check_base_map_rank3(rng: random.Random, samples: int) -> Comparisons:
     """Base map against the pairwise-sum oracle for the rank-3 isogeny."""
     for triple, sext in (
         ((-5, 0, 4), UniPoly("eta", [0, 0, 9, 0, -10, 0, 1])),
         ((0, 1, 0), UniPoly("eta", [-1, 0, 0, 0, 0, 0, 1])),
     ):
         base = BaseSL4(*triple)
-        if so6_base(base).sextic() != sext or so6_oracle(base) != sext:
-            return False, f"fixed instance {triple} failed"
+        yield f"fixed instance {triple} failed", so6_base(base).sextic() == sext and so6_oracle(base) == sext
     degrees = [0, 0, 0, 1, 1, 2, 2, 3, 4, 6]
     for k in range(samples):
         max_deg = degrees[k % len(degrees)]
@@ -208,61 +235,51 @@ def check_base_map_rank3(rng: random.Random, samples: int) -> Tuple[bool, str]:
         )
         oracle = so6_oracle(base)
         for sign in (1, -1):
-            if so6_base(base, sign).sextic() != oracle:
-                return False, f"sample {k} sign {sign} mismatch"
-    return True, f"{samples} samples + 2 fixed instances"
+            yield f"sample {k} sign {sign} mismatch", so6_base(base, sign).sextic() == oracle
+    return f"{samples} samples + 2 fixed instances"
 
 
-def check_charpoly_vs_oracles(rng: random.Random, samples: int) -> Tuple[bool, str]:
+@criterion
+def check_charpoly_vs_oracles(rng: random.Random, samples: int) -> Comparisons:
     """Characteristic polynomials of derivative images match the oracles."""
     for k in range(samples):
         a1 = rand_traceless(rng, 2)
         a2 = rand_traceless(rng, 2)
         image = d_iso2(a1, a2)
         expected = quartic_of_char_pair(a1.char_poly(), a2.char_poly())
-        if image.char_poly() != expected:
-            return False, f"rank-2 sample {k}"
+        yield f"rank-2 sample {k}", image.char_poly() == expected
     poly_every = max(1, samples // 10)
     for k in range(samples):
         max_deg = 1 if k % poly_every == 0 else 0
         comp, base = rand_companion_quartic(rng, max_deg)
         sextic = d_iso3(comp).char_poly()
-        if sextic != so6_oracle(base):
-            return False, f"rank-3 sample {k}"
-        if sextic != sextic_of_quartic(comp.char_poly()):
-            return False, f"rank-3 extract {k}"
-    return True, f"{samples} rank-2 and {samples} rank-3 samples"
+        yield f"rank-3 sample {k}", sextic == so6_oracle(base)
+        yield f"rank-3 extract {k}", sextic == sextic_of_quartic(comp.char_poly())
+    return f"{samples} rank-2 and {samples} rank-3 samples"
 
 
-def check_structure_preservation(rng: random.Random, samples: int) -> Tuple[bool, str]:
+@criterion
+def check_structure_preservation(rng: random.Random, samples: int) -> Comparisons:
     """Group images preserve the forms; algebra images are skew; kernels."""
     g4, g6 = q4().gram, q6().gram
     for k in range(samples):
         a1, a2 = rand_unimodular(rng, 2), rand_unimodular(rng, 2)
         x = iso2_group(a1, a2)
-        if x.transpose() * g4 * x != g4 or x.det() != 1:
-            return False, f"rank-2 group sample {k}"
+        yield f"rank-2 group sample {k}", x.transpose() * g4 * x == g4 and x.det() == 1
         b1, b2 = rand_unimodular(rng, 2), rand_unimodular(rng, 2)
-        if iso2_group(a1 * b1, a2 * b2) != iso2_group(a1, a2) * iso2_group(b1, b2):
-            return False, f"rank-2 homomorphism {k}"
+        yield f"rank-2 homomorphism {k}", iso2_group(a1 * b1, a2 * b2) == iso2_group(a1, a2) * iso2_group(b1, b2)
         a = rand_unimodular(rng, 4)
         y = iso3_group(a)
-        if y.transpose() * g6 * y != g6 or y.det() != 1:
-            return False, f"rank-3 group sample {k}"
+        yield f"rank-3 group sample {k}", y.transpose() * g6 * y == g6 and y.det() == 1
         b = rand_unimodular(rng, 4)
-        if iso3_group(a * b) != iso3_group(a) * iso3_group(b):
-            return False, f"rank-3 homomorphism {k}"
+        yield f"rank-3 homomorphism {k}", iso3_group(a * b) == iso3_group(a) * iso3_group(b)
         xd = d_iso2(rand_traceless(rng, 2), rand_traceless(rng, 2))
-        if not (xd.transpose() * g4 + g4 * xd).is_zero():
-            return False, f"rank-2 skewness {k}"
+        yield f"rank-2 skewness {k}", (xd.transpose() * g4 + g4 * xd).is_zero()
         yd = d_iso3(rand_traceless(rng, 4))
-        if not (yd.transpose() * g6 + g6 * yd).is_zero():
-            return False, f"rank-3 skewness {k}"
+        yield f"rank-3 skewness {k}", (yd.transpose() * g6 + g6 * yd).is_zero()
     ident2 = RingMatrix.identity(2)
-    if iso2_group(-ident2, -ident2) != RingMatrix.identity(4):
-        return False, "rank-2 kernel element"
-    if iso3_group(-RingMatrix.identity(4)) != RingMatrix.identity(6):
-        return False, "rank-3 kernel element"
+    yield "rank-2 kernel element", iso2_group(-ident2, -ident2) == RingMatrix.identity(4)
+    yield "rank-3 kernel element", iso3_group(-RingMatrix.identity(4)) == RingMatrix.identity(6)
     # no other diagonal sign matrices of determinant one are in the kernels
     kernel2 = [
         (s1, s2, t1, t2)
@@ -277,15 +294,13 @@ def check_structure_preservation(rng: random.Random, samples: int) -> Tuple[bool
         if signs[0] * signs[1] * signs[2] * signs[3] == 1
         and iso3_group(RingMatrix.diagonal(list(signs))) == RingMatrix.identity(6)
     ]
-    if sorted(kernel2) != [(-1, -1, -1, -1), (1, 1, 1, 1)] or sorted(kernel3) != [
-        (-1, -1, -1, -1),
-        (1, 1, 1, 1),
-    ]:
-        return False, "unexpected diagonal kernel"
-    return True, f"{samples} samples per law + kernels"
+    trivial = [(-1, -1, -1, -1), (1, 1, 1, 1)]
+    yield "unexpected diagonal kernel", sorted(kernel2) == trivial and sorted(kernel3) == trivial
+    return f"{samples} samples per law + kernels"
 
 
-def check_alpha_and_pfaffian(rng: random.Random, samples: int) -> Tuple[bool, str]:
+@criterion
+def check_alpha_and_pfaffian(rng: random.Random, samples: int) -> Comparisons:
     """The block Higgs field [[0, alpha], [alpha^T, 0]] is the rank-3
     derivative conjugated into the split basis, and anti-symmetric for its
     orthogonal structures; the 6-dimensional Pfaffian squares to
@@ -297,25 +312,23 @@ def check_alpha_and_pfaffian(rng: random.Random, samples: int) -> Tuple[bool, st
         conj = to_split_basis(x)
         higgs = build_block_higgs_so33(adot)
         diagonal = (conj.block(0, 0, 3, 3), conj.block(3, 3, 3, 3))
-        if (higgs.phi11, higgs.phi22) != diagonal or not all(b.is_zero() for b in diagonal):
-            return False, f"diagonal blocks sample {k}"
-        if (higgs.phi12, higgs.phi21) != (conj.block(0, 3, 3, 3), conj.block(3, 0, 3, 3)):
-            return False, f"off-diagonal blocks sample {k}"
-        if higgs.phi21 != _orthogonal_transpose(higgs):
-            return False, f"block anti-symmetry sample {k}"
+        yield f"diagonal blocks sample {k}", (
+            (higgs.phi11, higgs.phi22) == diagonal and all(b.is_zero() for b in diagonal)
+        )
+        off_diagonal = (conj.block(0, 3, 3, 3), conj.block(3, 0, 3, 3))
+        yield f"off-diagonal blocks sample {k}", (higgs.phi12, higgs.phi21) == off_diagonal
+        yield f"block anti-symmetry sample {k}", higgs.phi21 == _orthogonal_transpose(higgs)
         pf = pfaffian(g6 * x)
         det_alpha = higgs.alpha.det()
-        if pf * pf != det_alpha * det_alpha:
-            return False, f"square law sample {k}"
-        if pf != -det_alpha:
-            return False, f"sign drifted at sample {k}"
+        yield f"square law sample {k}", pf * pf == det_alpha * det_alpha
+        yield f"sign drifted at sample {k}", pf == -det_alpha
     fixed = RingMatrix.diagonal([1, 1, -1, -1])
-    if alpha_block(fixed) != RingMatrix([[0, 0, 2], [0, 0, 0], [0, 0, 0]]):
-        return False, "fixed diagonal instance"
-    return True, f"{samples} samples, sign constant at -det(alpha)"
+    yield "fixed diagonal instance", alpha_block(fixed) == RingMatrix([[0, 0, 2], [0, 0, 0], [0, 0, 0]])
+    return f"{samples} samples, sign constant at -det(alpha)"
 
 
-def check_hodge_split(rng: random.Random, samples: int) -> Tuple[bool, str]:
+@criterion
+def check_hodge_split(rng: random.Random, samples: int) -> Comparisons:
     """Star operator squares to one; eigenspaces have rank 3 with
     symmetric nondegenerate restricted forms; the closed-form star equals its
     definition sqrt(det q) (induced form)^{-1} Q6, and every basis vector is
@@ -324,65 +337,58 @@ def check_hodge_split(rng: random.Random, samples: int) -> Tuple[bool, str]:
     every sample; block assembly preserves char polys."""
     hs = hodge_split(QuadraticForm(RingMatrix.identity(4)))
     sd = ((1, 0, 0, 0, 0, 1), (0, 1, 0, 0, -1, 0), (0, 0, 1, 1, 0, 0))
-    if hs.star != q6().gram or hs.plus_basis != sd:
-        return False, "identity-form instance"
+    yield "identity-form instance", hs.star == q6().gram and hs.plus_basis == sd
     flipped = hodge_split(QuadraticForm(RingMatrix.identity(4)), orientation=-1)
-    if flipped.plus_basis != hs.minus_basis or flipped.minus_basis != hs.plus_basis:
-        return False, "orientation flip"
+    yield "orientation flip", flipped.plus_basis == hs.minus_basis and flipped.minus_basis == hs.plus_basis
     for k in range(samples):
         p = rand_unimodular(rng, 4, steps=5)
         gram = p.transpose() * p
         split = hodge_split(QuadraticForm(gram))
-        if split.star * split.star != RingMatrix.identity(6):
-            return False, f"involution sample {k}"
-        if len(split.plus_basis) != 3 or len(split.minus_basis) != 3:
-            return False, f"rank sample {k}"
-        if not (split.q_plus.gram.is_symmetric() and split.q_minus.gram.is_symmetric()):
-            return False, f"asymmetric restriction {k}"
-        if split.q_plus.gram.det() == 0 or split.q_minus.gram.det() == 0:
-            return False, f"degenerate restriction {k}"
+        yield f"involution sample {k}", split.star * split.star == RingMatrix.identity(6)
+        yield f"rank sample {k}", len(split.plus_basis) == 3 and len(split.minus_basis) == 3
+        yield f"asymmetric restriction {k}", (
+            split.q_plus.gram.is_symmetric() and split.q_minus.gram.is_symmetric()
+        )
+        yield f"degenerate restriction {k}", split.q_plus.gram.det() != 0 and split.q_minus.gram.det() != 0
         reference = exterior_square(gram).inverse() * q6().gram
-        if split.star != reference.scale(fraction_sqrt(gram.det())):
-            return False, f"star sample {k}"
+        yield f"star sample {k}", split.star == reference.scale(fraction_sqrt(gram.det()))
         for basis, eigenvalue in ((split.plus_basis, 1), (split.minus_basis, -1)):
             vectors = RingMatrix(basis).transpose()
-            if split.star * vectors != vectors.scale(eigenvalue):
-                return False, f"eigenspace sample {k}"
+            yield f"eigenspace sample {k}", split.star * vectors == vectors.scale(eigenvalue)
         flipped = hodge_split(QuadraticForm(gram), orientation=-1)
         swapped = (flipped.plus_basis, flipped.minus_basis) == (split.minus_basis, split.plus_basis)
-        if flipped.star != -split.star or not swapped:
-            return False, f"orientation sample {k}"
+        yield f"orientation sample {k}", flipped.star == -split.star and swapped
         adot = rand_symmetric_traceless(rng)
         higgs = build_block_higgs_so33(adot)
-        if higgs.as_matrix().char_poly() != d_iso3(adot).char_poly():
-            return False, f"block char poly sample {k}"
-    return True, f"{samples} congruence samples"
+        yield f"block char poly sample {k}", higgs.as_matrix().char_poly() == d_iso3(adot).char_poly()
+    return f"{samples} congruence samples"
 
 
-def check_ramification_identity(rng: random.Random, samples: int) -> Tuple[bool, str]:
+@criterion
+def check_ramification_identity(rng: random.Random, samples: int) -> Comparisons:
     """Pulled-back ramification equals quotient data on both fiber kinds,
     the twist degree bookkeeping adds up, and each square-root twist row
     doubled is the self-product row."""
     for fiber in (REGULAR_FIBER, BRANCH_FIBER):
         ok, ledger = ramification_check(fiber)
-        if not ok:
-            return False, f"{fiber.kind}: {ledger['lhs']} != {ledger['rhs']}"
+        yield f"{fiber.kind}: {ledger['lhs']} != {ledger['rhs']}", ok
     sl4 = twist_ledger("sl4")
-    if sl4.branch != (6, 4, 2) or sl4.regular != (0, 0, 0) or not sl4.identity_holds:
-        return False, "self-product twist degrees"
+    yield "self-product twist degrees", (
+        sl4.branch == (6, 4, 2) and sl4.regular == (0, 0, 0) and sl4.identity_holds
+    )
     so4l = twist_ledger("so4")
-    if not so4l.identity_holds or so4l.branch != (2, 2):
-        return False, "two-factor twist degrees"
+    yield "two-factor twist degrees", so4l.identity_holds and so4l.branch == (2, 2)
     so6l = twist_ledger("so6")
     rows = zip((so6l.regular, so6l.branch), (sl4.regular, sl4.branch))
-    if any(tuple(2 * d for d in half) != full for half, full in rows):
-        return False, "square-root twist rows are not the halved self-product rows"
-    if not so6l.identity_holds or so6l.branch != (3, 2, 1):
-        return False, "square-root twist degrees"
-    return True, "both fiber kinds, 6 = 4 + 2"
+    yield "square-root twist rows are not the halved self-product rows", all(
+        tuple(2 * d for d in half) == full for half, full in rows
+    )
+    yield "square-root twist degrees", so6l.identity_holds and so6l.branch == (3, 2, 1)
+    return "both fiber kinds, 6 = 4 + 2"
 
 
-def check_prym_preservation(rng: random.Random, samples: int) -> Tuple[bool, str]:
+@criterion
+def check_prym_preservation(rng: random.Random, samples: int) -> Comparisons:
     """Zero-sum divisors pull back to swap-symmetric divisors on the
     self-product, and their pushes descend (the push pulled back to the
     self-product is that divisor) and have vanishing quotient norm,
@@ -394,10 +400,8 @@ def check_prym_preservation(rng: random.Random, samples: int) -> Tuple[bool, str
     for *_, sym in fibers:
         sigma = sym.sigma()
         for key, image in sigma.items():
-            if key == image:
-                return False, "involution fixed point"
-            if sigma.get(image) != key:
-                return False, "involution does not square to one"
+            yield "involution fixed point", key != image
+            yield "involution does not square to one", sigma.get(image) == key
     checked = 0
     for name, fiber, pf, sym in fibers:
         for weights in itertools.product(range(-2, 3), repeat=len(fiber.labels)):
@@ -405,36 +409,35 @@ def check_prym_preservation(rng: random.Random, samples: int) -> Tuple[bool, str
                 continue
             d = Divisor(dict(zip(fiber.labels, weights)))
             combined = pf.pullback(d, 1) + pf.pullback(d, 2)
-            if any(combined.get((a, b)) != combined.get((b, a)) for a, b in pf.keys):
-                return False, f"{name} fiber weights {weights}: pullback differs under the swap"
+            yield f"{name} fiber weights {weights}: pullback differs under the swap", all(
+                combined.get((a, b)) == combined.get((b, a)) for a, b in pf.keys
+            )
             pushed = correspondence_push(d, fiber)
-            if sym.quotient_pullback(pushed) != combined:
-                return False, f"{name} fiber weights {weights}: push does not descend"
-            if not norm(pushed, sym, "sigma").is_zero:
-                return False, f"{name} fiber weights {weights}"
+            yield f"{name} fiber weights {weights}: push does not descend", (
+                sym.quotient_pullback(pushed) == combined
+            )
+            yield f"{name} fiber weights {weights}", norm(pushed, sym, "sigma").is_zero
             checked += 1
     # linearity of the push on random pairs
     for k in range(samples):
         w1 = {l: rng.randint(-3, 3) for l in REGULAR_FIBER.labels}
         w2 = {l: rng.randint(-3, 3) for l in REGULAR_FIBER.labels}
         d1, d2 = Divisor(w1), Divisor(w2)
-        if correspondence_push(d1 + d2, REGULAR_FIBER) != correspondence_push(
-            d1, REGULAR_FIBER
-        ) + correspondence_push(d2, REGULAR_FIBER):
-            return False, f"push linearity sample {k}"
-    return True, f"{checked} zero-sum vectors exhausted"
+        yield f"push linearity sample {k}", correspondence_push(d1 + d2, REGULAR_FIBER) == (
+            correspondence_push(d1, REGULAR_FIBER) + correspondence_push(d2, REGULAR_FIBER)
+        )
+    return f"{checked} zero-sum vectors exhausted"
 
 
-def check_invariant_calculus(rng: random.Random, samples: int) -> Tuple[bool, str]:
+@criterion
+def check_invariant_calculus(rng: random.Random, samples: int) -> Comparisons:
     """Degree-label arithmetic, bounds, lifting, counts, and censuses."""
     image = set()
     for d1 in range(-10, 11):
         for d2 in range(-10, 11):
             t = toledo_map(ToledoPair(d1, d2, 2))
-            if (t.d1 - t.d2) % 2 != 0:
-                return False, f"parity at ({d1},{d2})"
-            if (t.d1, t.d2) in image:
-                return False, f"not injective at ({d1},{d2})"
+            yield f"parity at ({d1},{d2})", (t.d1 - t.d2) % 2 == 0
+            yield f"not injective at ({d1},{d2})", (t.d1, t.d2) not in image
             image.add((t.d1, t.d2))
     parity_matched = {
         (c1, c2)
@@ -442,38 +445,35 @@ def check_invariant_calculus(rng: random.Random, samples: int) -> Tuple[bool, st
         for c2 in range(-20, 21)
         if (c1 - c2) % 2 == 0 and abs(c1) <= 20 and abs(c2) <= 20
     }
-    if not image <= parity_matched:
-        return False, "image escapes the parity lattice"
-    if milnor_wood_check(ToledoPair(2, 0, 2), "sl2xsl2"):
-        return False, "rank-2 bound verdict"
-    if not milnor_wood_check(ToledoPair(2, 2, 2), "so22"):
-        return False, "orthogonal bound verdict"
-    if liftable(ToledoPair(1, 2, 2), "so22") or not liftable((1, 1), "so33"):
-        return False, "lifting verdicts"
+    yield "image escapes the parity lattice", image <= parity_matched
+    yield "rank-2 bound verdict", not milnor_wood_check(ToledoPair(2, 0, 2), "sl2xsl2")
+    yield "orthogonal bound verdict", milnor_wood_check(ToledoPair(2, 2, 2), "so22")
+    yield "lifting verdicts", not liftable(ToledoPair(1, 2, 2), "so22") and liftable((1, 1), "so33")
     for d1 in range(-3, 4):
         for d2 in range(-3, 4):
             d = ToledoPair(d1, d2, 3)
-            if milnor_wood_check(d, "sl2xsl2") and not liftable(toledo_map(d), "so22"):
-                return False, f"image not liftable at ({d1},{d2})"
+            yield f"image not liftable at ({d1},{d2})", (
+                not milnor_wood_check(d, "sl2xsl2") or liftable(toledo_map(d), "so22")
+            )
     for g in (2, 3):
         pc = preimage_count("rank3", g)
-        if pc.enumerated != 2 ** (2 * g) or pc.enumerated != pc.stated:
-            return False, f"rank-3 count at genus {g}"
+        yield f"rank-3 count at genus {g}", pc.enumerated == 2 ** (2 * g) and pc.enumerated == pc.stated
     pc = preimage_count("rank2", 2)
-    if not (pc.discrepancy and pc.stated == 32 and pc.proof_count == 16 and pc.enumerated == 256):
-        return False, "rank-2 count report"
+    yield "rank-2 count report", (
+        pc.discrepancy and pc.stated == 32 and pc.proof_count == 16 and pc.enumerated == 256
+    )
     census = component_census("so33", 2)
-    if census.image_labels != ((0, 0), (1, 1)) or census.total_components != 5:
-        return False, "rank-3 census"
-    if census.hitchin_components_source != 16 or census.hitchin_components_target != 1:
-        return False, "Hitchin component tally"
+    yield "rank-3 census", census.image_labels == ((0, 0), (1, 1)) and census.total_components == 5
+    yield "Hitchin component tally", (
+        census.hitchin_components_source == 16 and census.hitchin_components_target == 1
+    )
     c22 = component_census("so22", 2)
-    if any((c1 - c2) % 2 for c1, c2 in c22.image_labels):
-        return False, "rank-2 census parity"
-    return True, "toledo scan, bounds, lifting, counts (discrepancy reported), censuses"
+    yield "rank-2 census parity", all((c1 - c2) % 2 == 0 for c1, c2 in c22.image_labels)
+    return "toledo scan, bounds, lifting, counts (discrepancy reported), censuses"
 
 
-def check_so22_assembly(rng: random.Random, samples: int) -> Tuple[bool, str]:
+@criterion
+def check_so22_assembly(rng: random.Random, samples: int) -> Comparisons:
     """Assembled block is [[beta2, beta1], [gamma1, gamma2]] and
     anti-symmetric for the reordered 4-dimensional form; the field is the
     reordered tensor sum d_iso2(phi1, phi2) = phi1 (x) I + I (x) phi2; its
@@ -487,37 +487,31 @@ def check_so22_assembly(rng: random.Random, samples: int) -> Tuple[bool, str]:
         n1, n2 = rng.randint(-4, 4), rng.randint(-4, 4)
         result = assemble_so22(n1, n2, beta1, gamma1, beta2, gamma2)
         higgs = result.higgs
-        if higgs.alpha != RingMatrix([[beta2, beta1], [gamma1, gamma2]]):
-            return False, f"alpha sample {k}"
-        if higgs.phi21 != _orthogonal_transpose(higgs):
-            return False, f"block anti-symmetry sample {k}"
+        yield f"alpha sample {k}", higgs.alpha == RingMatrix([[beta2, beta1], [gamma1, gamma2]])
+        yield f"block anti-symmetry sample {k}", higgs.phi21 == _orthogonal_transpose(higgs)
         phi1, phi2 = RingMatrix([[0, beta1], [gamma1, 0]]), RingMatrix([[0, beta2], [gamma2, 0]])
         field = higgs.as_matrix()
-        if field != _reordered(d_iso2(phi1, phi2)):
-            return False, f"field sample {k}"
+        yield f"field sample {k}", field == _reordered(d_iso2(phi1, phi2))
         pair = BaseSL2Pair(-(beta1 * gamma1), -(beta2 * gamma2))
-        if result.quartic != so4_base(pair).quartic() or field.char_poly() != result.quartic:
-            return False, f"quartic sample {k}"
-        if result.base.pf != pair.a1 - pair.a2 or pfaffian(form * field) != result.base.pf:
-            return False, f"Pfaffian sample {k}"
-        if (result.m1_degree, result.m2_degree) != (n1 + n2, n1 - n2):
-            return False, f"degree labels sample {k}"
+        yield f"quartic sample {k}", (
+            result.quartic == so4_base(pair).quartic() and field.char_poly() == result.quartic
+        )
+        yield f"Pfaffian sample {k}", (
+            result.base.pf == pair.a1 - pair.a2 and pfaffian(form * field) == result.base.pf
+        )
+        yield f"degree labels sample {k}", (result.m1_degree, result.m2_degree) == (n1 + n2, n1 - n2)
     frozen = assemble_so22(0, 0, 1, 1, 1, -1)
-    if frozen.quartic != UniPoly("eta", [4, 0, 0, 0, 1]):
-        return False, "frozen quartic instance"
-    if frozen.higgs.alpha != RingMatrix([[1, 1], [1, -1]]):
-        return False, "frozen block instance"
-    if not form.block(0, 2, 2, 2).is_zero() or (
+    yield "frozen quartic instance", frozen.quartic == UniPoly("eta", [4, 0, 0, 0, 1])
+    yield "frozen block instance", frozen.higgs.alpha == RingMatrix([[1, 1], [1, -1]])
+    yield "reordered form shape", form.block(0, 2, 2, 2).is_zero() and (
         form.block(0, 0, 2, 2), form.block(2, 2, 2, 2)
-    ) != (frozen.higgs.q1, frozen.higgs.q2):
-        return False, "reordered form shape"
-    return True, f"{samples} samples + frozen instance"
+    ) == (frozen.higgs.q1, frozen.higgs.q2)
+    return f"{samples} samples + frozen instance"
 
 
 #: (numbered name, check, default sample count).  The numbered name salts
-#: the check's RNG; the report drops the number.  A check returns
-#: (passed, detail).
-CRITERIA: Tuple[Tuple[str, Callable[[random.Random, int], Tuple[bool, str]], int], ...] = (
+#: the check's RNG; the report drops the number.
+CRITERIA: Tuple[Tuple[str, Check, int], ...] = (
     ("1 rank-2 base map vs oracle", check_base_map_rank2, 100),
     ("2 rank-3 base map vs oracle", check_base_map_rank3, 100),
     ("3 derivative char polys vs oracles", check_charpoly_vs_oracles, 50),

@@ -9,6 +9,7 @@ from isolab.covers_prym import (
     FiberModel,
     GENERIC_BRANCH,
     PairFiber,
+    SymFiber,
     correspondence_push,
     fiber_product,
     mumford_divisor,
@@ -348,6 +349,33 @@ def test_norm_on_paired_involution_quotient():
 def test_norm_refuses_a_carrier_of_another_covering(carrier, covering, what):
     with pytest.raises(ValidationError, match=f"^{what}$"):
         norm(Divisor({}), carrier, covering)
+
+
+def _with_sigma(sym, image):
+    """The symmetrized fiber with its involution replaced by ``image``."""
+    return SymFiber(sym.base_label, sym.points, tuple((k, image(k, v)) for k, v in sym.sigma_pairs), sym.source)
+
+
+def test_norm_refuses_a_residual_involution_with_a_fixed_point():
+    fixed = (("y1", "y2"), ("y3", "y4"))
+    sym = _with_sigma(sym_of(REG4), lambda k, v: k if k in fixed else v)
+    with pytest.raises(ValidationError, match="^residual involution has a fixed point on this fiber$"):
+        norm(Divisor({("y1", "y2"): 1}), sym, "sigma")
+
+
+def test_norm_refuses_a_paired_involution_with_a_fixed_point():
+    """Two branched factors, which ``fiber_product`` refuses, built by hand."""
+    pf = PairFiber("x", ((("p", "q"), 4),), (BR2, FiberModel.generic_branch("x", ("q",))))
+    with pytest.raises(ValidationError, match="^paired involution has a fixed point on this fiber$"):
+        norm(Divisor({("p", "q"): 1}), pf, "sigma4")
+
+
+def test_norm_refuses_a_residual_map_that_is_not_an_involution():
+    sym = sym_of(REG4)
+    keys = [k for k, _ in sym.sigma_pairs]
+    rotated = _with_sigma(sym, lambda k, v: keys[(keys.index(k) + 1) % len(keys)])
+    with pytest.raises(ValidationError, match="^residual involution does not square to one on this fiber$"):
+        norm(Divisor({("y1", "y2"): 1}), rotated, "sigma")
 
 
 def test_norm_unknown_covering():

@@ -49,38 +49,45 @@ def test_no_unused_imports(path):
 
 def public_definitions(tree):
     """The public functions and classes a module defines, and the public
-    methods of its classes."""
+    methods of its classes, as (name, is_method)."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            names.append(node.name)
+            names.append((node.name, False))
         if isinstance(node, ast.ClassDef):
-            names += [f.name for f in node.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+            names += [(f.name, True) for f in node.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
     return names
 
 
 def references(tree):
-    """Every name, attribute and string constant a module holds, except the
-    entries of its ``__all__``; a string counts because names are also looked
-    up with ``getattr``."""
+    """The bare names a module reads, and the attributes and string
+    constants it holds, except the entries of its ``__all__``; a string
+    counts because names are also looked up with ``getattr``."""
     exports = {id(c) for node in _all_assignments(tree) for c in ast.walk(node.value)}
-    refs = set()
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exports:
-            refs.add(node.value)
-    return refs
+            attributes.add(node.value)
+    return names, attributes
 
 
 def unreferenced(defining, referencing):
     """Public names defined in the ``defining`` sources that neither they nor
-    the ``referencing`` sources refer to, in source order."""
+    the ``referencing`` sources refer to, in source order.  A method counts
+    as referenced only through an attribute or a string: a bare name is a
+    function, a class or a local variable, such as ``zero = [0]``."""
     trees = [ast.parse(source) for source in defining]
-    refs = set().union(*(references(ast.parse(source)) for source in referencing), *map(references, trees))
-    return [name for tree in trees for name in public_definitions(tree) if name not in refs]
+    refs = [references(ast.parse(source)) for source in referencing] + [references(tree) for tree in trees]
+    names = set().union(*(n for n, _ in refs))
+    attributes = set().union(*(a for _, a in refs))
+    return [
+        name for tree in trees for name, method in public_definitions(tree)
+        if name not in attributes and (method or name not in names)
+    ]
 
 
 def test_scan_reports_an_unreferenced_definition():
@@ -95,6 +102,8 @@ def test_scan_reports_an_unreferenced_definition():
     caller = "import m\nm.used(m.Box().read())\n"
     assert unreferenced([module], [caller]) == ["dead", "spare"]
     assert unreferenced([module], [caller, "getattr(m, 'dead')\n"]) == ["spare"]
+    assert unreferenced([module], [caller, "from m import dead\ndead()\n"]) == ["spare"]
+    assert unreferenced([module], [caller, "spare = [0]\nprint(spare)\n"]) == ["dead", "spare"]
 
 
 def test_no_unreferenced_public_definitions():

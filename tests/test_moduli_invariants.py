@@ -81,7 +81,7 @@ def test_bounded_sources_land_in_liftable_targets():
 
 def test_torsion_vector_group():
     g = 2
-    zero = TorsionVector.zero(g)
+    zero = TorsionVector((0,) * (2 * g), g)
     vecs = list(TorsionVector.enumerate(g))
     assert len(vecs) == 16
     for v in vecs[:4]:

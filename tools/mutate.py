@@ -23,15 +23,19 @@ inside the function:
 * a comparison negated (== and !=, < and >=, <= and >, is and is not,
   in and not in), ``and`` and ``or`` swapped, ``-x`` made ``+x`` and
   ``not x`` made ``x``;
+* the test of an ``if``, ``while``, ``assert`` or conditional expression
+  made ``not test``, when it is not already a comparison, a boolean
+  operation or a ``not``;
 * an integer constant made one larger and one smaller.
 
 The module is rewritten with ``ast.unparse``; the unmutated rewrite must pass
 the selection first.  When hypothesis is installed, a plugin loads a profile
 without the shrink phase: a failing example found is the same, and a killed
 mutant is not held up minimising it.  The report gives killed/total per
-function and every survivor with its line and column.  A survivor needs a
-test, or a reason why it is an equivalent mutant.  Exit status 0 when every
-mutant is killed, 1 when one survives, 2 when the run could not start.
+function and every survivor with its line and column, or "no mutants" for a
+function that has none.  A survivor needs a test, or a reason why it is an
+equivalent mutant.  Exit status 0 when every mutant is killed, 1 when one
+survives or a function has no mutants, 2 when the run could not start.
 Standard library only.
 """
 
@@ -109,7 +113,15 @@ def _set_op(position: int, op) -> Callable[[ast.AST], ast.AST]:
 
 
 def mutants(function: ast.AST) -> Iterator[Mutant]:
+    bare_tests = {
+        id(node.test) for node in ast.walk(function)
+        if isinstance(node, (ast.If, ast.While, ast.Assert, ast.IfExp))
+        and not isinstance(node.test, (ast.Compare, ast.BoolOp))
+        and not (isinstance(node.test, ast.UnaryOp) and isinstance(node.test.op, ast.Not))
+    }
     for index, node in enumerate(ast.walk(function)):
+        if id(node) in bare_tests:
+            yield index, lambda n: ast.UnaryOp(ast.Not(), n)
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in BINARY:
             yield index, _set("op", BINARY[type(node.op)]())
         elif isinstance(node, ast.Compare):
@@ -202,8 +214,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("mutate: the selection fails on the unmutated module", file=sys.stderr)
             return 2
         print(f"baseline passes in {seconds:.1f} s", flush=True)
-        survived = False
+        failed = False
         for name, plan in plans.items():
+            if not plan:
+                print(f"{name}: no mutants", flush=True)
+                failed = True
+                continue
             survivors = []
             for mutant in plan:
                 text, label = mutated_source(source, name, mutant)
@@ -212,11 +228,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"  {name} {label}: {'SURVIVED' if passed else 'killed'} ({seconds:.1f} s)", flush=True)
                 if passed:
                     survivors.append(label)
-            survived = survived or bool(survivors)
+            failed = failed or bool(survivors)
             print(f"{name}: {len(plan) - len(survivors)}/{len(plan)} killed", flush=True)
             for label in survivors:
                 print(f"    survivor: {label}", flush=True)
-    return 1 if survived else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
