@@ -53,8 +53,10 @@ fails instead of timing well:
   conjugate to the companion matrix above, so det(A) = a4;
 * the cold ends, each a fresh interpreter through ``subprocess``:
   ``import isolab.cli`` exits 0 and prints nothing, and a cold
-  ``isolab base map-so6`` or ``isolab higgs assemble-so22`` exits 0 with the
-  report that ``cli.main`` prints in this process.
+  ``isolab base map-so6``, ``isolab higgs assemble-so22``, ``isolab divisor
+  norm`` or ``isolab invariants count`` exits 0 with the report that
+  ``cli.main`` prints in this process.  The last two load neither
+  ``exact_algebra`` nor ``fractions``.
 """
 
 import contextlib
@@ -426,25 +428,36 @@ def test_cold_import_cli(benchmark):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
-def test_cold_base_map_so6(benchmark, monkeypatch):
-    text = json.dumps({"a2": ["1/2", "-3", "2"], "a3": ["0", "5/3"], "a4": ["4", "0", "-1"]})
-    argv = ["base", "map-so6", "--orientation", "-1"]
+def _cold_command(benchmark, monkeypatch, argv, doc):
+    """Time a cold ``isolab`` run of ``argv`` on ``doc`` and check that it
+    exits 0 with the report that ``cli.main`` prints in this process."""
+    text = json.dumps(doc)
     proc = benchmark.pedantic(_cold, (["-m", "isolab.cli", *argv], text), rounds=10)
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
         assert cli_main(argv) == 0
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, report.getvalue(), "")
+
+
+def test_cold_base_map_so6(benchmark, monkeypatch):
+    doc = {"a2": ["1/2", "-3", "2"], "a3": ["0", "5/3"], "a4": ["4", "0", "-1"]}
+    _cold_command(benchmark, monkeypatch, ["base", "map-so6", "--orientation", "-1"], doc)
 
 
 def test_cold_higgs_assemble_so22(benchmark, monkeypatch):
     """The command that defines the most value types."""
     doc = {"n1_degree": 1, "n2_degree": 0, "beta1": ["1", "2"], "gamma1": "-3", "beta2": "1/2", "gamma2": "4"}
-    text = json.dumps(doc)
-    argv = ["higgs", "assemble-so22"]
-    proc = benchmark.pedantic(_cold, (["-m", "isolab.cli", *argv], text), rounds=10)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    report = io.StringIO()
-    with contextlib.redirect_stdout(report):
-        assert cli_main(argv) == 0
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, report.getvalue(), "")
+    _cold_command(benchmark, monkeypatch, ["higgs", "assemble-so22"], doc)
+
+
+def test_cold_divisor_norm(benchmark, monkeypatch):
+    """A fiber command, which loads no kernel."""
+    fiber = {"base_label": "x", "kind": "regular", "points": [{"label": f"y{k}", "mult": 1} for k in range(1, 5)]}
+    doc = {"covering": "sigma", "fiber": fiber, "divisor": {"[y1,y2]": 2, "[y3,y4]": -2, "[y1,y3]": 1}}
+    _cold_command(benchmark, monkeypatch, ["divisor", "norm"], doc)
+
+
+def test_cold_invariants_count(benchmark, monkeypatch):
+    """A counting command, which loads no kernel."""
+    _cold_command(benchmark, monkeypatch, ["invariants", "count"], {"isogeny": "rank2", "g": 3})

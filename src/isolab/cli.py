@@ -22,7 +22,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
-from .exact_algebra import ValidationError
+from . import ValidationError
 
 if TYPE_CHECKING:
     from . import covers_prym as cp

@@ -23,8 +23,11 @@ lexicographically smaller key of the orbit.
 
 Only a hand-built ``PairFiber`` has multiplicities that do not divide
 along a fiber map or a swap orbit of odd total: both raise
-``ValidationError``.  That the push divides exactly and that the
-square-root twist degrees are even is certified by verify criteria 8 and 7.
+``ValidationError``.  Only a hand-built fiber carries an involution with a
+fixed point or one that does not square to one: ``norm``,
+``mumford_divisor`` and ``sigma_orbit_split`` refuse it the same way.
+That the push divides exactly and that the square-root twist degrees are
+even is certified by verify criteria 8 and 7.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .exact_algebra import Record, ValidationError
+from . import Record, ValidationError
 
 __all__ = [
     "REGULAR",
@@ -416,6 +419,16 @@ def correspondence_push(divisor: Divisor, f: FiberModel) -> Divisor:
     return Divisor({key: combined.get(key) // _index(pf, sym, _unordered, key) for key in sym.keys})
 
 
+def _require_involution(inv: Mapping[Key, Key], name: str) -> None:
+    """Refuse a map of a fiber's points with a fixed point or one that does
+    not square to one, which only a hand-built fiber can carry."""
+    for k, img in inv.items():
+        if k == img:
+            raise ValidationError(f"{name} has a fixed point on this fiber")
+        if inv.get(img) != k:
+            raise ValidationError(f"{name} does not square to one on this fiber")
+
+
 def norm(divisor: Divisor, carrier, covering: str) -> Divisor:
     """Push a divisor's weights along a covering.
 
@@ -441,11 +454,7 @@ def norm(divisor: Divisor, carrier, covering: str) -> Divisor:
         inv, name = carrier.product_involution(), "paired involution"
     else:
         raise ValidationError(f"unknown covering {covering!r}")
-    for k, img in inv.items():
-        if k == img:
-            raise ValidationError(f"{name} has a fixed point on this fiber")
-        if inv.get(img) != k:
-            raise ValidationError(f"{name} does not square to one on this fiber")
+    _require_involution(inv, name)
     _require_support(divisor, inv)
     weights: Dict[Key, int] = {}
     for key in inv:
@@ -470,9 +479,8 @@ def mumford_divisor(n: Divisor, sym: SymFiber) -> MumfordResult:
     construction.  The parity of deg(N) is reported, since it selects one
     of the two components downstairs."""
     inv = sym.sigma()
+    _require_involution(inv, "residual involution")
     _require_support(n, inv)
-    if any(inv[key] == key for key in n.support()):
-        raise ValidationError("involution fixes a point of the support")
     pushed = Divisor({inv[k]: w for k, w in n.items()})
     result = n - pushed
     parity = "even" if n.degree() % 2 == 0 else "odd"
@@ -486,6 +494,7 @@ def sigma_orbit_split(divisor: Divisor, sym: SymFiber) -> Tuple[Divisor, Divisor
     points of each orbit; the defect is supported exactly where the weight
     differs from the weight at the image point."""
     inv = sym.sigma()
+    _require_involution(inv, "residual involution")
     _require_support(divisor, inv)
     invariant: Dict[Key, int] = {}
     for key in inv:

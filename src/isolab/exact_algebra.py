@@ -9,10 +9,12 @@ strictly lower variable of the fixed tower
 ``z`` is the affine coordinate on the base curve, ``eta`` the spectral
 (fiber) variable, and ``x`` the variable that resultants eliminate.
 Every value is immutable and every operation is a pure function, so
-everything here is safe to share between threads.  ``Record`` is the frozen
-base class of the value types that the other modules return.
-isolab raises one error of its own, ``ValidationError``, for input outside
-an operation's contract; the verify suite, not each call, checks results.
+everything here is safe to share between threads.  ``Record``, the frozen
+base class of the value types that the other modules return, and
+``ValidationError``, the one error isolab raises for input outside an
+operation's contract, live in the package root, which defines them without
+loading this module; they are re-exported here.  The verify suite, not
+each call, checks results.
 
 ``as_element`` and ``as_poly`` are the only coercions of the tower, and a
 constant inside a polynomial is always a ``Fraction``.
@@ -45,6 +47,8 @@ from math import comb, isqrt, lcm, prod
 from operator import add, mul
 from typing import Iterable, Sequence, Union
 
+from . import Record, ValidationError
+
 __all__ = [
     "ValidationError",
     "Record",
@@ -70,58 +74,6 @@ __all__ = [
     "kronecker",
     "exterior_square",
 ]
-
-
-class ValidationError(ValueError):
-    """Raised when an input violates an operation's contract."""
-
-
-class Record:
-    """Base of the frozen value types.  The fields of a subclass are the
-    names annotated in its own body, in order; ``__init__`` takes them
-    positionally or by keyword and then runs ``__post_init__``, if the class
-    has one.  Assignment is refused, so an instance's ``__dict__`` holds
-    exactly its fields in field order: records are equal when their classes
-    are the same and their fields are equal, and hash as their field tuple."""
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._post_init = getattr(cls, "__post_init__", None)
-
-    def __init__(self, *args, **kwargs):
-        cls = self.__class__
-        fields = cls._fields
-        if kwargs or len(args) != len(fields):
-            try:
-                args += tuple(map(kwargs.pop, fields[len(args):]))
-            except KeyError:  # a field given neither way
-                args = ()
-            if kwargs or len(args) != len(fields):
-                raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(fields)}), each once")
-        values = self.__dict__
-        for name, value in zip(fields, args):
-            values[name] = value
-        if cls._post_init is not None:
-            cls._post_init(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self.__dict__.values()))
-
-    def __repr__(self):
-        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
-        return f"{self.__class__.__qualname__}({body})"
 
 
 #: Fixed variable tower, innermost first.

@@ -186,6 +186,11 @@ _SPLIT_BASIS_INV = SPLIT_BASIS.inverse()
 #: The wedge form restricted to each summand of the split: 2 I3 and -2 I3.
 _SPLIT_FORM = RingMatrix.diagonal([2, 2, 2])
 _ZERO3 = RingMatrix.diagonal([0, 0, 0])
+#: Gram matrix of each rank-2 summand of ``moduli_invariants.assemble_so22``:
+#: the reordered 4-dimensional form is diag(_Q_PAIR, -_Q_PAIR) (verify
+#: criterion 10).
+_Q_PAIR = RingMatrix([[0, 1], [1, 0]])
+_ZERO2 = RingMatrix.diagonal([0, 0])
 
 
 def to_split_basis(x: RingMatrix) -> RingMatrix:

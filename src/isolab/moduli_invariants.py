@@ -16,9 +16,10 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .exact_algebra import Record, RingMatrix, UniPoly, ValidationError, as_poly
+from . import Record, ValidationError
 
 if TYPE_CHECKING:
+    from .exact_algebra import RingMatrix, UniPoly
     from .lie_isogeny import HiggsBlockField
     from .spectral_base import BaseSO4
 
@@ -216,14 +217,11 @@ class So22Assembly(Record):
 
 # basis order (lexicographic tensor basis) -> (first summand, second summand)
 _SO22_REORDER = (0, 3, 1, 2)
-#: Gram matrix of each rank-2 summand: the reordered 4-dimensional form is
-#: diag(_Q_PAIR, -_Q_PAIR) (verify criterion 10).
-_Q_PAIR = RingMatrix([[0, 1], [1, 0]])
-_ZERO2 = RingMatrix.diagonal([0, 0])
 
 
 def _reordered(m: RingMatrix) -> RingMatrix:
     """A 4x4 matrix written in the reordered basis ``_SO22_REORDER``."""
+    from .exact_algebra import RingMatrix
     r = _SO22_REORDER
     return RingMatrix([[m.entries[r[i]][r[j]] for j in range(4)] for i in range(4)])
 
@@ -243,14 +241,16 @@ def assemble_so22(
     [[0, beta_i], [gamma_i, 0]] in the basis of the two rank-2 summands,
     whose degree labels are n1 + n2 and n1 - n2: the closed form with zero
     diagonal blocks, top-right block [[beta2, beta1], [gamma1, gamma2]],
-    bottom-left block [[gamma2, beta1], [gamma1, beta2]] and forms _Q_PAIR,
-    -_Q_PAIR.  The base data and the quartic are the induced base map
-    ``so4_base`` on (a1, a2) = (-beta1*gamma1, -beta2*gamma2), so the stored
-    Pfaffian is a1 - a2.  Verify criterion 10 certifies the field against
-    the reordered tensor sum, and the quartic and Pfaffian against the
-    characteristic polynomial and the Pfaffian of the form times the field.
+    bottom-left block [[gamma2, beta1], [gamma1, beta2]] and forms Q and -Q,
+    with Q = ``lie_isogeny._Q_PAIR``.  The base data and the quartic are the
+    induced base map ``so4_base`` on (a1, a2) = (-beta1*gamma1,
+    -beta2*gamma2), so the stored Pfaffian is a1 - a2.  Verify criterion 10
+    certifies the field against the reordered tensor sum, and the quartic
+    and Pfaffian against the characteristic polynomial and the Pfaffian of
+    the form times the field.
     """
-    from .lie_isogeny import HiggsBlockField
+    from .exact_algebra import RingMatrix, as_poly
+    from .lie_isogeny import _Q_PAIR, _ZERO2, HiggsBlockField
     from .spectral_base import BaseSL2Pair, so4_base
 
     beta1, gamma1 = as_poly(beta1, "z"), as_poly(gamma1, "z")

@@ -11,13 +11,15 @@ label, "(a,b)" for an ordered pair, "[a,b]" for an unordered pair, and
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Union
 
-from .exact_algebra import RingMatrix, UniPoly, ValidationError, as_element, as_fraction, as_poly
+from . import ValidationError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .covers_prym import Divisor, FiberModel, PairFiber, SymFiber
+    from .exact_algebra import RingMatrix, UniPoly
 
 __all__ = [
     "scalar_to_json",
@@ -46,30 +48,45 @@ def scalar_to_json(value: Fraction) -> str:
 
 def poly_to_json(p: Union[UniPoly, Fraction, int]) -> Any:
     """Constants serialize as bare strings, polynomials as coefficient arrays."""
-    value = as_element(p)
-    if isinstance(value, Fraction):
-        return scalar_to_json(value)
-    return [poly_to_json(c) for c in p.coeffs]
+    from . import exact_algebra as tower
+    return _element_to_json(tower.as_element(p), tower)
+
+
+def _element_to_json(value, tower) -> Any:
+    """A canonical element of the ``tower`` (the ``exact_algebra`` module,
+    imported once per converter call); its coefficients are canonical too."""
+    if isinstance(value, tower.UniPoly):
+        return [_element_to_json(c, tower) for c in value.coeffs]
+    return scalar_to_json(value)
 
 
 def poly_from_json(data: Any) -> UniPoly:
     """Parse a polynomial in z.  A nested coefficient array parses as a
     polynomial in z too, which ``UniPoly`` refuses as a coefficient."""
+    from . import exact_algebra as tower
+    return _poly_from_json(data, tower)
+
+
+def _poly_from_json(data: Any, tower) -> UniPoly:
     if isinstance(data, (str, int)):
-        return as_poly(data, "z")
+        return tower.as_poly(data, "z")
     if isinstance(data, list):
-        return UniPoly("z", [poly_from_json(c) if isinstance(c, list) else as_fraction(c) for c in data])
+        coeffs = [_poly_from_json(c, tower) if isinstance(c, list) else tower.as_fraction(c) for c in data]
+        return tower.UniPoly("z", coeffs)
     raise ValidationError(f"cannot parse polynomial from {data!r}")
 
 
 def matrix_to_json(m: RingMatrix) -> List[List[Any]]:
-    return [[poly_to_json(e) for e in row] for row in m.entries]
+    """Matrix entries are canonical tower elements."""
+    from . import exact_algebra as tower
+    return [[_element_to_json(e, tower) for e in row] for row in m.entries]
 
 
 def matrix_from_json(data: Any) -> RingMatrix:
+    from . import exact_algebra as tower
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ValidationError("a matrix is a non-empty array of rows")
-    return RingMatrix([[poly_from_json(e) for e in row] for row in data])
+    return tower.RingMatrix([[_poly_from_json(e, tower) for e in row] for row in data])
 
 
 def fiber_to_json(f: FiberModel) -> Dict[str, Any]:

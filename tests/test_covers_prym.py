@@ -420,6 +420,11 @@ def test_mumford_divisor_single_point():
     assert norm(result.divisor, sym, "sigma").is_zero
 
 
+@pytest.mark.parametrize("degree,parity", [(2, "even"), (3, "odd"), (-4, "even")])
+def test_mumford_divisor_reports_the_parity_of_the_degree(degree, parity):
+    assert mumford_divisor(Divisor({("y1", "y2"): degree}), sym_of(REG4)).parity == parity
+
+
 def test_mumford_divisor_zero_and_random(rng_factory):
     sym = sym_of(REG4)
     zero = mumford_divisor(Divisor({}), sym)
@@ -439,6 +444,32 @@ def test_sigma_orbit_split_cases():
     anti = Divisor({("y1", "y2"): 1, ("y3", "y4"): -1})
     inv, defect = sigma_orbit_split(anti, sym)
     assert inv.is_zero and defect == anti
+
+
+def _rotated_sigma(sym):
+    """The symmetrized fiber with its pairs rotated, k_i -> k_(i+1)."""
+    keys = [k for k, _ in sym.sigma_pairs]
+    return _with_sigma(sym, lambda k, v: keys[(keys.index(k) + 1) % len(keys)])
+
+
+@pytest.mark.parametrize("helper", [mumford_divisor, sigma_orbit_split], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "hand_built,message",
+    [
+        (_rotated_sigma, "residual involution does not square to one on this fiber"),
+        (
+            lambda sym: _with_sigma(sym, lambda k, v: k if k in (("y1", "y2"), ("y3", "y4")) else v),
+            "residual involution has a fixed point on this fiber",
+        ),
+    ],
+    ids=["rotated", "fixed-pair"],
+)
+def test_prym_helpers_refuse_a_residual_map_that_is_not_a_free_involution(helper, hand_built, message):
+    """The fixed pair lies outside the divisor's support, which the helpers
+    used to check alone."""
+    sym = hand_built(sym_of(REG4))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        helper(Divisor({("y1", "y3"): 1}), sym)
 
 
 def test_sigma_orbit_split_recomposes(rng_factory):
