@@ -20,30 +20,29 @@ each call, checks results.
 constant inside a polynomial is always a ``Fraction``.
 
 Products and linear algebra run on Kronecker-packed integers (Harvey 2009).
-One entry, ``_survey``, walks the lines of tower elements once: it finds
-the variables that occur, scales each line by the lcm of its leaf
-denominators and bounds its coefficients and degrees.  ``_pack`` then sets
-each variable to a power of two, so an element times its scale becomes one
-int, and one exit, ``_unpack``, reads a result back as signed digits and
-divides it by its scale.  Each kernel proves a bound on its result's
-coefficients and degrees from the survey, and the slots are one bit wider
-than the first and as many as the second needs.  Between entry and exit sit
-the public product table ``products`` (one integer dot product per entry; a
+A rational ``RingMatrix`` keeps its rows in that form, each over its own
+denominator (see its docstring); other values cross in and out.  The one
+entry, ``_survey``, walks lines of tower elements once: it finds the
+variables, scales each line by the lcm of its leaf denominators and bounds
+its coefficients and degrees.  ``_pack`` sets each variable to a power of
+two, so an element times its scale becomes one int, and the one exit,
+``_unpack``, reads a result back as signed digits over its scale.  Each
+kernel proves bounds on its result's coefficients and degrees; the slots are
+one bit wider than the first and as many as the second needs.  The kernels:
+the product table ``products`` (one integer dot product per entry; a
 polynomial product and each base map of ``spectral_base`` are 1x1 and 1xn
 cases), the determinant (``det``, ``resultant`` and ``char_poly``, which
 packs ``eta`` on the diagonal; one integer Bareiss elimination),
-``exterior_square`` (one integer 2x2 minor per entry), ``pfaffian`` (the
-first-row expansion on the packed entries), ``_rref_int`` (fraction-free
-Gauss-Jordan under ``inverse`` and ``nullspace``, which divide only the
-entries they return by the last pivot) and ``pairwise_sum_poly``
-(Newton's identities as plain integer loops).
+``exterior_square`` (one 2x2 minor per entry), ``pfaffian`` (first-row
+expansion), ``_rref_int`` (fraction-free Gauss-Jordan under ``inverse`` and
+``_kernel``) and ``pairwise_sum_poly`` (Newton's identities on ints).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, isqrt, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 from operator import add, mul
 from typing import Iterable, Sequence, Union
 
@@ -170,6 +169,9 @@ class UniPoly:
 
     def __setattr__(self, *args):
         raise AttributeError("UniPoly is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return UniPoly, (self.var, self.coeffs)
 
     # -- basic structure ---------------------------------------------------
 
@@ -390,19 +392,13 @@ def poly_sqrt(p: UniPoly) -> UniPoly:
 def _det_bareiss(rows, names, shifts: dict, scales):
     """The tail of each determinant: integer Bareiss on the packed ``rows``
     (exact divisions by the Sylvester identity), read back with prod(scales)."""
-    n = len(rows)
-    work = [list(r) for r in rows]
-    sign = 1
-    prev = 1
+    n, work, sign, prev = len(rows), [list(r) for r in rows], 1, 1
     for k in range(n - 1):
         if work[k][k] == 0:
-            for i in range(k + 1, n):
-                if work[i][k] != 0:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if work[i][k]), None)
+            if i is None:
                 return Fraction(0)
+            work[k], work[i], sign = work[i], work[k], -sign
         pivot = work[k][k]
         for i in range(k + 1, n):
             left = work[i][k]
@@ -534,8 +530,8 @@ def products(rows, cols):
     largest column bound, and its degree in each variable at most the largest
     row degree plus the largest column degree in it.  An entry that is not a
     Fraction, int or polynomial is read by ``as_element``.  A polynomial
-    product is the 1x1 table of ``(a,)`` and ``(b,)``, a matrix product that
-    of the rows and the columns."""
+    product is the 1x1 table of ``(a,)`` and ``(b,)``, a product of matrices
+    with a polynomial entry that of the rows and the columns."""
     lines = [*rows, *cols]
     try:
         names, scales, accs = _survey(lines)
@@ -558,27 +554,24 @@ def products(rows, cols):
 
 
 def _rref_int(rows):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of rational rows,
-    each scaled to integers by its ``_survey`` scale.
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows,
+    such as the stored rows of a rational matrix.
 
     Returns the reduced rows, the pivot columns and the last pivot ``d``;
     the reduced row echelon form is the reduced rows divided by ``d``.
     After t pivots every pivot equals the t x t pivot minor, the rows below
     hold (t+1)x(t+1) minors and the rows above t x t minors, so each ``//``
     by the previous pivot is exact by Sylvester's identity."""
-    work = [[_pack(e, {}, s) for e in row] for row, s in zip(rows, _survey(rows)[1])]
-    height = len(work)
-    pivots = []
-    prev = 1
+    work, pivots, prev = list(rows), [], 1
     for c in range(len(work[0])):
         r = len(pivots)
-        found = next((i for i in range(r, height) if work[i][c]), None)
+        found = next((i for i in range(r, len(work)) if work[i][c]), None)
         if found is None:
             continue
         work[r], work[found] = work[found], work[r]
         row_r = work[r]
         pivot = row_r[c]
-        for i in range(height):
+        for i in range(len(work)):
             if i != r:
                 f = work[i][c]
                 work[i] = [(pivot * a - f * b) // prev for a, b in zip(work[i], row_r)]
@@ -587,26 +580,91 @@ def _rref_int(rows):
     return work, tuple(pivots), prev
 
 
-class RingMatrix:
-    """Immutable rectangular matrix over the scalar/polynomial tower."""
+def _kernel(rows):
+    """The kernel of integer ``rows``, one int vector over the last pivot ``d``
+    per free column (``d`` there, minus its reduced entry at each pivot), and ``d``."""
+    work, pivots, d = _rref_int(rows)
+    width, basis = len(work[0]), []
+    for fc in range(width):
+        if fc not in pivots:
+            vec = [0] * width
+            vec[fc] = d
+            for row, pc in zip(work, pivots):
+                vec[pc] = -row[fc]
+            basis.append(vec)
+    return basis, d
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _from_rows(lines, dens) -> "RingMatrix":
+    """The rational matrix of the int ``lines[i]`` over the nonzero int
+    ``dens[i]``, each row divided by the gcd of its ints and its denominator,
+    signed so that the denominator is positive (a zero row is 0 over 1)."""
+    ints, out = [], []
+    for line, d in zip(lines, dens):
+        g = gcd(d, *line) if d > 0 else -gcd(d, *line)
+        ints.append(tuple(line) if g == 1 else tuple([x // g for x in line]))
+        out.append(d // g)
+    return RingMatrix.__new__(RingMatrix)._store(None, tuple(ints), tuple(out))
+
+
+class RingMatrix:
+    """Immutable rectangular matrix over the scalar/polynomial tower.
+
+    A rational matrix stores only integer rows: row i is the ints
+    ``_ints[i]`` over ``_dens[i] > 0``, the lcm of its denominators (its
+    ``_survey`` scale), so the two have no common factor.  The form is
+    unique, so ``==`` is structural, and ``entries`` builds the ``Fraction``s
+    on its first read.  Its kernels read rows and return rows.  A matrix with
+    a polynomial entry stores ``entries`` and crosses in through ``_survey``
+    and ``_pack``.  The rows are the depth-0 case of a stored packed line: a
+    polynomial row would keep its packed ints over its scale, with the bound
+    and degrees that fix its slots, so each kernel keeps one body."""
+
+    __slots__ = ("rows", "cols", "_grid", "_ints", "_dens")
 
     def __init__(self, entries: Iterable[Iterable]):
-        grid = []
-        for row in entries:
-            grid.append(tuple(e if e.__class__ is Fraction else as_element(e) for e in row))
+        grid = [[e if e.__class__ is Fraction else as_element(e) for e in row] for row in entries]
         if not grid:
             raise ValidationError("matrix needs at least one row")
         width = len(grid[0])
         if width == 0 or any(len(r) != width for r in grid):
             raise ValidationError("matrix rows must be non-empty and equal length")
-        object.__setattr__(self, "entries", tuple(grid))
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
+        ints, dens = [], []
+        try:
+            for row in grid:
+                pairs = [e.as_integer_ratio() for e in row]
+                den = lcm(*[q for _, q in pairs])
+                ints.append(tuple([p * (den // q) for p, q in pairs]))
+                dens.append(den)
+        except AttributeError:  # a polynomial entry
+            self._store(tuple(map(tuple, grid)), None, None)
+        else:
+            self._store(None, tuple(ints), tuple(dens))
+
+    def _store(self, grid, ints, dens):
+        lines = grid or ints
+        for name, value in zip(self.__slots__, (len(lines), len(lines[0]), grid, ints, dens)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("RingMatrix is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return RingMatrix, (self.entries,)
+
+    @property
+    def entries(self):
+        """The rows of tower elements, built once for a rational matrix."""
+        if self._grid is None:
+            grid = tuple(tuple([Fraction(x, d) for x in row]) for row, d in zip(self._ints, self._dens))
+            object.__setattr__(self, "_grid", grid)
+        return self._grid
+
+    def _over(self):
+        """The integer rows over L, the lcm of the row denominators, and L."""
+        big = lcm(*self._dens)
+        return [r if d == big else [x * (big // d) for x in r] for r, d in zip(self._ints, self._dens)], big
 
     # -- constructors ------------------------------------------------------
 
@@ -643,29 +701,37 @@ class RingMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("matrix shape mismatch in addition")
-        return RingMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        if self._ints is None or other._ints is None:
+            return RingMatrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)])
+        dens = list(map(lcm, self._dens, other._dens))
+        rows = zip(self._ints, other._ints, self._dens, other._dens, dens)
+        return _from_rows([[a * (n // d) + b * (n // e) for a, b in zip(r, s)] for r, s, d, e, n in rows], dens)
 
     def __sub__(self, other):
-        if not isinstance(other, RingMatrix):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, RingMatrix) else NotImplemented
 
     def __neg__(self):
-        return self.map_entries(lambda e: -e)
+        return self.map_entries(lambda e: -e) if self._ints is None else self.scale(-1)
 
     def scale(self, s) -> "RingMatrix":
-        return self.map_entries(lambda e: e * s)
+        if self._ints is None or not isinstance(s, (int, Fraction)):
+            return self.map_entries(lambda e: e * s)
+        p, q = s.numerator, s.denominator
+        return _from_rows([[x * p for x in r] for r in self._ints], [d * q for d in self._dens])
 
     def __mul__(self, other):
-        """Matrix product: ``products`` of the rows of ``self`` and the
-        columns of ``other``."""
-        if isinstance(other, RingMatrix):
-            if self.cols != other.rows:
-                raise ValidationError("matrix shape mismatch in product")
+        """Matrix product: over Q row i is the dot products of row i of
+        ``self`` with the columns of ``other`` over the lcm L of its row
+        denominators, over d_i L; else ``products`` of rows and columns."""
+        if not isinstance(other, RingMatrix):
+            return self.scale(other)
+        if self.cols != other.rows:
+            raise ValidationError("matrix shape mismatch in product")
+        if self._ints is None or other._ints is None:
             return RingMatrix(products(self.entries, list(zip(*other.entries))))
-        return self.scale(other)
+        lines, big = other._over()
+        cols = list(zip(*lines))
+        return _from_rows([[sum(map(mul, r, c)) for c in cols] for r in self._ints], [d * big for d in self._dens])
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -673,27 +739,28 @@ class RingMatrix:
     def __eq__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2)
-        )
+        if self._ints is None or other._ints is None:  # a polynomial entry equals no Fraction
+            return self._grid == other._grid
+        return self._ints == other._ints and self._dens == other._dens
 
     __hash__ = None
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        if self._ints is None:
+            return RingMatrix(list(zip(*self._grid)))
+        lines, big = self._over()
+        return _from_rows(list(zip(*lines)), [big] * self.cols)
 
     def trace(self):
         if not self.is_square:
             raise ValidationError("trace requires a square matrix")
-        acc: Ring = Fraction(0)
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
+        if self._ints is None:
+            return sum((row[i] for i, row in enumerate(self._grid)), Fraction(0))
+        lines, big = self._over()
+        return Fraction(sum(row[i] for i, row in enumerate(lines)), big)
 
     def is_zero(self) -> bool:
-        return all(ring_is_zero(e) for row in self.entries for e in row)
+        return self._ints is not None and not any(map(any, self._ints))  # a polynomial entry is nonzero
 
     def is_symmetric(self) -> bool:
         return self.is_square and self == self.transpose()
@@ -701,58 +768,54 @@ class RingMatrix:
     # -- linear algebra over the rationals ----------------------------------
 
     def _require_rational(self, what: str):
-        if any(isinstance(e, UniPoly) for row in self.entries for e in row):
+        if self._ints is None:
             raise ValidationError(f"{what} requires rational entries")
 
     def det(self):
         if not self.is_square:
             raise ValidationError("determinant requires a square matrix")
-        return _det(self.entries)
+        return _det(self._grid) if self._ints is None else _det_bareiss(self._ints, (), {}, self._dens)
 
     def inverse(self) -> "RingMatrix":
+        """The reduced rows of [d_i row_i | d_i e_i] over their last pivot."""
         self._require_rational("matrix inversion")
         if not self.is_square:
             raise ValidationError("inverse requires a square matrix")
         n = self.rows
-        ident = RingMatrix.identity(n).entries
-        work, pivots, d = _rref_int([row + ident[i] for i, row in enumerate(self.entries)])
+        eye = [[0] * i + [s] + [0] * (n - i - 1) for i, s in enumerate(self._dens)]
+        work, pivots, d = _rref_int([[*r, *e] for r, e in zip(self._ints, eye)])
         if pivots != tuple(range(n)):
             raise ValidationError("matrix is singular")
-        return RingMatrix([[Fraction(a, d) for a in row[n:]] for row in work])
+        return _from_rows([row[n:] for row in work], [d] * n)
 
     def nullspace(self):
-        """Canonical rational kernel basis: unit in each free column, read
-        off the fraction-free reduced rows; only the free columns become
-        Fractions."""
+        """Canonical rational kernel basis: unit in each free column."""
         self._require_rational("row reduction")
-        work, pivots, d = _rref_int(self.entries)
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = [Fraction(0)] * self.cols
-            vec[fc] = Fraction(1)
-            for row, pc in zip(work, pivots):
-                vec[pc] = Fraction(-row[fc], d)
-            basis.append(tuple(vec))
-        return basis
+        basis, d = _kernel(self._ints)
+        return [tuple(Fraction(x, d) for x in vec) for vec in basis]
 
     # -- characteristic polynomial -------------------------------------------
 
     def char_poly(self) -> UniPoly:
         """det(eta*I - M), ``eta`` outermost, over any ring of the tower below
-        ``eta``.  Row i surveyed with ``eta`` appended has the scale, bound and
-        degrees of row i of eta*I - M; it is packed negated, with ``eta`` on
-        the diagonal as its scale shifted by the slot of ``eta``."""
+        ``eta``: row i is packed negated, its scale s_i shifted by the slot of
+        ``eta`` on the diagonal.  Over Q row i of eta*I - M is (s_i eta e_i -
+        row_i) / s_i, with bound its exact l1 norm |row_i|_1 + s_i; else it is
+        surveyed with ``eta`` appended, for its scale, bound and degrees."""
         if not self.is_square:
             raise ValidationError("characteristic polynomial requires a square matrix")
-        for row in self.entries:
-            for e in row:
-                if e.__class__ is UniPoly and e.var != "z":
-                    bad = sorted(v for v in _survey([(e,)])[0] if v != "z")
-                    raise ValidationError(f"matrix entries must live below the spectral variable, found {bad}")
-        names, scales, accs = _survey([(*row, _ETA) for row in self.entries])
-        shifts = _det_shifts(names, accs)
-        packed = [[-_pack(e, shifts, s) for e in row] for row, s in zip(self.entries, scales)]
+        if self._ints is None:
+            for row in self._grid:
+                for e in row:
+                    if e.__class__ is UniPoly and e.var != "z":
+                        bad = sorted(v for v in _survey([(e,)])[0] if v != "z")
+                        raise ValidationError(f"matrix entries must live below the spectral variable, found {bad}")
+            names, scales, accs = _survey([(*row, _ETA) for row in self._grid])
+            shifts = _det_shifts(names, accs)
+            packed = [[-_pack(e, shifts, s) for e in row] for row, s in zip(self._grid, scales)]
+        else:
+            names, scales, packed = ("eta",), self._dens, [[-x for x in r] for r in self._ints]
+            shifts = _det_shifts(names, [(0, 1, 0, sum(map(abs, r)) + s) for r, s in zip(self._ints, scales)])
         for i, s in enumerate(scales):
             packed[i][i] += s << shifts["eta"]
         return _det_bareiss(packed, names, shifts, scales)
@@ -768,22 +831,25 @@ def char_poly(matrix: RingMatrix) -> UniPoly:
 
 def pfaffian(matrix: RingMatrix):
     """Pfaffian by first-row expansion; convention Pf([[0, c], [-c, 0]]) = c.
-    Antisymmetry is checked and the expansion run on the entries packed with
-    L, the lcm of the row scales, and read back with L^(n/2).  By induction on
-    the expansion its coefficients are at most the product of the max(1, B_i),
-    B_i the bound of row i times L, and its degrees half the sum of the row
-    degrees; both bounds are at least each row's, so the comparisons are exact."""
+    Antisymmetry is checked and the expansion run on the rows packed (over Q,
+    stored) with L, the lcm of the row scales, and read back with L^(n/2).
+    By induction on the expansion its coefficients are at most the product of
+    the max(1, B_i), B_i the bound of row i times L, and its degrees half the
+    sum of the row degrees; both bounds are at least each row's, so the
+    comparisons are exact."""
     if not matrix.is_square:
         raise ValidationError("pfaffian requires a square matrix")
     n = matrix.rows
     if n % 2 != 0:
         raise ValidationError("pfaffian requires even size")
-    names, scales, accs = _survey(matrix.entries)
-    scale, shifts = lcm(*scales), {}
-    if names:
+    if matrix._ints is None:
+        names, scales, accs = _survey(matrix.entries)
+        scale = lcm(*scales)
         bound = prod(max(1, acc[-1] // s * scale) for acc, s in zip(accs, scales))
         shifts = _shifts(names, bound, [max(max(d), sum(d) // 2) for d in zip(*accs)])
-    p = [[_pack(e, shifts, scale) for e in row] for row in matrix.entries]
+        p = [[_pack(e, shifts, scale) for e in row] for row in matrix.entries]
+    else:
+        (p, scale), names, shifts = matrix._over(), (), {}
     if any(p[i][j] != -p[j][i] for i in range(n) for j in range(i, n)):
         raise ValidationError("pfaffian requires an antisymmetric matrix")
 
@@ -797,49 +863,43 @@ def pfaffian(matrix: RingMatrix):
 
 
 def kronecker(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Kronecker product in the lexicographic tensor basis e_i (x) e_j."""
-    out = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                for l in range(b.cols):
-                    row.append(a.entries[i][j] * b.entries[k][l])
-            out.append(row)
-    return RingMatrix(out)
+    """Kronecker product in the lexicographic tensor basis e_i (x) e_j; over
+    Q row (i, k) is the products of the ints of rows i and k over d_i d_k."""
+    if a._ints is None or b._ints is None:
+        return RingMatrix([[x * y for x in r for y in s] for r in a.entries for s in b.entries])
+    dens = [d * e for d in a._dens for e in b._dens]
+    return _from_rows([[x * y for x in r for y in s] for r in a._ints for s in b._ints], dens)
 
 
 def exterior_square(m: RingMatrix) -> RingMatrix:
     """Induced map on the second exterior power of a 4-dimensional space,
     in the fixed wedge basis; entries are the 2x2 minors of ``m``, each the
-    int p_ik p_jl - p_il p_jk of the packed rows, read back with s_i s_j.
-    Its coefficients are at most the square of the largest row bound, and
-    its degrees at most twice the largest row degree."""
+    int p_ik p_jl - p_il p_jk of the packed (over Q, stored) rows, read back
+    with s_i s_j.  Its coefficients are at most the square of the largest row
+    bound, and its degrees at most twice the largest row degree."""
     if (m.rows, m.cols) != (4, 4):
         raise ValidationError("exterior square is implemented for 4x4 matrices")
-    names, scales, accs = _survey(m.entries)
-    shifts = {}
-    if names:
+    if m._ints is None:
+        names, scales, accs = _survey(m.entries)
         top = [max(a) for a in zip(*accs)]
         shifts = _shifts(names, top[-1] ** 2, [2 * d for d in top])
-    p = [[_pack(e, shifts, s) for e in row] for row, s in zip(m.entries, scales)]
-    return RingMatrix([
-        [_unpack(p[i][k] * p[j][l] - p[i][l] * p[j][k], names, shifts, scales[i] * scales[j]) for k, l in WEDGE_PAIRS]
-        for i, j in WEDGE_PAIRS
-    ])
+        p = [[_pack(e, shifts, s) for e in row] for row, s in zip(m.entries, scales)]
+    else:
+        names, shifts, scales, p = (), {}, m._dens, m._ints
+    minors = [[p[i][k] * p[j][l] - p[i][l] * p[j][k] for k, l in WEDGE_PAIRS] for i, j in WEDGE_PAIRS]
+    dens = [scales[i] * scales[j] for i, j in WEDGE_PAIRS]
+    if not names:
+        return _from_rows(minors, dens)
+    return RingMatrix([[_unpack(x, names, shifts, d) for x in line] for line, d in zip(minors, dens)])
 
 
 def _sylvester(f: UniPoly, g: UniPoly) -> list:
-    m, n = f.degree, g.degree
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for shift in range(n):
-        rows.append([Fraction(0)] * shift + fc + [Fraction(0)] * (size - shift - m - 1))
-    for shift in range(m):
-        rows.append([Fraction(0)] * shift + gc + [Fraction(0)] * (size - shift - n - 1))
-    return rows
+    size, zero = f.degree + g.degree, Fraction(0)
+    return [
+        [zero] * shift + list(p.coeffs[::-1]) + [zero] * (size - shift - p.degree - 1)
+        for p, count in ((f, g.degree), (g, f.degree))
+        for shift in range(count)
+    ]
 
 
 def resultant(f: UniPoly, g: UniPoly, var: str = None):

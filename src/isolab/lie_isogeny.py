@@ -24,6 +24,8 @@ from .exact_algebra import (
     Record,
     RingMatrix,
     ValidationError,
+    _from_rows,
+    _kernel,
     exterior_square,
     fraction_sqrt,
     kronecker,
@@ -258,12 +260,12 @@ class HodgeSplit(Record):
 
 
 def _canonical_basis(vectors):
-    """Normalize each vector to leading coefficient 1 and sort by pivot."""
+    """Normalize each vector, integer or rational, to leading coefficient 1,
+    each entry one ``Fraction(x, lead)``, and sort by pivot."""
     cleaned = []
     for vec in vectors:
-        lead_idx = next(i for i, c in enumerate(vec) if c != 0)
-        inv = Fraction(1) / vec[lead_idx]
-        cleaned.append((lead_idx, tuple(c * inv for c in vec)))
+        lead_idx = next(i for i, c in enumerate(vec) if c)
+        cleaned.append((lead_idx, tuple(Fraction(x, vec[lead_idx]) for x in vec)))
     cleaned.sort(key=lambda item: item[0])
     return tuple(vec for _, vec in cleaned)
 
@@ -276,6 +278,10 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     Since Lambda^2(q)^T Q6 Lambda^2(q) = det(q) Q6, Q6^{-1} = Q6 and q is
     symmetric, the star is the closed form orientation * Q6 * Lambda^2(q) /
     sqrt(det q), whose row r is row 5 - r of Lambda^2(q), signed and scaled.
+    Both are built on the stored integer rows: with sqrt(det q) = a/b, star
+    row r is the ints of row 5 - r times +/-b over a times their denominator,
+    and each eigenspace is the integer kernel of those rows with v d_r taken
+    from the diagonal, each vector divided by its leading entry once.
     ``q`` is the 4x4 orthogonal structure with rational entries, checked
     first to be symmetric and non-degenerate; its determinant must be a
     rational square.  Orientation -1 flips the star and so swaps the two
@@ -298,12 +304,17 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     # so checking before the square root turns away no form it accepts
     induced._require_rational("matrix inversion")
     scale = fraction_sqrt(det)  # ValidationError if det is not a rational square
-    signed = [s * Fraction(orientation) / scale for s in _Q6_SIGNS]
-    star = RingMatrix([[e * f for e in row] for f, row in zip(signed, reversed(induced.entries))])
+    factor, root = orientation * scale.denominator, scale.numerator
+    star = _from_rows(
+        [[s * factor * x for x in row] for s, row in zip(_Q6_SIGNS, reversed(induced._ints))],
+        [root * d for d in reversed(induced._dens)],
+    )
 
-    def eigenbasis(v):  # the kernel of star - v I, shifting only the diagonal
-        shifted = [[e - v if i == j else e for j, e in enumerate(row)] for i, row in enumerate(star.entries)]
-        return _canonical_basis(RingMatrix(shifted).nullspace())
+    def eigenbasis(v):  # the integer kernel of star - v I: row i shifts by v d_i on the diagonal
+        rows = [list(r) for r in star._ints]
+        for i, d in enumerate(star._dens):
+            rows[i][i] -= v * d
+        return _canonical_basis(_kernel(rows)[0])
 
     def restrict(basis):  # the basis against its images under Q6, their signed reversals
         images = [[c if s > 0 else -c for s, c in zip(_Q6_SIGNS, reversed(v))] for v in basis]

@@ -924,9 +924,9 @@ def test_product_refuses_mismatched_shapes(pair, extra):
 
 
 def rref(rows):
-    """The reduced row echelon form and pivots that ``_rref_int`` gives: its
-    reduced rows divided by its last pivot."""
-    work, pivots, d = _rref_int(rows)
+    """The reduced row echelon form and pivots that ``_rref_int`` gives on
+    the stored rows: its reduced rows divided by its last pivot."""
+    work, pivots, d = _rref_int(RingMatrix(rows)._ints)
     return RingMatrix([[Fraction(a, d) for a in row] for row in work]), pivots
 
 
