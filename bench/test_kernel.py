@@ -12,7 +12,8 @@ against an independent identity of the paper, so a fast wrong kernel
 fails instead of timing well:
 
 * the characteristic polynomial of ``d_iso3(A)`` is the pairwise-sum
-  sextic of the quartic of ``A`` (the ``so6`` base map), and for ``A``
+  sextic of the quartic of ``A`` (the ``so6`` base map), also for ``A`` with
+  100-digit entries, and for ``A``
   conjugate to the companion matrix of x^4 + a2 x^2 + a3 x + a4 it is
   eta^6 + 2 a2 eta^4 + (a2^2 - 4 a4) eta^2 - a3^2, written out in this file;
 * Res_x(P(x), P(eta - x)) = 16 P(eta/2) S(eta)^2, with S that sextic;
@@ -29,7 +30,8 @@ fails instead of timing well:
 * Lambda^2(g) Lambda^2(h) = Lambda^2(g h) for the 6x6 induced forms of
   two unimodular Gram matrices of verify criterion 6, and for two dense
   4x4 matrices over Q and over Q[z], with g h taken by a triple loop in
-  this file;
+  this file; the chain y^T Q6 y of verify criterion 4 equals the same
+  chain by that triple loop;
 * ``d_iso2(A1, A2)`` is the tensor sum A1 (x) I + I (x) A2 of two
   traceless 2x2 matrices, taken with ``kronecker``;
 * a 4x4 product over Q[z] equals that triple loop;
@@ -37,7 +39,7 @@ fails instead of timing well:
   vectors v with star v = v, each with a unit in its own free column;
 * the star of ``hodge_split`` is Lambda^2(q)^(-1) Q6 sqrt(det q), with the
   product taken by the triple loop, and its +1 and -1 bases are three
-  eigenvectors each;
+  eigenvectors each, also for a form g^T g with 100-digit entries;
 * ``so6_base`` and ``so4_base`` give (2 a2, a2^2 - 4 a4, -a3) and
   (2(a1 + a2), -(a1 - a2)) on the same heights, with the coefficients
   written out here by list arithmetic;
@@ -400,18 +402,51 @@ def test_nullspace_of_star_minus_identity(benchmark):
         assert _triple_loop(star, column_vector) == column_vector
 
 
-def test_hodge_split(benchmark):
-    gram = _criterion6_gram(random.Random("hodge_split"))
-    assert gram.det() == 1 and gram != RingMatrix.identity(4)
-    form = QuadraticForm(gram.scale(Fraction(9, 4)))  # det (9/4)^4, square root (9/4)^2
-    split = benchmark(hodge_split, form)
+def _check_hodge_split(split, form, root):
+    """The star against the triple loop, and both eigenbases."""
     inverse = exterior_square(form.gram).inverse()
-    assert split.star == _triple_loop(inverse, q6().gram).scale(Fraction(9, 4) ** 2)
+    assert split.star == _triple_loop(inverse, q6().gram).scale(root)
     for basis, sign in ((split.plus_basis, 1), (split.minus_basis, -1)):
         assert len(basis) == 3
         for v in basis:
             column_vector = RingMatrix([[c] for c in v])
             assert _triple_loop(split.star, column_vector) == column_vector.scale(sign)
+
+
+def test_hodge_split(benchmark):
+    gram = _criterion6_gram(random.Random("hodge_split"))
+    assert gram.det() == 1 and gram != RingMatrix.identity(4)
+    form = QuadraticForm(gram.scale(Fraction(9, 4)))  # det (9/4)^4, square root (9/4)^2
+    _check_hodge_split(benchmark(hodge_split, form), form, Fraction(9, 4) ** 2)
+
+
+def _long_digits(rng, digits=100):
+    """A 4x4 matrix whose entries are p/q with p and q of ``digits`` digits."""
+    def part():
+        return rng.randint(10 ** (digits - 1), 10**digits - 1)
+
+    return RingMatrix([[Fraction(rng.choice((1, -1)) * part(), part()) for _ in range(4)] for _ in range(4)])
+
+
+def test_hodge_split_100_digits(benchmark):
+    g = _long_digits(random.Random("hodge_split:100"))
+    form = QuadraticForm(g.transpose() * g)  # det(g)^2, square root |det g|
+    _check_hodge_split(benchmark(hodge_split, form), form, abs(g.det()))
+
+
+def test_d_iso3_char_poly_100_digits(benchmark):
+    g = _long_digits(random.Random("d_iso3:100"))
+    a = g - RingMatrix.identity(4).scale(g.trace() / 4)
+    sextic = benchmark(lambda: char_poly(d_iso3(a)))
+    assert sextic == sextic_of_quartic(char_poly(a))
+
+
+def test_form_preservation_chain(benchmark):
+    """The rank-3 group sample of verify criterion 4: y^T Q6 y == Q6 for
+    y = Lambda^2(a), a unimodular."""
+    y, g6 = exterior_square(rand_unimodular(random.Random("chain"), 4)), q6().gram
+    assert benchmark(lambda: y.transpose() * g6 * y == g6)
+    assert _triple_loop(_triple_loop(y.transpose(), g6), y) == g6
 
 
 def _cold(args, text=""):

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +24,7 @@ from isolab.exact_algebra import (
     poly_gcd,
     poly_sqrt,
     resultant,
+    ring_is_zero,
 )
 from isolab.exact_algebra import (
     _as_poly_pair,
@@ -1217,3 +1218,178 @@ def test_exterior_square_determinant_cube_and_functoriality(rng_factory):
         n = RingMatrix([[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)])
         assert exterior_square(m).det() == m.det() ** 3
         assert exterior_square(m * n) == exterior_square(m) * exterior_square(n)
+
+
+# -- stored rows against Fraction references --------------------------------------
+
+#: Zero, small and huge rationals (denominators up to 10^12).
+row_entries = st.one_of(st.just(Fraction(0)), rationals, huge_rationals)
+#: Scalars for ``scale``, zero and negative ones included.
+scalars = st.one_of(st.just(Fraction(0)), st.integers(-3, 3), rationals, huge_rationals)
+
+
+@st.composite
+def rational_grids(draw, rows=st.integers(1, 7), cols=None):
+    """Rational lists of the drawn shape (square unless ``cols`` is given),
+    with any zero rows, or the zero matrix."""
+    m = draw(rows)
+    n = m if cols is None else draw(cols)
+    if draw(st.integers(0, 9)) == 0:
+        return [[Fraction(0)] * n for _ in range(m)]
+    grid = draw(st.lists(st.lists(row_entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2), label="zero rows"):
+        grid[i] = [Fraction(0)] * n
+    return grid
+
+
+def assert_same(got, want_rows):
+    """``got`` equals the matrix of the Fraction lists ``want_rows``, prints the
+    same, and stores canonical rows: each over a positive denominator with
+    no factor common to it and the row."""
+    want = RingMatrix(want_rows)
+    assert got == want and repr(got) == repr(want)
+    assert all(d > 0 and gcd(d, *row) == 1 for row, d in zip(got._ints, got._dens))
+    assert all(e.__class__ is Fraction for row in got.entries for e in row)
+
+
+def triple_loop(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def cofactor_det(rows):
+    """Laplace expansion along the first row, memoised on the columns left;
+    tower arithmetic, so it also serves for eta*I - M."""
+    n = len(rows)
+    memo = {}
+
+    def minor(r, cols):
+        if r == n:
+            return Fraction(1)
+        if cols not in memo:
+            total = Fraction(0)
+            for t, c in enumerate(cols):
+                if not ring_is_zero(rows[r][c]):
+                    term = rows[r][c] * minor(r + 1, cols[:t] + cols[t + 1:])
+                    total = total + term if t % 2 == 0 else total - term
+            memo[cols] = total
+        return memo[cols]
+
+    return minor(0, tuple(range(n)))
+
+
+@given(rational_grids(cols=st.integers(1, 7)))
+@settings(max_examples=60, deadline=None)
+def test_stored_rows_are_the_entries_over_their_scales(rows):
+    m = RingMatrix(rows)
+    assert m.entries == tuple(map(tuple, rows))
+    assert_same(m, rows)
+    assert m.is_zero() == all(e == 0 for row in rows for e in row)
+
+
+@given(st.tuples(*(st.integers(1, 7) for _ in range(3))).flatmap(
+    lambda s: st.tuples(rational_grids(st.just(s[0]), st.just(s[1])), rational_grids(st.just(s[1]), st.just(s[2])))
+))
+@settings(max_examples=60, deadline=None)
+def test_rational_product_matches_the_triple_loop(pair):
+    a, b = pair
+    assert_same(RingMatrix(a) * RingMatrix(b), triple_loop(a, b))
+
+
+@given(st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+    lambda s: st.tuples(*(rational_grids(st.just(s[0]), st.just(s[1])) for _ in range(2)))
+), scalars)
+@settings(max_examples=60, deadline=None)
+def test_rational_sum_difference_negation_scale_and_transpose(pair, s):
+    a, b = pair
+    ma, mb = RingMatrix(a), RingMatrix(b)
+    assert_same(ma + mb, [[x + y for x, y in zip(r, t)] for r, t in zip(a, b)])
+    assert_same(ma - mb, [[x - y for x, y in zip(r, t)] for r, t in zip(a, b)])
+    assert_same(-ma, [[-x for x in r] for r in a])
+    for scaled in (ma.scale(s), ma * s, s * ma):
+        assert_same(scaled, [[x * s for x in r] for r in a])
+    assert_same(ma.transpose(), [list(c) for c in zip(*a)])
+    assert (ma == mb) == (a == b) and ma - ma == RingMatrix([[0] * len(a[0])] * len(a))
+
+
+@given(rational_grids())
+@settings(max_examples=60, deadline=None)
+def test_rational_det_trace_and_char_poly_match_the_cofactor_expansion(rows):
+    """Sizes 1-7: ``det`` against the cofactor expansion, ``trace`` against
+    the diagonal sum, and ``char_poly`` against the cofactor expansion of
+    eta*I - M, which up to 4x4 is also ``naive_det`` of it."""
+    m, n = RingMatrix(rows), len(rows)
+    det = m.det()
+    assert det == cofactor_det(rows) and det.__class__ is Fraction
+    assert m.trace() == sum((rows[i][i] for i in range(n)), Fraction(0))
+    shifted = [[ETA - e if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    p = m.char_poly()
+    want = cofactor_det(shifted)
+    assert p == want and repr(p) == repr(want)
+    if n <= 4:
+        assert p == naive_det(RingMatrix(shifted))
+
+
+@given(st.one_of(rational_grids(), low_rank(st.integers(1, 6).map(lambda n: (n, n)), huge_rationals)))
+@settings(max_examples=60, deadline=None)
+def test_rational_inverse_and_nullspace_match_fraction_gauss_jordan(rows):
+    n = len(rows)
+    m = RingMatrix(rows)
+    work, pivots = naive_rref(rows)
+    kernel = m.nullspace()
+    free = [c for c in range(n) if c not in pivots]
+    want = [tuple(Fraction(int(c == fc)) if c not in pivots else -work[pivots.index(c)][fc] for c in range(n)) for fc in free]
+    assert kernel == want and repr(kernel) == repr(want)
+    if pivots == tuple(range(n)):
+        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        inverse = m.inverse()
+        assert_same(inverse, [row[n:] for row in naive_rref([row + ident[i] for i, row in enumerate(rows)])[0]])
+        assert m * inverse == RingMatrix.identity(n) == inverse * m
+    else:
+        with pytest.raises(ValidationError, match="^matrix is singular$"):
+            m.inverse()
+
+
+@given(rational_grids(st.just(4)), rational_grids(st.integers(1, 3), st.integers(1, 3)), rational_grids(st.integers(1, 3), st.integers(1, 3)))
+@settings(max_examples=60, deadline=None)
+def test_rational_exterior_square_and_kronecker_match_the_fraction_loops(rows, a, b):
+    m = RingMatrix(rows)
+    assert_same(exterior_square(m), [list(r) for r in fraction_exterior_square(m).entries])
+    assert_same(kronecker(RingMatrix(a), RingMatrix(b)), [[x * y for x in r for y in s] for r in a for s in b])
+
+
+@given(st.sampled_from([2, 4, 6]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rational_pfaffian_matches_the_sum_over_matchings(n, data):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = data.draw(row_entries)
+            rows[i][j], rows[j][i] = e, -e
+    m = RingMatrix(rows)
+    assert pfaffian(m) == naive_pfaffian(m) and pfaffian(m).__class__ is Fraction
+
+
+@given(st.tuples(*(st.integers(1, 4) for _ in range(3))).flatmap(
+    lambda s: st.tuples(rational_grids(st.just(s[0]), st.just(s[1])), grid(tower(["z"]), s[1], s[2]))
+))
+@settings(max_examples=40, deadline=None)
+def test_rational_by_polynomial_products_match_the_triple_loop(pair):
+    """A rational factor against a Q[z] one, in both orders: the product of
+    the entries, rational rows when every entry of it is a constant."""
+    a, b = pair
+    for got, want in ((RingMatrix(a) * RingMatrix(b), naive_product(a, b)),
+                      (RingMatrix(b).transpose() * RingMatrix(a).transpose(),
+                       [list(c) for c in zip(*naive_product(a, b))])):
+        want = RingMatrix(want)
+        assert got == want and repr(got) == repr(want)
+        assert (got._ints is None) == any(isinstance(e, UniPoly) for row in got.entries for e in row)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(*(rational_grids(st.just(n)) for _ in range(3)))))
+@settings(max_examples=40, deadline=None)
+def test_a_matrix_reached_by_two_routes_is_stored_the_same(triple):
+    a, b, c = map(RingMatrix, triple)
+    for left, right in (((a * b) * c, a * (b * c)), ((a + b).transpose(), a.transpose() + b.transpose()),
+                        ((a * b).transpose(), b.transpose() * a.transpose()), (a - b, -(b - a))):
+        assert left == right and repr(left) == repr(right)
+        assert (left._ints, left._dens) == (right._ints, right._dens)

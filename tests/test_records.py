@@ -1,15 +1,18 @@
 """The frozen value types share one base class, ``Record``: fields from the
 annotations of the class's own body, construction by position or keyword
 followed by ``__post_init__``, equality within one class, the hash of the
-field tuple, refused assignment, and the ``Name(field=value, ...)`` repr."""
+field tuple, refused assignment, and the ``Name(field=value, ...)`` repr.
+Records and the two kernel value types copy and pickle."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from isolab.covers_prym import FiberModel, twist_ledger
 from isolab.exact_algebra import Record, RingMatrix, UniPoly, ValidationError
-from isolab.lie_isogeny import QuadraticForm
+from isolab.lie_isogeny import QuadraticForm, hodge_split
 from isolab.moduli_invariants import ToledoPair, TorsionVector, W2Label
 from isolab.spectral_base import BaseSL2Pair, BaseSL4, BaseSO4, BaseSO6
 from isolab.verify import CheckResult, VerifyReport
@@ -142,3 +145,23 @@ REPRS = [
 @pytest.mark.parametrize(("build", "text"), REPRS, ids=[text.split("(")[0] for _, text in REPRS])
 def test_repr_is_pinned(build, text):
     assert repr(build()) == text
+
+
+def _values():
+    z, eta = UniPoly.variable("z"), UniPoly.variable("eta")
+    gram = RingMatrix([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, Fraction(9, 4), 0], [0, 0, 0, 1]])
+    return {
+        "UniPoly": UniPoly("eta", [z * z - Fraction(1, 3), 0, eta.coeff(1)]),
+        "RingMatrix over Q, entries unread": RingMatrix([[Fraction(1, 6), Fraction(-3, 4)], [0, 5]]) * RingMatrix.identity(2),
+        "RingMatrix over Q[z]": RingMatrix([[z, Fraction(1, 2)], [0, z * z]]),
+        "HodgeSplit": hodge_split(QuadraticForm(gram), orientation=-1),
+    }
+
+
+@pytest.mark.parametrize("name", list(_values()))
+@pytest.mark.parametrize("route", ["copy", "deepcopy", "pickle"])
+def test_kernel_values_and_records_holding_them_copy_and_pickle(name, route):
+    """Each rebuilds through its public constructor: equal, with the same repr."""
+    value = _values()[name]
+    back = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda v: pickle.loads(pickle.dumps(v))}[route](value)
+    assert back == value and repr(back) == repr(value) and type(back) is type(value)
