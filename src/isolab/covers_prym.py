@@ -257,6 +257,9 @@ class Divisor:
     def __setattr__(self, *args):
         raise AttributeError("Divisor is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return Divisor, (self._weights,)
+
     def get(self, key: Key) -> int:
         return self._weights.get(key, 0)
 

@@ -29,10 +29,9 @@ two, so an element times its scale becomes one int, and the one exit,
 ``_unpack``, reads a result back as signed digits over its scale.  Each
 kernel proves bounds on its result's coefficients and degrees; the slots are
 one bit wider than the first and as many as the second needs.  The kernels:
-the product table ``products`` (one integer dot product per entry; a
-polynomial product and each base map of ``spectral_base`` are 1x1 and 1xn
-cases), the determinant (``det``, ``resultant`` and ``char_poly``, which
-packs ``eta`` on the diagonal; one integer Bareiss elimination),
+the product table ``products`` (a polynomial product and each base map of
+``spectral_base`` are 1x1 and 1xn cases), the Bareiss determinant (``det``,
+``resultant`` and ``char_poly``, which packs ``eta`` on the diagonal),
 ``exterior_square`` (one 2x2 minor per entry), ``pfaffian`` (first-row
 expansion), ``_rref_int`` (fraction-free Gauss-Jordan under ``inverse`` and
 ``_kernel``) and ``pairwise_sum_poly`` (Newton's identities on ints).
@@ -629,17 +628,13 @@ class RingMatrix:
         width = len(grid[0])
         if width == 0 or any(len(r) != width for r in grid):
             raise ValidationError("matrix rows must be non-empty and equal length")
-        ints, dens = [], []
         try:
-            for row in grid:
-                pairs = [e.as_integer_ratio() for e in row]
-                den = lcm(*[q for _, q in pairs])
-                ints.append(tuple([p * (den // q) for p, q in pairs]))
-                dens.append(den)
+            pairs = [[e.as_integer_ratio() for e in row] for row in grid]
         except AttributeError:  # a polynomial entry
             self._store(tuple(map(tuple, grid)), None, None)
-        else:
-            self._store(None, tuple(ints), tuple(dens))
+            return
+        dens = [lcm(*[q for _, q in row]) for row in pairs]
+        self._store(None, tuple(tuple([p * (d // q) for p, q in row]) for row, d in zip(pairs, dens)), tuple(dens))
 
     def _store(self, grid, ints, dens):
         lines = grid or ints
@@ -894,12 +889,16 @@ def exterior_square(m: RingMatrix) -> RingMatrix:
 
 
 def _sylvester(f: UniPoly, g: UniPoly) -> list:
-    size, zero = f.degree + g.degree, Fraction(0)
-    return [
-        [zero] * shift + list(p.coeffs[::-1]) + [zero] * (size - shift - p.degree - 1)
-        for p, count in ((f, g.degree), (g, f.degree))
-        for shift in range(count)
-    ]
+    m, n = f.degree, g.degree
+    size = m + n
+    rows = []
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    for shift in range(n):
+        rows.append([Fraction(0)] * shift + fc + [Fraction(0)] * (size - shift - m - 1))
+    for shift in range(m):
+        rows.append([Fraction(0)] * shift + gc + [Fraction(0)] * (size - shift - n - 1))
+    return rows
 
 
 def resultant(f: UniPoly, g: UniPoly, var: str = None):

@@ -264,7 +264,7 @@ def _canonical_basis(vectors):
     each entry one ``Fraction(x, lead)``, and sort by pivot."""
     cleaned = []
     for vec in vectors:
-        lead_idx = next(i for i, c in enumerate(vec) if c)
+        lead_idx = next(i for i, c in enumerate(vec) if c != 0)
         cleaned.append((lead_idx, tuple(Fraction(x, vec[lead_idx]) for x in vec)))
     cleaned.sort(key=lambda item: item[0])
     return tuple(vec for _, vec in cleaned)

@@ -1286,6 +1286,19 @@ def test_stored_rows_are_the_entries_over_their_scales(rows):
     assert m.is_zero() == all(e == 0 for row in rows for e in row)
 
 
+@pytest.mark.parametrize(
+    "entries,message",
+    [([], "matrix needs at least one row"), ([[]], "matrix rows must be non-empty and equal length"),
+     ([[1, 2], [3]], "matrix rows must be non-empty and equal length"),
+     ([[1], [2, 3]], "matrix rows must be non-empty and equal length"),
+     ([[Z], []], "matrix rows must be non-empty and equal length")],
+    ids=["no rows", "empty row", "short last row", "long last row", "polynomial"],
+)
+def test_stored_rows_need_a_nonempty_rectangular_grid(entries, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        RingMatrix(entries)
+
+
 @given(st.tuples(*(st.integers(1, 7) for _ in range(3))).flatmap(
     lambda s: st.tuples(rational_grids(st.just(s[0]), st.just(s[1])), rational_grids(st.just(s[1]), st.just(s[2])))
 ))
@@ -1383,6 +1396,38 @@ def test_rational_by_polynomial_products_match_the_triple_loop(pair):
         want = RingMatrix(want)
         assert got == want and repr(got) == repr(want)
         assert (got._ints is None) == any(isinstance(e, UniPoly) for row in got.entries for e in row)
+
+
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda s: st.tuples(rational_grids(st.just(s[0]), st.just(s[1])), grid(tower(["z"]), *s))
+), scalars, polynomial_operands(["z"]))
+@settings(max_examples=40, deadline=None)
+def test_rational_and_polynomial_sums_scales_kronecker_and_equality(pair, s, p):
+    """A rational matrix with a Q[z] one of its shape, either side first: the
+    entrywise sums and differences, the negation, scalings and trace of the
+    second, the rational one scaled by a polynomial, the Kronecker products
+    and ``==``."""
+    a, b = pair
+    ma, mb = RingMatrix(a), RingMatrix(b)
+    for got in (mb.scale(s), mb * s, s * mb):
+        want = RingMatrix([[y * s for y in t] for t in b])
+        assert got == want and repr(got) == repr(want)
+    for got in (ma.scale(p), ma * p, p * ma):
+        want = RingMatrix([[x * p for x in r] for r in a])
+        assert got == want and repr(got) == repr(want)
+    for got, want in ((ma + mb, [[x + y for x, y in zip(r, t)] for r, t in zip(a, b)]),
+                      (mb + ma, [[y + x for x, y in zip(r, t)] for r, t in zip(a, b)]),
+                      (ma - mb, [[x - y for x, y in zip(r, t)] for r, t in zip(a, b)]),
+                      (mb - ma, [[y - x for x, y in zip(r, t)] for r, t in zip(a, b)]),
+                      (-mb, [[-y for y in t] for t in b]),
+                      (kronecker(ma, mb), [[x * y for x in r for y in t] for r in a for t in b]),
+                      (kronecker(mb, ma), [[y * x for y in t for x in r] for t in b for r in a])):
+        want = RingMatrix(want)
+        assert got == want and repr(got) == repr(want)
+    same = all(as_element(x) == as_element(y) for r, t in zip(a, b) for x, y in zip(r, t))
+    assert (ma == mb) == (mb == ma) == same
+    if len(b) == len(b[0]):
+        assert mb.trace() == as_element(sum((b[i][i] for i in range(len(b))), Fraction(0)))
 
 
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(*(rational_grids(st.just(n)) for _ in range(3)))))

@@ -2,7 +2,7 @@
 annotations of the class's own body, construction by position or keyword
 followed by ``__post_init__``, equality within one class, the hash of the
 field tuple, refused assignment, and the ``Name(field=value, ...)`` repr.
-Records and the two kernel value types copy and pickle."""
+Records, the two kernel value types and ``Divisor`` copy and pickle."""
 
 import copy
 import pickle
@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from isolab.covers_prym import FiberModel, twist_ledger
+from isolab.covers_prym import Divisor, FiberModel, twist_ledger
 from isolab.exact_algebra import Record, RingMatrix, UniPoly, ValidationError
 from isolab.lie_isogeny import QuadraticForm, hodge_split
 from isolab.moduli_invariants import ToledoPair, TorsionVector, W2Label
@@ -155,6 +155,7 @@ def _values():
         "RingMatrix over Q, entries unread": RingMatrix([[Fraction(1, 6), Fraction(-3, 4)], [0, 5]]) * RingMatrix.identity(2),
         "RingMatrix over Q[z]": RingMatrix([[z, Fraction(1, 2)], [0, z * z]]),
         "HodgeSplit": hodge_split(QuadraticForm(gram), orientation=-1),
+        "Divisor": Divisor({("y1", "y2"): 2, ("y3", "y4"): -1}),
     }
 
 
