@@ -583,14 +583,10 @@ def _kernel(rows):
     """The kernel of integer ``rows``, one int vector over the last pivot ``d``
     per free column (``d`` there, minus its reduced entry at each pivot), and ``d``."""
     work, pivots, d = _rref_int(rows)
-    width, basis = len(work[0]), []
-    for fc in range(width):
-        if fc not in pivots:
-            vec = [0] * width
-            vec[fc] = d
-            for row, pc in zip(work, pivots):
-                vec[pc] = -row[fc]
-            basis.append(vec)
+    basis = []
+    for fc in (c for c in range(len(work[0])) if c not in pivots):
+        at_pivots = {pc: -row[fc] for row, pc in zip(work, pivots)}
+        basis.append([d if c == fc else at_pivots.get(c, 0) for c in range(len(work[0]))])
     return basis, d
 
 
@@ -757,8 +753,11 @@ class RingMatrix:
     def is_zero(self) -> bool:
         return self._ints is not None and not any(map(any, self._ints))  # a polynomial entry is nonzero
 
-    def is_symmetric(self) -> bool:
-        return self.is_square and self == self.transpose()
+    def is_symmetric(self) -> bool:  # over Q, row_i[j] d_j == row_j[i] d_i, with no transpose built
+        if self._ints is None or not self.is_square:
+            return self.is_square and self == self.transpose()
+        r, d = self._ints, self._dens
+        return all(r[i][j] * d[j] == r[j][i] * d[i] for i in range(self.rows) for j in range(i))
 
     # -- linear algebra over the rationals ----------------------------------
 

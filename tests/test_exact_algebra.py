@@ -1312,7 +1312,7 @@ def test_rational_product_matches_the_triple_loop(pair):
     lambda s: st.tuples(*(rational_grids(st.just(s[0]), st.just(s[1])) for _ in range(2)))
 ), scalars)
 @settings(max_examples=60, deadline=None)
-def test_rational_sum_difference_negation_scale_and_transpose(pair, s):
+def test_rational_sum_difference_negation_scale_transpose_and_symmetry(pair, s):
     a, b = pair
     ma, mb = RingMatrix(a), RingMatrix(b)
     assert_same(ma + mb, [[x + y for x, y in zip(r, t)] for r, t in zip(a, b)])
@@ -1322,6 +1322,9 @@ def test_rational_sum_difference_negation_scale_and_transpose(pair, s):
         assert_same(scaled, [[x * s for x in r] for r in a])
     assert_same(ma.transpose(), [list(c) for c in zip(*a)])
     assert (ma == mb) == (a == b) and ma - ma == RingMatrix([[0] * len(a[0])] * len(a))
+    square = len(a) == len(a[0])
+    assert ma.is_symmetric() == (square and all(a[i][j] == a[j][i] for i in range(len(a)) for j in range(i)))
+    assert (ma + ma.transpose()).is_symmetric() if square else not ma.is_symmetric()
 
 
 @given(rational_grids())
