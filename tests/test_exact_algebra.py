@@ -1408,8 +1408,8 @@ def test_rational_by_polynomial_products_match_the_triple_loop(pair):
 def test_rational_and_polynomial_sums_scales_kronecker_and_equality(pair, s, p):
     """A rational matrix with a Q[z] one of its shape, either side first: the
     entrywise sums and differences, the negation, scalings and trace of the
-    second, the rational one scaled by a polynomial, the Kronecker products
-    and ``==``."""
+    second, the rational one scaled by a polynomial, the Kronecker products,
+    ``==`` and the symmetry of the second."""
     a, b = pair
     ma, mb = RingMatrix(a), RingMatrix(b)
     for got in (mb.scale(s), mb * s, s * mb):
@@ -1429,8 +1429,11 @@ def test_rational_and_polynomial_sums_scales_kronecker_and_equality(pair, s, p):
         assert got == want and repr(got) == repr(want)
     same = all(as_element(x) == as_element(y) for r, t in zip(a, b) for x, y in zip(r, t))
     assert (ma == mb) == (mb == ma) == same
-    if len(b) == len(b[0]):
+    square = len(b) == len(b[0])
+    if square:
         assert mb.trace() == as_element(sum((b[i][i] for i in range(len(b))), Fraction(0)))
+    assert mb.is_symmetric() == (square and all(as_element(b[i][j]) == as_element(b[j][i]) for i in range(len(b)) for j in range(i)))
+    assert (mb + mb.transpose()).is_symmetric() if square else not mb.is_symmetric()
 
 
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(*(rational_grids(st.just(n)) for _ in range(3)))))
