@@ -20,21 +20,27 @@ each call, checks results.
 constant inside a polynomial is always a ``Fraction``.
 
 Products and linear algebra run on Kronecker-packed integers (Harvey 2009).
-A rational ``RingMatrix`` keeps its rows in that form, each over its own
-denominator (see its docstring); other values cross in and out.  The one
-entry, ``_survey``, walks lines of tower elements once: it finds the
-variables, scales each line by the lcm of its leaf denominators and bounds
-its coefficients and degrees.  ``_pack`` sets each variable to a power of
-two, so an element times its scale becomes one int, and the one exit,
-``_unpack``, reads a result back as signed digits over its scale.  Each
-kernel proves bounds on its result's coefficients and degrees; the slots are
-one bit wider than the first and as many as the second needs.  The kernels:
-the product table ``products`` (a polynomial product and each base map of
-``spectral_base`` are 1x1 and 1xn cases), the Bareiss determinant (``det``,
-``resultant`` and ``char_poly``, which packs ``eta`` on the diagonal),
-``exterior_square`` (one 2x2 minor per entry), ``pfaffian`` (first-row
-expansion), ``_rref_int`` (fraction-free Gauss-Jordan under ``inverse`` and
-``_kernel``) and ``pairwise_sum_poly`` (Newton's identities on ints).
+One entry, ``_survey``, walks the lines of tower elements once: it finds
+the variables that occur, scales each line by the lcm of its leaf
+denominators and bounds its coefficients and degrees.  ``_pack`` then sets
+each variable to a power of two, so an element times its scale becomes one
+int, and one exit, ``_unpack``, reads a result back as signed digits and
+divides it by its scale.  Each kernel proves a bound on its result's
+coefficients and degrees from the survey, and the slots are one bit wider
+than the first and as many as the second needs.  Between entry and exit sit
+the public product table ``products`` (one integer dot product per entry; a
+polynomial product and each base map of ``spectral_base`` are 1x1 and 1xn
+cases), the determinant (``det``, ``resultant`` and ``char_poly``, which
+packs ``eta`` on the diagonal; one integer Bareiss elimination),
+``exterior_square`` (one integer 2x2 minor per entry), ``pfaffian`` (the
+first-row expansion on the packed entries), ``_rref_int`` (fraction-free
+Gauss-Jordan under ``inverse``, ``nullspace`` and ``eigenvectors``, which
+divide only the entries they return by the last pivot) and
+``pairwise_sum_poly`` (Newton's identities as plain integer loops).
+
+A rational ``RingMatrix`` stays in the integer form between calls: it
+stores each row as ints over one denominator (see its docstring), which
+its kernels read and return without the entry or the exit.
 """
 
 from __future__ import annotations
@@ -391,13 +397,19 @@ def poly_sqrt(p: UniPoly) -> UniPoly:
 def _det_bareiss(rows, names, shifts: dict, scales):
     """The tail of each determinant: integer Bareiss on the packed ``rows``
     (exact divisions by the Sylvester identity), read back with prod(scales)."""
-    n, work, sign, prev = len(rows), [list(r) for r in rows], 1, 1
+    n = len(rows)
+    work = [list(r) for r in rows]
+    sign = 1
+    prev = 1
     for k in range(n - 1):
         if work[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if work[i][k]), None)
-            if i is None:
+            for i in range(k + 1, n):
+                if work[i][k] != 0:
+                    work[k], work[i] = work[i], work[k]
+                    sign = -sign
+                    break
+            else:
                 return Fraction(0)
-            work[k], work[i], sign = work[i], work[k], -sign
         pivot = work[k][k]
         for i in range(k + 1, n):
             left = work[i][k]
@@ -590,6 +602,14 @@ def _kernel(rows):
     return basis, d
 
 
+def _check_shape(grid):
+    if not grid:
+        raise ValidationError("matrix needs at least one row")
+    if not grid[0] or any(len(r) != len(grid[0]) for r in grid):
+        raise ValidationError("matrix rows must be non-empty and equal length")
+    return grid
+
+
 def _from_rows(lines, dens) -> "RingMatrix":
     """The rational matrix of the int ``lines[i]`` over the nonzero int
     ``dens[i]``, each row divided by the gcd of its ints and its denominator,
@@ -609,21 +629,16 @@ class RingMatrix:
     ``_ints[i]`` over ``_dens[i] > 0``, the lcm of its denominators (its
     ``_survey`` scale), so the two have no common factor.  The form is
     unique, so ``==`` is structural, and ``entries`` builds the ``Fraction``s
-    on its first read.  Its kernels read rows and return rows.  A matrix with
-    a polynomial entry stores ``entries`` and crosses in through ``_survey``
-    and ``_pack``.  The rows are the depth-0 case of a stored packed line: a
+    on each read without keeping them.  Its kernels read rows and return
+    rows.  A matrix with a polynomial entry stores ``entries`` in ``_grid``
+    and crosses in through ``_survey`` and ``_pack``.  The rows are the depth-0 case of a stored packed line: a
     polynomial row would keep its packed ints over its scale, with the bound
     and degrees that fix its slots, so each kernel keeps one body."""
 
     __slots__ = ("rows", "cols", "_grid", "_ints", "_dens")
 
     def __init__(self, entries: Iterable[Iterable]):
-        grid = [[e if e.__class__ is Fraction else as_element(e) for e in row] for row in entries]
-        if not grid:
-            raise ValidationError("matrix needs at least one row")
-        width = len(grid[0])
-        if width == 0 or any(len(r) != width for r in grid):
-            raise ValidationError("matrix rows must be non-empty and equal length")
+        grid = _check_shape([[e if e.__class__ is Fraction else as_element(e) for e in row] for row in entries])
         try:
             pairs = [[e.as_integer_ratio() for e in row] for row in grid]
         except AttributeError:  # a polynomial entry
@@ -646,11 +661,10 @@ class RingMatrix:
 
     @property
     def entries(self):
-        """The rows of tower elements, built once for a rational matrix."""
-        if self._grid is None:
-            grid = tuple(tuple([Fraction(x, d) for x in row]) for row, d in zip(self._ints, self._dens))
-            object.__setattr__(self, "_grid", grid)
-        return self._grid
+        """The rows of tower elements; a rational matrix builds them on each read."""
+        if self._ints is None:
+            return self._grid
+        return tuple(tuple([Fraction(x, d) for x in row]) for row, d in zip(self._ints, self._dens))
 
     def _over(self):
         """The integer rows over L, the lcm of the row denominators, and L."""
@@ -680,10 +694,20 @@ class RingMatrix:
         return self.rows == self.cols
 
     def block(self, r0: int, c0: int, height: int, width: int) -> "RingMatrix":
-        return RingMatrix([[self.entries[i][j] for j in range(c0, c0 + width)] for i in range(r0, r0 + height)])
+        return self.linear_image(lambda a: [[a[i][j] for j in range(c0, c0 + width)] for i in range(r0, r0 + height)])
 
     def map_entries(self, fn) -> "RingMatrix":
         return RingMatrix([[fn(e) for e in row] for row in self.entries])
+
+    def linear_image(self, fn) -> "RingMatrix":
+        """The matrix of the rows ``fn(entries)`` for an ``fn`` linear in the
+        entries with integer coefficients; over Q ``fn`` maps the stored rows
+        over their lcm L, and its image is over L."""
+        if self._ints is None:
+            return RingMatrix(fn(self._grid))
+        lines, big = self._over()
+        rows = _check_shape(fn(lines))
+        return _from_rows(rows, [big] * len(rows))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -699,7 +723,9 @@ class RingMatrix:
         return _from_rows([[a * (n // d) + b * (n // e) for a, b in zip(r, s)] for r, s, d, e, n in rows], dens)
 
     def __sub__(self, other):
-        return self + (-other) if isinstance(other, RingMatrix) else NotImplemented
+        if not isinstance(other, RingMatrix):
+            return NotImplemented
+        return self + (-other)
 
     def __neg__(self):
         return self.map_entries(lambda e: -e) if self._ints is None else self.scale(-1)
@@ -753,11 +779,8 @@ class RingMatrix:
     def is_zero(self) -> bool:
         return self._ints is not None and not any(map(any, self._ints))  # a polynomial entry is nonzero
 
-    def is_symmetric(self) -> bool:  # over Q, row_i[j] d_j == row_j[i] d_i, with no transpose built
-        if self._ints is None or not self.is_square:
-            return self.is_square and self == self.transpose()
-        r, d = self._ints, self._dens
-        return all(r[i][j] * d[j] == r[j][i] * d[i] for i in range(self.rows) for j in range(i))
+    def is_symmetric(self) -> bool:
+        return self.is_square and self == self.transpose()
 
     # -- linear algebra over the rationals ----------------------------------
 
@@ -787,6 +810,18 @@ class RingMatrix:
         self._require_rational("row reduction")
         basis, d = _kernel(self._ints)
         return [tuple(Fraction(x, d) for x in vec) for vec in basis]
+
+    def eigenvectors(self, v: int) -> list:
+        """Int vectors spanning the kernel of self - v I, for an int ``v``: its
+        ``nullspace`` basis times the last pivot, from the stored rows with
+        v d_i taken from the diagonal."""
+        self._require_rational("row reduction")
+        if not self.is_square:
+            raise ValidationError("eigenvectors require a square matrix")
+        rows = [list(r) for r in self._ints]
+        for i, d in enumerate(self._dens):
+            rows[i][i] -= v * d
+        return _kernel(rows)[0]
 
     # -- characteristic polynomial -------------------------------------------
 
@@ -860,7 +895,8 @@ def kronecker(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     """Kronecker product in the lexicographic tensor basis e_i (x) e_j; over
     Q row (i, k) is the products of the ints of rows i and k over d_i d_k."""
     if a._ints is None or b._ints is None:
-        return RingMatrix([[x * y for x in r for y in s] for r in a.entries for s in b.entries])
+        inner = b.entries
+        return RingMatrix([[x * y for x in r for y in s] for r in a.entries for s in inner])
     dens = [d * e for d in a._dens for e in b._dens]
     return _from_rows([[x * y for x in r for y in s] for r in a._ints for s in b._ints], dens)
 

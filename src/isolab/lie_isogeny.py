@@ -24,8 +24,6 @@ from .exact_algebra import (
     Record,
     RingMatrix,
     ValidationError,
-    _from_rows,
-    _kernel,
     exterior_square,
     fraction_sqrt,
     kronecker,
@@ -120,13 +118,7 @@ def d_iso2(a1dot: RingMatrix, a2dot: RingMatrix) -> RingMatrix:
     _require_shape(a2dot, 2, "rank-2 derivative")
     _require_traceless(a1dot, "rank-2 derivative")
     _require_traceless(a2dot, "rank-2 derivative")
-    a, b, z = a1dot.entries, a2dot.entries, Fraction(0)
-    return RingMatrix([
-        [a[0][0] + b[0][0], b[0][1], a[0][1], z],
-        [b[1][0], a[0][0] + b[1][1], z, a[0][1]],
-        [a[1][0], z, a[1][1] + b[0][0], b[0][1]],
-        [z, a[1][0], b[1][0], a[1][1] + b[1][1]],
-    ])
+    return kronecker(a1dot, _I2) + kronecker(_I2, a2dot)
 
 
 def d_iso3(adot: RingMatrix) -> RingMatrix:
@@ -137,14 +129,13 @@ def d_iso3(adot: RingMatrix) -> RingMatrix:
     -a_jk if i = l, a_jl if i = k, -a_il if j = k, and 0."""
     _require_shape(adot, 4, "rank-3 derivative")
     _require_traceless(adot, "rank-3 derivative")
-    a, z = adot.entries, Fraction(0)
-    return RingMatrix([
-        [a[0][0] + a[1][1], a[1][2], a[1][3], -a[0][2], -a[0][3], z],
-        [a[2][1], a[0][0] + a[2][2], a[2][3], a[0][1], z, -a[0][3]],
-        [a[3][1], a[3][2], a[0][0] + a[3][3], z, a[0][1], a[0][2]],
-        [-a[2][0], a[1][0], z, a[1][1] + a[2][2], a[2][3], -a[1][3]],
-        [-a[3][0], z, a[1][0], a[3][2], a[1][1] + a[3][3], a[1][2]],
-        [z, -a[3][0], a[2][0], -a[3][1], a[2][1], a[2][2] + a[3][3]],
+    return adot.linear_image(lambda a: [
+        [a[0][0] + a[1][1], a[1][2], a[1][3], -a[0][2], -a[0][3], 0],
+        [a[2][1], a[0][0] + a[2][2], a[2][3], a[0][1], 0, -a[0][3]],
+        [a[3][1], a[3][2], a[0][0] + a[3][3], 0, a[0][1], a[0][2]],
+        [-a[2][0], a[1][0], 0, a[1][1] + a[2][2], a[2][3], -a[1][3]],
+        [-a[3][0], 0, a[1][0], a[3][2], a[1][1] + a[3][3], a[1][2]],
+        [0, -a[3][0], a[2][0], -a[3][1], a[2][1], a[2][2] + a[3][3]],
     ])
 
 
@@ -155,9 +146,8 @@ def alpha_block(adot: RingMatrix) -> RingMatrix:
     _require_traceless(adot, "alpha block")
     if not adot.is_symmetric():
         raise ValidationError("alpha block requires a symmetric matrix")
-    a = adot.entries
-    return RingMatrix(
-        [
+    return adot.linear_image(
+        lambda a: [
             [a[0][2] + a[1][3], -a[0][3] + a[1][2], a[0][0] + a[1][1]],
             [-a[0][1] + a[2][3], a[0][0] + a[2][2], a[0][3] + a[1][2]],
             [-a[1][1] - a[2][2], a[0][1] + a[2][3], -a[0][2] + a[1][3]],
@@ -193,6 +183,7 @@ _ZERO3 = RingMatrix.diagonal([0, 0, 0])
 #: criterion 10).
 _Q_PAIR = RingMatrix([[0, 1], [1, 0]])
 _ZERO2 = RingMatrix.diagonal([0, 0])
+_I2 = RingMatrix.identity(2)
 
 
 def to_split_basis(x: RingMatrix) -> RingMatrix:
@@ -230,13 +221,9 @@ class HiggsBlockField(Record):
         return self.phi12
 
     def as_matrix(self) -> RingMatrix:
-        n1, n2 = self.phi11.rows, self.phi22.rows
-        rows = []
-        for i in range(n1):
-            rows.append(list(self.phi11.entries[i]) + list(self.phi12.entries[i]))
-        for i in range(n2):
-            rows.append(list(self.phi21.entries[i]) + list(self.phi22.entries[i]))
-        return RingMatrix(rows)
+        top = zip(self.phi11.entries, self.phi12.entries)
+        bottom = zip(self.phi21.entries, self.phi22.entries)
+        return RingMatrix([left + right for left, right in (*top, *bottom)])
 
 
 def build_block_higgs_so33(adot: RingMatrix) -> HiggsBlockField:
@@ -278,10 +265,8 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     Since Lambda^2(q)^T Q6 Lambda^2(q) = det(q) Q6, Q6^{-1} = Q6 and q is
     symmetric, the star is the closed form orientation * Q6 * Lambda^2(q) /
     sqrt(det q), whose row r is row 5 - r of Lambda^2(q), signed and scaled.
-    Both are built on the stored integer rows: with sqrt(det q) = a/b, star
-    row r is the ints of row 5 - r times +/-b over a times their denominator,
-    and each eigenspace is the integer kernel of those rows with v d_r taken
-    from the diagonal, each vector divided by its leading entry once.
+    Each eigenspace is read off the integer vectors of ``eigenvectors``,
+    each divided by its leading entry once.
     ``q`` is the 4x4 orthogonal structure with rational entries, checked
     first to be symmetric and non-degenerate; its determinant must be a
     rational square.  Orientation -1 flips the star and so swaps the two
@@ -304,21 +289,11 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     # so checking before the square root turns away no form it accepts
     induced._require_rational("matrix inversion")
     scale = fraction_sqrt(det)  # ValidationError if det is not a rational square
-    factor, root = orientation * scale.denominator, scale.numerator
-    star = _from_rows(
-        [[s * factor * x for x in row] for s, row in zip(_Q6_SIGNS, reversed(induced._ints))],
-        [root * d for d in reversed(induced._dens)],
-    )
-
-    def eigenbasis(v):  # the integer kernel of star - v I: row i shifts by v d_i on the diagonal
-        rows = [list(r) for r in star._ints]
-        for i, d in enumerate(star._dens):
-            rows[i][i] -= v * d
-        return _canonical_basis(_kernel(rows)[0])
+    star = _Q6.gram.scale(orientation / scale) * induced
 
     def restrict(basis):  # the basis against its images under Q6, their signed reversals
         images = [[c if s > 0 else -c for s, c in zip(_Q6_SIGNS, reversed(v))] for v in basis]
         return QuadraticForm(RingMatrix(products(basis, images)))
 
-    plus, minus = eigenbasis(1), eigenbasis(-1)
+    plus, minus = _canonical_basis(star.eigenvectors(1)), _canonical_basis(star.eigenvectors(-1))
     return HodgeSplit(star, plus, minus, restrict(plus), restrict(minus))

@@ -221,9 +221,8 @@ _SO22_REORDER = (0, 3, 1, 2)
 
 def _reordered(m: RingMatrix) -> RingMatrix:
     """A 4x4 matrix written in the reordered basis ``_SO22_REORDER``."""
-    from .exact_algebra import RingMatrix
     r = _SO22_REORDER
-    return RingMatrix([[m.entries[r[i]][r[j]] for j in range(4)] for i in range(4)])
+    return m.linear_image(lambda a: [[a[r[i]][r[j]] for j in range(4)] for i in range(4)])
 
 
 def assemble_so22(

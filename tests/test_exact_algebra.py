@@ -1299,6 +1299,51 @@ def test_stored_rows_need_a_nonempty_rectangular_grid(entries, message):
         RingMatrix(entries)
 
 
+@given(rational_grids(cols=st.integers(1, 7)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rational_blocks_and_linear_images_match_the_entries(rows, data):
+    """``block`` and ``linear_image`` against the same map on the Fraction
+    lists; reading ``entries`` keeps no second copy of the matrix."""
+    m, height, width = RingMatrix(rows), len(rows), len(rows[0])
+    r0, c0 = data.draw(st.integers(0, height - 1)), data.draw(st.integers(0, width - 1))
+    h, w = data.draw(st.integers(1, height - r0)), data.draw(st.integers(1, width - c0))
+    assert_same(m.block(r0, c0, h, w), [row[c0:c0 + w] for row in rows[r0:r0 + h]])
+    k = data.draw(st.integers(-3, 3))
+
+    def fn(a):  # linear in the entries with integer coefficients, zeros included
+        return [[k * a[i][j] - a[height - 1 - i][j] + 0 * a[0][0] for j in range(width)] for i in range(height)] + [[0] * width]
+
+    assert_same(m.linear_image(fn), fn(rows))
+    assert m.entries == tuple(map(tuple, rows)) and m._grid is None
+
+
+@given(rational_grids(), st.integers(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_eigenvectors_are_the_nullspace_of_the_shifted_matrix_scaled_to_integers(rows, v):
+    n = len(rows)
+    shifted = RingMatrix([[e - v if i == j else e for j, e in enumerate(row)] for i, row in enumerate(rows)])
+    got, want = RingMatrix(rows).eigenvectors(v), shifted.nullspace()
+    assert len(got) == len(want)
+    for vec, canonical in zip(got, want):
+        assert all(x.__class__ is int for x in vec) and len(vec) == n
+        assert all((x == 0) == (y == 0) for x, y in zip(vec, canonical))
+        assert len({Fraction(x) / y for x, y in zip(vec, canonical) if y}) == 1
+
+
+def test_linear_images_and_eigenvectors_refuse_what_is_outside_their_contract():
+    m, poly = RingMatrix([[1, Fraction(1, 2)], [3, 4]]), RingMatrix([[Z, 1], [0, 1]])
+    for matrix in (m, poly):
+        with pytest.raises(ValidationError, match="^matrix needs at least one row$"):
+            matrix.linear_image(lambda a: [])
+        with pytest.raises(ValidationError, match="^matrix rows must be non-empty and equal length$"):
+            matrix.linear_image(lambda a: [[a[0][0]], []])
+    assert poly.linear_image(lambda a: [[a[0][0] - a[1][1], 0]]) == RingMatrix([[Z - 1, 0]])
+    with pytest.raises(ValidationError, match="^row reduction requires rational entries$"):
+        poly.eigenvectors(1)
+    with pytest.raises(ValidationError, match="^eigenvectors require a square matrix$"):
+        m.block(0, 0, 1, 2).eigenvectors(0)
+
+
 @given(st.tuples(*(st.integers(1, 7) for _ in range(3))).flatmap(
     lambda s: st.tuples(rational_grids(st.just(s[0]), st.just(s[1])), rational_grids(st.just(s[1]), st.just(s[2])))
 ))
