@@ -631,9 +631,10 @@ class RingMatrix:
     unique, so ``==`` is structural, and ``entries`` builds the ``Fraction``s
     on each read without keeping them.  Its kernels read rows and return
     rows.  A matrix with a polynomial entry stores ``entries`` in ``_grid``
-    and crosses in through ``_survey`` and ``_pack``.  The rows are the depth-0 case of a stored packed line: a
-    polynomial row would keep its packed ints over its scale, with the bound
-    and degrees that fix its slots, so each kernel keeps one body."""
+    and crosses in through ``_survey`` and ``_pack``.  The rows are the
+    depth-0 case of a stored packed line: a polynomial row would keep its
+    packed ints over its scale, with the bound and degrees that fix its
+    slots, so each kernel keeps one body."""
 
     __slots__ = ("rows", "cols", "_grid", "_ints", "_dens")
 
@@ -733,8 +734,17 @@ class RingMatrix:
     def scale(self, s) -> "RingMatrix":
         if self._ints is None or not isinstance(s, (int, Fraction)):
             return self.map_entries(lambda e: e * s)
-        p, q = s.numerator, s.denominator
-        return _from_rows([[x * p for x in r] for r in self._ints], [d * q for d in self._dens])
+        return self.scaled_rows(range(self.rows), [s] * self.rows)
+
+    def scaled_rows(self, order, factors) -> "RingMatrix":
+        """A monomial matrix times ``self``: row r is row ``order[r]`` times the
+        int or ``Fraction`` ``factors[r]``, over Q its stored ints times the
+        factor's numerator over its denominator times the factor's."""
+        self._require_rational("row scaling")
+        picked = [(self._ints[i], self._dens[i], f) for i, f in zip(order, factors)]
+        if not picked:
+            raise ValidationError("matrix needs at least one row")
+        return _from_rows([[x * f.numerator for x in r] for r, _, f in picked], [d * f.denominator for _, d, f in picked])
 
     def __mul__(self, other):
         """Matrix product: over Q row i is the dot products of row i of
@@ -812,9 +822,9 @@ class RingMatrix:
         return [tuple(Fraction(x, d) for x in vec) for vec in basis]
 
     def eigenvectors(self, v: int) -> list:
-        """Int vectors spanning the kernel of self - v I, for an int ``v``: its
-        ``nullspace`` basis times the last pivot, from the stored rows with
-        v d_i taken from the diagonal."""
+        """Integer vectors spanning the kernel of self - v I, for an int ``v``:
+        the ``nullspace`` basis of self - v I times the last pivot, reduced
+        from the stored rows with v d_i taken from the diagonal."""
         self._require_rational("row reduction")
         if not self.is_square:
             raise ValidationError("eigenvectors require a square matrix")

@@ -264,9 +264,9 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
 
     Since Lambda^2(q)^T Q6 Lambda^2(q) = det(q) Q6, Q6^{-1} = Q6 and q is
     symmetric, the star is the closed form orientation * Q6 * Lambda^2(q) /
-    sqrt(det q), whose row r is row 5 - r of Lambda^2(q), signed and scaled.
-    Each eigenspace is read off the integer vectors of ``eigenvectors``,
-    each divided by its leading entry once.
+    sqrt(det q), whose row r is row 5 - r of Lambda^2(q), signed and scaled
+    (``scaled_rows``).  Each eigenspace is read off the integer vectors of
+    ``eigenvectors``, each divided by its leading entry once.
     ``q`` is the 4x4 orthogonal structure with rational entries, checked
     first to be symmetric and non-degenerate; its determinant must be a
     rational square.  Orientation -1 flips the star and so swaps the two
@@ -289,7 +289,7 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
     # so checking before the square root turns away no form it accepts
     induced._require_rational("matrix inversion")
     scale = fraction_sqrt(det)  # ValidationError if det is not a rational square
-    star = _Q6.gram.scale(orientation / scale) * induced
+    star = induced.scaled_rows(range(5, -1, -1), [orientation * s / scale for s in _Q6_SIGNS])
 
     def restrict(basis):  # the basis against its images under Q6, their signed reversals
         images = [[c if s > 0 else -c for s, c in zip(_Q6_SIGNS, reversed(v))] for v in basis]

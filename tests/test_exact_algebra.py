@@ -1317,6 +1317,15 @@ def test_rational_blocks_and_linear_images_match_the_entries(rows, data):
     assert m.entries == tuple(map(tuple, rows)) and m._grid is None
 
 
+@given(rational_grids(cols=st.integers(1, 7)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_scaled_rows_match_the_monomial_matrix_product(rows, data):
+    """Rows picked in any order, repeats included, each times a scalar."""
+    order = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=7), label="order")
+    factors = data.draw(st.lists(scalars, min_size=len(order), max_size=len(order)), label="factors")
+    assert_same(RingMatrix(rows).scaled_rows(order, factors), [[x * f for x in rows[i]] for i, f in zip(order, factors)])
+
+
 @given(st.one_of(rational_grids(), low_rank(st.integers(1, 6).map(lambda n: (n, n)), huge_rationals)), st.integers(-2, 2))
 @settings(max_examples=60, deadline=None)
 def test_eigenvectors_are_the_nullspace_of_the_shifted_matrix_scaled_to_integers(rows, v):
@@ -1332,7 +1341,7 @@ def test_eigenvectors_are_the_nullspace_of_the_shifted_matrix_scaled_to_integers
         assert len({Fraction(x) / y for x, y in zip(vec, canonical) if y}) == 1
 
 
-def test_linear_images_and_eigenvectors_refuse_what_is_outside_their_contract():
+def test_linear_images_scaled_rows_and_eigenvectors_refuse_what_is_outside_their_contract():
     m, poly = RingMatrix([[1, Fraction(1, 2)], [3, 4]]), RingMatrix([[Z, 1], [0, 1]])
     for matrix in (m, poly):
         with pytest.raises(ValidationError, match="^matrix needs at least one row$"):
@@ -1342,6 +1351,10 @@ def test_linear_images_and_eigenvectors_refuse_what_is_outside_their_contract():
     assert poly.linear_image(lambda a: [[a[0][0] - a[1][1], 0]]) == RingMatrix([[Z - 1, 0]])
     with pytest.raises(ValidationError, match="^row reduction requires rational entries$"):
         poly.eigenvectors(1)
+    with pytest.raises(ValidationError, match="^row scaling requires rational entries$"):
+        poly.scaled_rows([0], [1])
+    with pytest.raises(ValidationError, match="^matrix needs at least one row$"):
+        m.scaled_rows([], [])
     with pytest.raises(ValidationError, match="^eigenvectors require a square matrix$"):
         m.block(0, 0, 1, 2).eigenvectors(0)
 
