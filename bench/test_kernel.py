@@ -34,6 +34,10 @@ fails instead of timing well:
   chain by that triple loop;
 * ``d_iso2(A1, A2)`` is the tensor sum A1 (x) I + I (x) A2 of two
   traceless 2x2 matrices, taken with ``kronecker``;
+* ``identity(6)`` is a unit on both sides of Lambda^2(g) under the triple
+  loop, and the block Higgs field [[0, alpha], [alpha^T, 0]] of a symmetric
+  traceless ``A`` (``as_matrix``) is P^-1 d_iso3(A) P, P the split basis,
+  with both products taken by the triple loop;
 * a 4x4 product over Q[z] equals that triple loop;
 * the kernel of star - I for a non-identity form consists of three
   vectors v with star v = v, each with a unit in its own free column;
@@ -86,7 +90,16 @@ from isolab.exact_algebra import (
     poly_gcd,
     resultant,
 )
-from isolab.lie_isogeny import QuadraticForm, alpha_block, d_iso2, d_iso3, hodge_split, q6
+from isolab.lie_isogeny import (
+    SPLIT_BASIS,
+    QuadraticForm,
+    alpha_block,
+    build_block_higgs_so33,
+    d_iso2,
+    d_iso3,
+    hodge_split,
+    q6,
+)
 from isolab.serialize import fiber_from_json
 from isolab.spectral_base import (
     BaseSL2Pair,
@@ -98,7 +111,7 @@ from isolab.spectral_base import (
     so6_base,
     so6_oracle,
 )
-from isolab.verify import rand_unimodular
+from isolab.verify import rand_symmetric_traceless, rand_unimodular
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -380,6 +393,18 @@ def test_d_iso2(benchmark):
     field = benchmark(d_iso2, a1, a2)
     ident = RingMatrix.identity(2)
     assert field == kronecker(a1, ident) + kronecker(ident, a2)
+
+
+def test_identity_6(benchmark):
+    ident = benchmark(RingMatrix.identity, 6)
+    big_g = exterior_square(_criterion6_gram(random.Random("identity")))
+    assert _triple_loop(ident, big_g) == big_g == _triple_loop(big_g, ident)
+
+
+def test_as_matrix_so33(benchmark):
+    adot = rand_symmetric_traceless(random.Random("as_matrix"))
+    field = benchmark(build_block_higgs_so33(adot).as_matrix)
+    assert field == _triple_loop(_triple_loop(SPLIT_BASIS.inverse(), d_iso3(adot)), SPLIT_BASIS)
 
 
 def test_product_4x4_over_qz(benchmark):

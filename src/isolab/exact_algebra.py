@@ -541,8 +541,14 @@ def products(rows, cols):
     largest column bound, and its degree in each variable at most the largest
     row degree plus the largest column degree in it.  An entry that is not a
     Fraction, int or polynomial is read by ``as_element``.  A polynomial
-    product is the 1x1 table of ``(a,)`` and ``(b,)``, a product of matrices
-    with a polynomial entry that of the rows and the columns."""
+    product is the 1x1 table of ``(a,)`` and ``(b,)``; ``RingMatrix.of_products``
+    reads the same table as a matrix."""
+    prows, pcols, rs, cs, names, shifts = _packed(rows, cols)
+    return [[_unpack(sum(map(mul, r, c)), names, shifts, s * t) for c, t in zip(pcols, cs)] for r, s in zip(prows, rs)]
+
+
+def _packed(rows, cols):
+    """The entry of ``products``: its rows and columns packed with their scales, the scales, names and shifts."""
     lines = [*rows, *cols]
     try:
         names, scales, accs = _survey(lines)
@@ -558,10 +564,7 @@ def products(rows, cols):
             col = [a if a > b else b for a, b in zip(col, acc)]
         shifts = _shifts(names, row[-1] * col[-1], list(map(add, row, col)))
     packed = [[_pack(e, shifts, scale) for e in line] for line, scale in zip(lines, scales)]
-    return [
-        [_unpack(sum(map(mul, r, c)), names, shifts, rs * cs) for c, cs in zip(packed[n:], scales[n:])]
-        for r, rs in zip(packed[:n], scales[:n])
-    ]
+    return packed[:n], packed[n:], scales[:n], scales[n:], names, shifts
 
 
 def _rref_int(rows):
@@ -610,6 +613,12 @@ def _check_shape(grid):
     return grid
 
 
+def _reduced_rows(pairs):
+    """Rows of pairs (p, q), q > 0, as stored ints over the lcm of the q's (canonical if each pair is)."""
+    dens = [lcm(*[q for _, q in row]) for row in pairs]
+    return tuple(tuple([p * (d // q) for p, q in row]) for row, d in zip(pairs, dens)), tuple(dens)
+
+
 def _from_rows(lines, dens) -> "RingMatrix":
     """The rational matrix of the int ``lines[i]`` over the nonzero int
     ``dens[i]``, each row divided by the gcd of its ints and its denominator,
@@ -630,23 +639,21 @@ class RingMatrix:
     ``_survey`` scale), so the two have no common factor.  The form is
     unique, so ``==`` is structural, and ``entries`` builds the ``Fraction``s
     on each read without keeping them.  Its kernels read rows and return
-    rows.  A matrix with a polynomial entry stores ``entries`` in ``_grid``
-    and crosses in through ``_survey`` and ``_pack``.  The rows are the
-    depth-0 case of a stored packed line: a polynomial row would keep its
-    packed ints over its scale, with the bound and degrees that fix its
-    slots, so each kernel keeps one body."""
+    rows, and no ``Fraction`` is built on the way in: the constructor reads an
+    int or ``Fraction`` entry by ``as_integer_ratio`` (any other by
+    ``as_element``), ``blocks`` concatenates stored rows over their lcm, and
+    ``of_products`` reduces each int dot product of ``products`` by its gcd.
+    A matrix with a polynomial entry stores ``entries`` in ``_grid``
+    and crosses in through ``_survey`` and ``_pack``."""
 
     __slots__ = ("rows", "cols", "_grid", "_ints", "_dens")
 
     def __init__(self, entries: Iterable[Iterable]):
-        grid = _check_shape([[e if e.__class__ is Fraction else as_element(e) for e in row] for row in entries])
-        try:
-            pairs = [[e.as_integer_ratio() for e in row] for row in grid]
-        except AttributeError:  # a polynomial entry
-            self._store(tuple(map(tuple, grid)), None, None)
-            return
-        dens = [lcm(*[q for _, q in row]) for row in pairs]
-        self._store(None, tuple(tuple([p * (d // q) for p, q in row]) for row, d in zip(pairs, dens)), tuple(dens))
+        grid = _check_shape([[e if e.__class__ in _LEAVES else as_element(e) for e in row] for row in entries])
+        if UniPoly in {e.__class__ for row in grid for e in row}:
+            self._store(tuple(tuple(map(as_element, row)) for row in grid), None, None)
+        else:
+            self._store(None, *_reduced_rows([[e.as_integer_ratio() for e in row] for row in grid]))
 
     def _store(self, grid, ints, dens):
         lines = grid or ints
@@ -676,17 +683,36 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RingMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "RingMatrix":
-        n = len(values)
-        return cls([[values[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+        return cls([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
 
     @classmethod
     def antidiagonal(cls, values: Sequence) -> "RingMatrix":
-        n = len(values)
-        return cls([[values[i] if j == n - 1 - i else Fraction(0) for j in range(n)] for i in range(n)])
+        return cls([[v if i + j == len(values) - 1 else 0 for j in range(len(values))] for i, v in enumerate(values)])
+
+    @classmethod
+    def blocks(cls, grid) -> "RingMatrix":
+        """The matrix of block rows ``grid``; over Q stored rows concatenate over their lcm."""
+        if not all(grid) or any(m.rows != line[0].rows for line in grid for m in line):
+            raise ValidationError("block matrix needs block rows of blocks of equal height")
+        if any(m._ints is None for line in grid for m in line):
+            return cls([[e for m in line for e in m.entries[i]] for line in grid for i in range(line[0].rows)])
+        rows = [(line, i, lcm(*[m._dens[i] for m in line])) for line in grid for i in range(line[0].rows)]
+        ints = [tuple([x * (big // m._dens[i]) for m in line for x in m._ints[i]]) for line, i, big in rows]
+        return cls.__new__(cls)._store(None, tuple(_check_shape(ints)), tuple([big for _, _, big in rows]))
+
+    @classmethod
+    def of_products(cls, rows, cols) -> "RingMatrix":
+        """``products(rows, cols)`` as a matrix; over Q each entry is reduced by its own gcd, with no ``Fraction``."""
+        prows, pcols, rs, cs, names, shifts = _packed(rows, cols)
+        table = [[(sum(map(mul, r, c)), s * t) for c, t in zip(pcols, cs)] for r, s in zip(prows, rs)]
+        if names:
+            return cls([[_unpack(x, names, shifts, d) for x, d in line] for line in table])
+        pairs = [[(x // g, d // g) for x, d in line for g in [gcd(x, d)]] for line in table]
+        return cls.__new__(cls)._store(None, *_reduced_rows(_check_shape(pairs)))
 
     # -- access ------------------------------------------------------------
 
@@ -696,9 +722,6 @@ class RingMatrix:
 
     def block(self, r0: int, c0: int, height: int, width: int) -> "RingMatrix":
         return self.linear_image(lambda a: [[a[i][j] for j in range(c0, c0 + width)] for i in range(r0, r0 + height)])
-
-    def map_entries(self, fn) -> "RingMatrix":
-        return RingMatrix([[fn(e) for e in row] for row in self.entries])
 
     def linear_image(self, fn) -> "RingMatrix":
         """The matrix of the rows ``fn(entries)`` for an ``fn`` linear in the
@@ -729,11 +752,11 @@ class RingMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return self.map_entries(lambda e: -e) if self._ints is None else self.scale(-1)
+        return RingMatrix([[-e for e in row] for row in self._grid]) if self._ints is None else self.scale(-1)
 
     def scale(self, s) -> "RingMatrix":
         if self._ints is None or not isinstance(s, (int, Fraction)):
-            return self.map_entries(lambda e: e * s)
+            return RingMatrix([[e * s for e in row] for row in self.entries])
         return self.scaled_rows(range(self.rows), [s] * self.rows)
 
     def scaled_rows(self, order, factors) -> "RingMatrix":
@@ -755,13 +778,12 @@ class RingMatrix:
         if self.cols != other.rows:
             raise ValidationError("matrix shape mismatch in product")
         if self._ints is None or other._ints is None:
-            return RingMatrix(products(self.entries, list(zip(*other.entries))))
+            return RingMatrix.of_products(self.entries, list(zip(*other.entries)))
         lines, big = other._over()
         cols = list(zip(*lines))
         return _from_rows([[sum(map(mul, r, c)) for c in cols] for r in self._ints], [d * big for d in self._dens])
 
-    def __rmul__(self, other):
-        return self.scale(other)
+    __rmul__ = scale
 
     def __eq__(self, other):
         if not isinstance(other, RingMatrix):
@@ -773,10 +795,7 @@ class RingMatrix:
     __hash__ = None
 
     def transpose(self) -> "RingMatrix":
-        if self._ints is None:
-            return RingMatrix(list(zip(*self._grid)))
-        lines, big = self._over()
-        return _from_rows(list(zip(*lines)), [big] * self.cols)
+        return self.linear_image(lambda a: list(zip(*a)))
 
     def trace(self):
         if not self.is_square:

@@ -27,7 +27,6 @@ from .exact_algebra import (
     exterior_square,
     fraction_sqrt,
     kronecker,
-    products,
     ring_is_zero,
 )
 
@@ -113,12 +112,18 @@ def iso3_group(a: RingMatrix) -> RingMatrix:
 
 def d_iso2(a1dot: RingMatrix, a2dot: RingMatrix) -> RingMatrix:
     """Derivative of the rank-2 isogeny: A1 (x) I + I (x) A2 on the tensor
-    square; skew for the 4-dimensional form, eigenvalues add."""
+    square; skew for the 4-dimensional form, eigenvalues add.  It is one
+    ``linear_image`` of the 2x4 block row [A1 A2]."""
     _require_shape(a1dot, 2, "rank-2 derivative")
     _require_shape(a2dot, 2, "rank-2 derivative")
     _require_traceless(a1dot, "rank-2 derivative")
     _require_traceless(a2dot, "rank-2 derivative")
-    return kronecker(a1dot, _I2) + kronecker(_I2, a2dot)
+    return RingMatrix.blocks([[a1dot, a2dot]]).linear_image(lambda a: [
+        [a[0][0] + a[0][2], a[0][3], a[0][1], 0],
+        [a[1][2], a[0][0] + a[1][3], 0, a[0][1]],
+        [a[1][0], 0, a[1][1] + a[0][2], a[0][3]],
+        [0, a[1][0], a[1][2], a[1][1] + a[1][3]],
+    ])
 
 
 def d_iso3(adot: RingMatrix) -> RingMatrix:
@@ -177,13 +182,14 @@ SPLIT_BASIS = RingMatrix([[col[r] for col in _SPLIT_COLUMNS] for r in range(6)])
 _SPLIT_BASIS_INV = SPLIT_BASIS.inverse()
 #: The wedge form restricted to each summand of the split: 2 I3 and -2 I3.
 _SPLIT_FORM = RingMatrix.diagonal([2, 2, 2])
+_MINUS_SPLIT_FORM = -_SPLIT_FORM
 _ZERO3 = RingMatrix.diagonal([0, 0, 0])
 #: Gram matrix of each rank-2 summand of ``moduli_invariants.assemble_so22``:
 #: the reordered 4-dimensional form is diag(_Q_PAIR, -_Q_PAIR) (verify
 #: criterion 10).
 _Q_PAIR = RingMatrix([[0, 1], [1, 0]])
+_MINUS_Q_PAIR = -_Q_PAIR
 _ZERO2 = RingMatrix.diagonal([0, 0])
-_I2 = RingMatrix.identity(2)
 
 
 def to_split_basis(x: RingMatrix) -> RingMatrix:
@@ -221,9 +227,7 @@ class HiggsBlockField(Record):
         return self.phi12
 
     def as_matrix(self) -> RingMatrix:
-        top = zip(self.phi11.entries, self.phi12.entries)
-        bottom = zip(self.phi21.entries, self.phi22.entries)
-        return RingMatrix([left + right for left, right in (*top, *bottom)])
+        return RingMatrix.blocks([[self.phi11, self.phi12], [self.phi21, self.phi22]])
 
 
 def build_block_higgs_so33(adot: RingMatrix) -> HiggsBlockField:
@@ -233,7 +237,7 @@ def build_block_higgs_so33(adot: RingMatrix) -> HiggsBlockField:
     criterion 5 certifies that it is the rank-3 derivative conjugated into
     the fixed split basis."""
     alpha = alpha_block(adot)
-    return HiggsBlockField(_ZERO3, alpha, alpha.transpose(), _ZERO3, _SPLIT_FORM, -_SPLIT_FORM)
+    return HiggsBlockField(_ZERO3, alpha, alpha.transpose(), _ZERO3, _SPLIT_FORM, _MINUS_SPLIT_FORM)
 
 
 class HodgeSplit(Record):
@@ -293,7 +297,7 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
 
     def restrict(basis):  # the basis against its images under Q6, their signed reversals
         images = [[c if s > 0 else -c for s, c in zip(_Q6_SIGNS, reversed(v))] for v in basis]
-        return QuadraticForm(RingMatrix(products(basis, images)))
+        return QuadraticForm(RingMatrix.of_products(basis, images))
 
     plus, minus = _canonical_basis(star.eigenvectors(1)), _canonical_basis(star.eigenvectors(-1))
     return HodgeSplit(star, plus, minus, restrict(plus), restrict(minus))

@@ -249,14 +249,14 @@ def assemble_so22(
     the form times the field.
     """
     from .exact_algebra import RingMatrix, as_poly
-    from .lie_isogeny import _Q_PAIR, _ZERO2, HiggsBlockField
+    from .lie_isogeny import _MINUS_Q_PAIR, _Q_PAIR, _ZERO2, HiggsBlockField
     from .spectral_base import BaseSL2Pair, so4_base
 
     beta1, gamma1 = as_poly(beta1, "z"), as_poly(gamma1, "z")
     beta2, gamma2 = as_poly(beta2, "z"), as_poly(gamma2, "z")
     alpha = RingMatrix([[beta2, beta1], [gamma1, gamma2]])
     phi21 = RingMatrix([[gamma2, beta1], [gamma1, beta2]])
-    higgs = HiggsBlockField(_ZERO2, alpha, phi21, _ZERO2, _Q_PAIR, -_Q_PAIR)
+    higgs = HiggsBlockField(_ZERO2, alpha, phi21, _ZERO2, _Q_PAIR, _MINUS_Q_PAIR)
     base = so4_base(BaseSL2Pair(-(beta1 * gamma1), -(beta2 * gamma2)))
     return So22Assembly(
         higgs=higgs,

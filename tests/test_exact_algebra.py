@@ -1504,3 +1504,126 @@ def test_a_matrix_reached_by_two_routes_is_stored_the_same(triple):
                         ((a * b).transpose(), b.transpose() * a.transpose()), (a - b, -(b - a))):
         assert left == right and repr(left) == repr(right)
         assert (left._ints, left._dens) == (right._ints, right._dens)
+
+
+# -- constructors that reach the stored rows without a Fraction ------------------
+
+#: Entries the constructor reads: ints (bool excluded), small and huge
+#: rationals, "p/q" and decimal strings, and polynomials in z, constant and
+#: zero ones included, which collapse to a Fraction.
+MIXED_ENTRIES = st.one_of(
+    st.integers(-10**20, 10**20), rationals, huge_rationals, rationals.map(str),
+    st.sampled_from([" 3/4 ", "-0.25", "+2", "7.", ".5"]),
+    st.lists(rationals, max_size=3).map(lambda cs: UniPoly("z", cs)),
+)
+#: Entries that ``as_element`` refuses.
+REFUSED_ENTRIES = st.sampled_from([True, False, 1.5, None, "x", "1e3", float("nan")])
+
+
+def fraction_constructor(entries):
+    """The constructor read through Fractions: every entry by ``as_element``,
+    and a rational grid as rows of numerators over the lcm of each row's
+    denominators.  Returns the stored grid, ints and denominators."""
+    grid = [[as_element(e) for e in row] for row in entries]
+    if any(isinstance(e, UniPoly) for row in grid for e in row):
+        return tuple(map(tuple, grid)), None, None
+    dens = [lcm(*[e.denominator for e in row]) for row in grid]
+    return None, tuple(tuple(e.numerator * (d // e.denominator) for e in row) for row, d in zip(grid, dens)), tuple(dens)
+
+
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(lambda s: grid(MIXED_ENTRIES, *s)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_constructor_reads_mixed_grids_as_the_fraction_reference(entries, data):
+    """Mixed int, Fraction, str and polynomial grids against the Fraction
+    reading; a refused entry (bool, float, None, text) raises the error of
+    ``as_element`` on the first such entry, as before."""
+    if data.draw(st.integers(0, 4), label="refuse") == 0:
+        i, j = data.draw(st.integers(0, len(entries) - 1)), data.draw(st.integers(0, len(entries[0]) - 1))
+        entries[i][j] = data.draw(REFUSED_ENTRIES, label="refused")
+        with pytest.raises(ValidationError) as want:
+            fraction_constructor(entries)
+        with pytest.raises(ValidationError) as got:
+            RingMatrix(entries)
+        assert str(got.value) == str(want.value)
+        return
+    m = RingMatrix(entries)
+    assert (m._grid, m._ints, m._dens) == fraction_constructor(entries)
+    for row, want_row in zip(m.entries, fraction_constructor(entries)[0] or ()):
+        assert [(type(e), repr(e)) for e in row] == [(type(e), repr(e)) for e in want_row]
+    assert m.entries == tuple(tuple(as_element(e) for e in row) for row in entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_identity_diagonal_and_antidiagonal_are_built_from_ints(n):
+    values = [Fraction(k - 1, 3) for k in range(n)]
+    assert RingMatrix.identity(n) == RingMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+    assert_same(RingMatrix.diagonal(values), [[values[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+    anti = [[values[i] if j == n - 1 - i else Fraction(0) for j in range(n)] for i in range(n)]
+    assert_same(RingMatrix.antidiagonal(values), anti)
+    with pytest.raises(ValidationError, match="^cannot interpret True as an exact scalar$"):
+        RingMatrix.diagonal([True] * n)
+    assert RingMatrix.diagonal([Z, 1])._grid == ((Z, Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+@st.composite
+def block_grids(draw):
+    """Block rows of heights 1-3 and block columns of widths 1-3, each block
+    rational (zero rows and huge entries included) or, sometimes, over Q[z]."""
+    heights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    entries = st.one_of(row_entries, polynomial_operands(["z"])) if draw(st.booleans()) else row_entries
+    return [[draw(grid(entries, h, w)) for w in widths] for h in heights]
+
+
+@given(block_grids())
+@settings(max_examples=100, deadline=None)
+def test_blocks_match_the_concatenated_entries(lists):
+    """Over Q the stored rows concatenate over their lcm and stay canonical;
+    either way the matrix is that of the concatenated entries."""
+    got = RingMatrix.blocks([[RingMatrix(b) for b in line] for line in lists])
+    want = RingMatrix([[e for b in line for e in RingMatrix(b).entries[i]] for line in lists for i in range(len(line[0]))])
+    assert got == want and repr(got) == repr(want)
+    assert (got._grid, got._ints, got._dens) == (want._grid, want._ints, want._dens)
+    if got._ints is not None:
+        assert all(d > 0 and gcd(d, *row) == 1 for row, d in zip(got._ints, got._dens))
+
+
+def test_blocks_with_a_polynomial_entry_in_every_block():
+    got = RingMatrix.blocks([[RingMatrix([[Z, 1]]), RingMatrix([[Z * Z]])], [RingMatrix([[2, Z]]), RingMatrix([[-Z]])]])
+    assert got == RingMatrix([[Z, 1, Z * Z], [2, Z, -Z]]) and got._ints is None
+
+
+def test_blocks_refuse_ragged_block_rows():
+    one, two = RingMatrix([[1, 2]]), RingMatrix([[1], [Fraction(1, 2)]])
+    for bad in ([[]], [[one, two]], [[two], []]):
+        with pytest.raises(ValidationError, match="^block matrix needs block rows of blocks of equal height$"):
+            RingMatrix.blocks(bad)
+    with pytest.raises(ValidationError, match="^matrix needs at least one row$"):
+        RingMatrix.blocks([])
+    with pytest.raises(ValidationError, match="^matrix rows must be non-empty and equal length$"):
+        RingMatrix.blocks([[one], [two]])
+    with pytest.raises(ValidationError, match="^matrix rows must be non-empty and equal length$"):
+        RingMatrix.blocks([[RingMatrix([[Z, 1]])], [two]])
+
+
+@pytest.mark.parametrize("names", [[], ["z"], ["z", "eta"]], ids=["Q", "Qz", "Qzeta"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_of_products_is_the_matrix_of_products(names, data):
+    """1x1 to 3x3 tables over lines of length 1 to 3, zero lines and int
+    entries included, against the constructor on ``products``."""
+    entries = st.one_of(st.integers(-10**15, 10**15), operand_coeffs(names))
+    m, k, n = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)), label="shape")
+    rows, cols = data.draw(grid(entries, m, k), label="rows"), data.draw(grid(entries, n, k), label="cols")
+    if data.draw(st.booleans(), label="zero row"):
+        rows[0] = [0] * k
+    got, want = RingMatrix.of_products(rows, cols), RingMatrix(products(rows, cols))
+    assert got == want and repr(got) == repr(want)
+    assert (got._grid, got._ints, got._dens) == (want._grid, want._ints, want._dens)
+
+
+def test_of_products_needs_rows_and_columns():
+    with pytest.raises(ValidationError, match="^matrix needs at least one row$"):
+        RingMatrix.of_products([], [(1, 2)])
+    with pytest.raises(ValidationError, match="^matrix rows must be non-empty and equal length$"):
+        RingMatrix.of_products([(1, 2)], [])

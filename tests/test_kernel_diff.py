@@ -20,6 +20,9 @@ def test_a_tree_against_itself_has_no_differences():
     counts, differing, shown = kernel_diff.run(str(ROOT), str(ROOT), SMALL_DRIVER)
     assert (differing, shown) == (0, [])
     assert {"__mul__", "det", "inverse", "char_poly", "exterior_square", "pfaffian", "kronecker", "block"} <= set(counts)
+    # the constructor, the classmethods, maps given as lambdas, and the maps built on them
+    assert {"RingMatrix", "blocks", "of_products", "linear_image", "scaled_rows", "eigenvectors"} <= set(counts)
+    assert {"lie_isogeny.d_iso2", "lie_isogeny.hodge_split", "lie_isogeny.HiggsBlockField.as_matrix"} <= set(counts)
 
 
 def test_a_kernel_that_changes_is_reported(tmp_path):
@@ -31,3 +34,17 @@ def test_a_kernel_that_changes_is_reported(tmp_path):
     counts, differing, shown = kernel_diff.run(str(ROOT), str(tmp_path), SMALL_DRIVER)
     assert 0 < differing <= counts["pfaffian"]
     assert {name for _, name, _, _, _ in shown} == {"pfaffian"}
+
+
+def test_a_map_that_changes_is_reported_whole(tmp_path):
+    """A wrong entry in the image that ``d_iso2`` gives to ``linear_image``:
+    the recorded ``linear_image`` calls replay the recorded map and agree, and
+    the ``d_iso2`` calls, replayed whole, differ."""
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    module = tmp_path / "src" / "isolab" / "lie_isogeny.py"
+    text = module.read_text(encoding="utf-8")
+    assert text.count("[a[0][0] + a[0][2], a[0][3], a[0][1], 0],") == 1
+    module.write_text(text.replace("[a[0][0] + a[0][2], a[0][3], a[0][1], 0],", "[a[0][0] - a[0][2], a[0][3], a[0][1], 0],"))
+    counts, differing, shown = kernel_diff.run(str(ROOT), str(tmp_path), SMALL_DRIVER)
+    assert 0 < differing <= counts["lie_isogeny.d_iso2"]
+    assert {name for _, name, _, _, _ in shown} == {"lie_isogeny.d_iso2"}

@@ -13,6 +13,7 @@ from isolab.exact_algebra import (
     fraction_sqrt,
     kronecker,
     pfaffian,
+    products,
 )
 from isolab.lie_isogeny import (
     HodgeSplit,
@@ -81,6 +82,7 @@ def test_d_iso2_is_the_tensor_sum(a1, a2):
     ident = RingMatrix.identity(2)
     got, want = d_iso2(a1, a2), kronecker(a1, ident) + kronecker(ident, a2)
     assert got == want and repr(got) == repr(want)
+    assert (got._grid, got._ints, got._dens) == (want._grid, want._ints, want._dens)
 
 
 @given(traceless(4))
@@ -358,3 +360,26 @@ def test_hodge_split_checks_its_form_before_the_orientation(gram, message):
 def test_hodge_split_rejects_non_square_determinant():
     with pytest.raises(ValidationError):
         hodge_split(QuadraticForm(RingMatrix.diagonal([1, 1, 1, 2])))
+
+
+def _long_digit_gram(rng, digits):
+    """g^T g for a 4x4 g whose entries are p/q with p and q of ``digits`` digits."""
+    def part():
+        return rng.randint(10 ** (digits - 1), 10**digits - 1)
+
+    g = RingMatrix([[Fraction(rng.choice((1, -1)) * part(), part()) for _ in range(4)] for _ in range(4)])
+    return g.transpose() * g
+
+
+@pytest.mark.parametrize("digits,samples", [(2, 6), (10, 3), (100, 1)])
+def test_restricted_forms_match_the_fraction_products(rng_factory, digits, samples):
+    """Each restricted form is stored as ``RingMatrix(products(basis, images))``
+    stores it, images the basis under Q6 (each vector reversed and signed)."""
+    rng = rng_factory(f"restricted forms {digits}")
+    for _ in range(samples):
+        split = hodge_split(QuadraticForm(_long_digit_gram(rng, digits)), orientation=rng.choice((1, -1)))
+        for basis, form in ((split.plus_basis, split.q_plus), (split.minus_basis, split.q_minus)):
+            images = [[c * s for s, c in zip((1, -1, 1, 1, -1, 1), reversed(v))] for v in basis]
+            want = RingMatrix(products(basis, images))
+            assert form.gram == want and (form.gram._ints, form.gram._dens) == (want._ints, want._dens)
+            assert form.gram.is_symmetric() and form.gram.det() != 0

@@ -15,13 +15,22 @@ same way.  The tool prints the number of calls of each kernel and the
 differences (the first ``SHOWN`` in full), and exits 1 when some call
 differs.
 
+``__init__`` in ``METHODS`` records the constructor, as ``RingMatrix``, and a
+classmethod such as ``blocks`` is recorded without its class; a method that
+the parent tree lacks is not recorded.  A name in ``FUNCTIONS`` is a function
+of ``exact_algebra``, or a dotted path from the package, such as
+``lie_isogeny.d_iso2`` or ``lie_isogeny.HiggsBlockField.as_matrix``, so a map
+built on the kernels is compared whole as well as call by call.
+
 Both children register ``copyreg`` reducers that rebuild a ``RingMatrix``
 from its ``entries`` and a ``UniPoly`` from its variable and coefficients,
 through the public constructors, so a pickle depends on neither tree's
 stored form, and a tree whose classes do not pickle can still be recorded.
-A function is patched in every loaded isolab module that binds it, since
-``from .exact_algebra import ...`` binds the name in the importing module.
-Standard library only.
+A lambda or nested function, such as the map given to ``linear_image``, is
+pickled as its compiled code, closure and module, and rebuilt in the change
+tree's module.  A function is patched in every loaded isolab module that
+binds it, since ``from .exact_algebra import ...`` binds the name in the
+importing module.  Standard library only.
 """
 
 from __future__ import annotations
@@ -40,10 +49,14 @@ PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 SHOWN = 20
 
 METHODS = (
-    "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__eq__", "scale", "transpose", "trace", "is_zero",
-    "is_symmetric", "block", "det", "inverse", "nullspace", "char_poly",
+    "__init__", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__eq__", "scale", "scaled_rows", "transpose",
+    "trace", "is_zero", "is_symmetric", "block", "blocks", "of_products", "linear_image", "det", "inverse", "nullspace",
+    "eigenvectors", "char_poly",
 )
-FUNCTIONS = ("exterior_square", "pfaffian", "kronecker")
+FUNCTIONS = (
+    "exterior_square", "pfaffian", "kronecker", "lie_isogeny.d_iso2", "lie_isogeny.hodge_split",
+    "lie_isogeny.HiggsBlockField.as_matrix",
+)
 
 #: Runs in the recording child, with ``isolab``, ``sys`` and ``PERFBENCH`` bound.
 DRIVER = """
@@ -57,15 +70,35 @@ for seed in range(10):
         workloads.matrix_laws_op(isolab, "", case)
 """
 
-#: Shared by both children: the reducers, and ``call``, which returns the
-#: value of a call, the error it raised, and its outcome as [type, repr] or
-#: ["raise " + error type, error text].
+#: Shared by both children: the reducers, ``resolve``, which returns the
+#: owner (a class or module) and attribute of a name in ``FUNCTIONS``, and
+#: ``call``, which returns the value of a call, the error it raised, and its
+#: outcome as [type, repr] or ["raise " + error type, error text].
 COMMON = """
-import copyreg, json, pickle, sys
+import copyreg, importlib, json, marshal, pickle, sys, types
 import isolab
 ea = isolab.exact_algebra
 copyreg.pickle(ea.RingMatrix, lambda m: (ea.RingMatrix, (m.entries,)))
 copyreg.pickle(ea.UniPoly, lambda p: (ea.UniPoly, (p.var, p.coeffs)))
+
+def rebuild(module, code, cells, defaults, name):
+    namespace = importlib.import_module(module).__dict__ if module else {}
+    closure = tuple(types.CellType(c) for c in cells) or None
+    return types.FunctionType(marshal.loads(code), namespace, name, defaults, closure)
+
+class Pickler(pickle.Pickler):
+    def reducer_override(self, obj):
+        if isinstance(obj, types.FunctionType) and "<" in obj.__qualname__:  # a lambda or nested function
+            cells = tuple(c.cell_contents for c in obj.__closure__ or ())
+            return rebuild, (obj.__module__, marshal.dumps(obj.__code__), cells, obj.__defaults__, obj.__name__)
+        return NotImplemented
+
+def resolve(name):
+    path = name.split(".") if "." in name else ["exact_algebra", name]
+    owner = importlib.import_module("isolab." + path[0])
+    for part in path[1:-1]:
+        owner = getattr(owner, part)
+    return owner, path[-1]
 
 def call(fn, args, kwargs):
     try:
@@ -84,14 +117,14 @@ for name in ("lie_isogeny", "spectral_base", "moduli_invariants", "verify"):
 calls, results = open(calls_path, "wb"), open(results_path, "w")
 busy, pending, written, started = [], {}, [0], [0]
 
-def recorder(name, fn):
+def recorder(name, fn, skip=0):  # the first ``skip`` arguments are neither pickled nor shown
     def recorded(*args, **kwargs):
         if busy:  # pickling or printing an argument or a result
             return fn(*args, **kwargs)
         busy.append(name)
         index, started[0] = started[0], started[0] + 1
-        pickle.dump((name, args, kwargs), calls, pickle.HIGHEST_PROTOCOL)
-        label = repr(args)[:300]
+        Pickler(calls, pickle.HIGHEST_PROTOCOL).dump((name, args[skip:], kwargs))
+        label = repr(args[skip:])[:300]
         busy.pop()
         value, error, outcome = call(fn, args, kwargs)
         pending[index] = json.dumps([name, *outcome, label])
@@ -103,14 +136,29 @@ def recorder(name, fn):
         return value
     return recorded
 
+def patch(owner, attr, name):
+    raw = owner.__dict__.get(attr)
+    if raw is None:  # not in this tree
+        return
+    if isinstance(raw, classmethod):
+        setattr(owner, attr, staticmethod(recorder(name, getattr(owner, attr))))
+    elif isinstance(owner, type):
+        setattr(owner, attr, recorder(name, raw))
+    else:
+        wrapped = recorder(name, raw)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("isolab") and getattr(module, attr, None) is raw:
+                setattr(module, attr, wrapped)
+
 for name in methods:
-    setattr(ea.RingMatrix, name, recorder(name, getattr(ea.RingMatrix, name)))
+    if name == "__init__":  # the constructor: the outcome is the matrix built
+        init = ea.RingMatrix.__init__
+        made = recorder("RingMatrix", lambda self, *args, **kwargs: (init(self, *args, **kwargs), self)[1], skip=1)
+        ea.RingMatrix.__init__ = lambda self, *args, **kwargs: made(self, *args, **kwargs) and None
+    else:
+        patch(ea.RingMatrix, name, name)
 for name in functions:
-    fn = getattr(ea, name)
-    wrapped = recorder(name, fn)
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("isolab") and getattr(module, name, None) is fn:
-            setattr(module, name, wrapped)
+    patch(*resolve(name), name)
 exec(driver, {"isolab": isolab, "sys": sys, "PERFBENCH": PERFBENCH})
 calls.close()
 results.close()
@@ -125,7 +173,10 @@ with open(calls_path, "rb") as calls, open(results_path, "w") as results:
             name, args, kwargs = pickle.load(calls)
         except EOFError:
             break
-        fn = getattr(ea, name) if name in functions else getattr(ea.RingMatrix, name)
+        if name == "RingMatrix":
+            fn = ea.RingMatrix
+        else:
+            fn = getattr(*resolve(name)) if name in functions else getattr(ea.RingMatrix, name)
         results.write(json.dumps([name, *call(fn, args, kwargs)[2]]) + "\\n")
 """
 
