@@ -511,7 +511,7 @@ class TwistLedger(Record):
     """Per-fiber degree bookkeeping for the canonical twists.
 
     ``columns`` names the degrees listed for each fiber kind, and
-    ``identity_holds`` asserts the stated additive relation between them.
+    ``identity_holds`` asserts that on both kinds the first is the sum of the others.
     """
 
     context: str
@@ -526,55 +526,43 @@ def twist_ledger(context: str) -> TwistLedger:
     """Compute the degree bookkeeping used when composing the ramification
     identity with the square-root and quotient twists.
 
-    * "sl4": on the self-product construction, per fiber:
-      deg(both pulled-back ramifications), deg(pullback of the symmetrized
-      cover's ramification), deg(twice the quotient ramification);
-      additive identity 6 = 4 + 2 on a branch fiber.
+    * "sl4": per fiber, from the ledger of ``ramification_check``: deg(lhs),
+      deg(rhs) - deg(twice the quotient ramification), which is deg(pullback
+      of the symmetrized cover's ramification) as degree is additive, and
+      deg(twice the quotient ramification); 6 = 4 + 2 on a branch fiber.
     * "so4": on a two-factor product with one branched factor, the product
       fiber's own ramification degree against the sum of the pulled-back
       factor ramifications (2 = 2 + 0).
     * "so6": the same data halved, as it enters the square-root twist:
       3 = 2 + 1 per branch fiber.
     """
-    if context == "so4":
-        reg2 = FiberModel.regular("x", ("q1", "q2"))
-        rows = []
-        for f1 in (FiberModel.regular("x", ("p1", "p2")), FiberModel.generic_branch("x", ("p",))):
-            pf = fiber_product(f1, reg2)
-            pulled = sum(d.degree() for d in _pulled_back_ramification(pf))
-            rows.append((pf.ramification_divisor().degree(), pulled))
-        reg, br = rows
-        return TwistLedger(
-            context="so4",
-            columns=("product_ramification", "pulled_back_factors"),
-            regular=reg,
-            branch=br,
-            identity="product_ramification == pulled_back_factors",
-            identity_holds=(reg[0] == reg[1] and br[0] == br[1]),
-        )
     columns = {
         "sl4": ("pulled_back_ramifications", "pullback_of_sym_ramification", "twice_quotient_ramification"),
+        "so4": ("product_ramification", "pulled_back_factors"),
         "so6": ("half_pulled_back", "half_sym_pullback", "quotient_ramification"),
     }
     if context not in columns:
         raise ValidationError(f"unknown twist context {context!r}")
     rows = []
-    for f in (
-        FiberModel.regular("x", ("y1", "y2", "y3", "y4")),
-        FiberModel.generic_branch("x", ("y1", "y2", "y3")),
-    ):
-        pf = self_product_minus_diagonal(f)
-        sym = symmetrize(pf)
-        lhs = sum(d.degree() for d in _pulled_back_ramification(pf))
-        mid = sym.quotient_pullback(sym.ramification_divisor()).degree()
-        r0 = sym.quotient_ramification().degree()
-        rows.append((lhs, mid, 2 * r0) if context == "sl4" else (lhs // 2, mid // 2, r0))
-    reg, br = rows
+    if context == "so4":
+        reg2 = FiberModel.regular("x", ("q1", "q2"))
+        for f1 in (FiberModel.regular("x", ("p1", "p2")), FiberModel.generic_branch("x", ("p",))):
+            pf = fiber_product(f1, reg2)
+            rows.append((pf.ramification_divisor().degree(), sum(d.degree() for d in _pulled_back_ramification(pf))))
+    else:
+        for f in (
+            FiberModel.regular("x", ("y1", "y2", "y3", "y4")),
+            FiberModel.generic_branch("x", ("y1", "y2", "y3")),
+        ):
+            ledger = ramification_check(f)[1]
+            lhs, r0 = ledger["lhs"].degree(), ledger["quotient_ramification"].degree()
+            mid = ledger["rhs"].degree() - 2 * r0
+            rows.append((lhs, mid, 2 * r0) if context == "sl4" else (lhs // 2, mid // 2, r0))
     return TwistLedger(
         context=context,
         columns=columns[context],
-        regular=reg,
-        branch=br,
-        identity="first == second + third",
-        identity_holds=(reg[0] == reg[1] + reg[2] and br[0] == br[1] + br[2]),
+        regular=rows[0],
+        branch=rows[1],
+        identity="product_ramification == pulled_back_factors" if context == "so4" else "first == second + third",
+        identity_holds=all(row[0] == sum(row[1:]) for row in rows),
     )

@@ -30,8 +30,9 @@ coefficients and degrees from the survey, and the slots are one bit wider
 than the first and as many as the second needs.  Between entry and exit sit
 the public product table ``products`` (one integer dot product per entry; a
 polynomial product and each base map of ``spectral_base`` are 1x1 and 1xn
-cases), the determinant (``det``, ``resultant`` and ``char_poly``, which
-packs ``eta`` on the diagonal; one integer Bareiss elimination),
+cases), the determinant (``resultant``, which eliminates the top variable,
+and the methods ``det`` and ``char_poly`` of ``RingMatrix``, the second
+with ``eta`` packed on the diagonal; one integer Bareiss elimination),
 ``exterior_square`` (one integer 2x2 minor per entry), ``pfaffian`` (the
 first-row expansion on the packed entries), ``_rref_int`` (fraction-free
 Gauss-Jordan under ``inverse``, ``nullspace`` and ``eigenvectors``, which
@@ -73,7 +74,6 @@ __all__ = [
     "squarefree_part",
     "resultant",
     "pairwise_sum_poly",
-    "char_poly",
     "pfaffian",
     "kronecker",
     "exterior_square",
@@ -181,10 +181,6 @@ class UniPoly:
     # -- basic structure ---------------------------------------------------
 
     @classmethod
-    def const(cls, var: str, value) -> "UniPoly":
-        return cls(var, [value])
-
-    @classmethod
     def variable(cls, var: str) -> "UniPoly":
         return cls(var, [0, 1])
 
@@ -256,7 +252,7 @@ class UniPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValidationError("polynomial powers must be non-negative integers")
-        result = UniPoly.const(self.var, 1)
+        result = UniPoly(self.var, [1])
         base = self
         while exponent:
             if exponent & 1:
@@ -360,7 +356,7 @@ def squarefree_part(f: UniPoly) -> UniPoly:
     if f.is_zero:
         return f
     if f.degree == 0:
-        return UniPoly.const(f.var, 1)
+        return UniPoly(f.var, [1])
     return exact_div(f, poly_gcd(f, f.derivative()))
 
 
@@ -755,7 +751,9 @@ class RingMatrix:
         return RingMatrix([[-e for e in row] for row in self._grid]) if self._ints is None else self.scale(-1)
 
     def scale(self, s) -> "RingMatrix":
-        if self._ints is None or not isinstance(s, (int, Fraction)):
+        """The matrix times the ``as_element`` of ``s``; ``M * s`` and ``s * M``."""
+        s = as_element(s)
+        if self._ints is None or s.__class__ is UniPoly:
             return RingMatrix([[e * s for e in row] for row in self.entries])
         return self.scaled_rows(range(self.rows), [s] * self.rows)
 
@@ -801,7 +799,7 @@ class RingMatrix:
         if not self.is_square:
             raise ValidationError("trace requires a square matrix")
         if self._ints is None:
-            return sum((row[i] for i, row in enumerate(self._grid)), Fraction(0))
+            return as_element(sum((row[i] for i, row in enumerate(self._grid)), Fraction(0)))
         lines, big = self._over()
         return Fraction(sum(row[i] for i, row in enumerate(lines)), big)
 
@@ -883,10 +881,6 @@ class RingMatrix:
         return f"RingMatrix({self.rows}x{self.cols}: {body})"
 
 
-def char_poly(matrix: RingMatrix) -> UniPoly:
-    return matrix.char_poly()
-
-
 def pfaffian(matrix: RingMatrix):
     """Pfaffian by first-row expansion; convention Pf([[0, c], [-c, 0]]) = c.
     Antisymmetry is checked and the expansion run on the rows packed (over Q,
@@ -965,14 +959,10 @@ def _sylvester(f: UniPoly, g: UniPoly) -> list:
     return rows
 
 
-def resultant(f: UniPoly, g: UniPoly, var: str = None):
-    """Resultant in the eliminated indeterminate ``var`` (default: the
-    polynomials' shared top variable), via the Sylvester determinant."""
+def resultant(f: UniPoly, g: UniPoly):
+    """Resultant in the polynomials' shared top variable, which it
+    eliminates, via the Sylvester determinant."""
     f, g = _as_poly_pair(f, g)
-    if var is not None and f.var != var:
-        raise ValidationError(
-            f"resultant eliminates {var!r} but the polynomials live in {f.var!r}"
-        )
     if f.is_zero or g.is_zero:
         raise ValidationError("resultant requires nonzero polynomials")
     m, n = f.degree, g.degree

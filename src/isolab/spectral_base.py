@@ -132,7 +132,7 @@ def so4_oracle(b: BaseSL2Pair) -> UniPoly:
     quadratics, so this equals the quartic of ``so4_base`` identically."""
     fx = UniPoly("x", [b.a1, Fraction(0), Fraction(1)])
     gx = UniPoly("x", [UniPoly("eta", [b.a2, 0, 1]), UniPoly("eta", [0, -2]), 1])  # (eta - x)^2 + a2
-    return as_poly(resultant(fx, gx, var="x"), "eta")
+    return as_poly(resultant(fx, gx), "eta")
 
 
 def so6_base(b: BaseSL4, sign: int = 1) -> BaseSO6:

@@ -15,7 +15,6 @@ from isolab.exact_algebra import (
     as_element,
     as_fraction,
     as_poly,
-    char_poly,
     exact_div,
     exterior_square,
     kronecker,
@@ -1002,35 +1001,35 @@ def test_fraction_free_divisions_are_exact(rows):
 
 
 def test_char_poly_identity_and_diagonal():
-    assert char_poly(RingMatrix.identity(2)) == (ETA - 1) ** 2
-    assert char_poly(RingMatrix.diagonal([1, -1, 2, -2])) == ETA**4 - 5 * ETA**2 + 4
+    assert RingMatrix.identity(2).char_poly() == (ETA - 1) ** 2
+    assert RingMatrix.diagonal([1, -1, 2, -2]).char_poly() == ETA**4 - 5 * ETA**2 + 4
 
 
 def test_char_poly_of_polynomial_block():
     beta, gamma = Z + 2, 3 * Z
     m = RingMatrix([[0, beta], [gamma, 0]])
-    assert char_poly(m) == ETA * ETA - beta * gamma
+    assert m.char_poly() == ETA * ETA - beta * gamma
 
 
 def test_char_poly_rejects_spectral_variable_entries():
     with pytest.raises(ValidationError):
-        char_poly(RingMatrix([[ETA, 0], [0, ETA]]))
+        RingMatrix([[ETA, 0], [0, ETA]]).char_poly()
 
 
 def test_char_poly_rejects_entries_above_the_spectral_variable():
     with pytest.raises(ValidationError, match=r"\['x'\]"):
-        char_poly(RingMatrix([[UniPoly.variable("x"), 0], [0, 1]]))
+        RingMatrix([[UniPoly.variable("x"), 0], [0, 1]]).char_poly()
 
 
 def test_char_poly_of_1x1():
-    assert char_poly(RingMatrix([[Fraction(-3, 2)]])) == ETA + Fraction(3, 2)
-    assert char_poly(RingMatrix([[Z * Z]])) == ETA - Z * Z
+    assert RingMatrix([[Fraction(-3, 2)]]).char_poly() == ETA + Fraction(3, 2)
+    assert RingMatrix([[Z * Z]]).char_poly() == ETA - Z * Z
 
 
 def assert_char_poly_is_det_of_eta_minus(rows):
     m = RingMatrix(rows)
     shifted = RingMatrix([[ETA - e if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(m.entries)])
-    p = char_poly(m)
+    p = m.char_poly()
     assert isinstance(p, UniPoly) and p.var == "eta" and p.degree == m.rows and p.lead == 1
     assert p == naive_det(shifted)
 
@@ -1061,14 +1060,14 @@ def test_char_poly_with_long_coefficients_matches_permutation_expansion(rows):
     shifted = RingMatrix(
         [[UniPoly("eta", [-e, 1]) if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(m.entries)]
     )
-    assert repr(char_poly(m)) == repr(shifted.det())
+    assert repr(m.char_poly()) == repr(shifted.det())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_cayley_hamilton(n, rng_factory):
     rng = rng_factory(n)
     m = RingMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)])
-    p = char_poly(m)
+    p = m.char_poly()
     acc = RingMatrix([[0] * n] * n)
     power = RingMatrix.identity(n)
     for c in p.coeffs:
@@ -1494,6 +1493,34 @@ def test_rational_and_polynomial_sums_scales_kronecker_and_equality(pair, s, p):
         assert mb.trace() == as_element(sum((b[i][i] for i in range(len(b))), Fraction(0)))
     assert mb.is_symmetric() == (square and all(as_element(b[i][j]) == as_element(b[j][i]) for i in range(len(b)) for j in range(i)))
     assert (mb + mb.transpose()).is_symmetric() if square else not mb.is_symmetric()
+
+
+@pytest.mark.parametrize("m", [RingMatrix([[1, 2], [3, 4]]), RingMatrix([[Z, 2], [3, 4]])], ids=["Q", "Qz"])
+def test_scale_reads_its_scalar_as_a_tower_element_on_both_paths(m):
+    """``scale``, ``M * s`` and ``s * M`` read ``s`` by ``as_element`` on the
+    stored rows and with a polynomial entry alike: a boolean, a float and
+    ``None`` are refused, and ``"1/2"`` is one half, as in the constructor."""
+    for bad in (True, 1.5, None):
+        for scaled in (lambda: m.scale(bad), lambda: m * bad, lambda: bad * m):
+            with pytest.raises(ValidationError):
+                scaled()
+    half = RingMatrix([[e * Fraction(1, 2) for e in row] for row in m.entries])
+    for got in (m.scale("1/2"), m * "1/2", "1/2" * m):
+        assert got == half and repr(got) == repr(half)
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([[Z, 1], [0, -Z]], Fraction(0)),
+    ([[Z, 0], [0, 1 - Z]], Fraction(1)),
+    ([[Z, 0], [0, Z + 1]], 2 * Z + 1),
+    ([[1, 2], [3, Fraction(1, 2)]], Fraction(3, 2)),
+    ([[0, 2], [3, 0]], Fraction(0)),
+])
+def test_trace_is_in_as_element_form_on_both_paths(rows, want):
+    """A polynomial diagonal whose sum is constant gives a ``Fraction``, as
+    the stored rows do."""
+    got = RingMatrix(rows).trace()
+    assert type(got) is type(want) and repr(got) == repr(want)
 
 
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(*(rational_grids(st.just(n)) for _ in range(3)))))

@@ -23,6 +23,9 @@ def test_a_tree_against_itself_has_no_differences():
     # the constructor, the classmethods, maps given as lambdas, and the maps built on them
     assert {"RingMatrix", "blocks", "of_products", "linear_image", "scaled_rows", "eigenvectors"} <= set(counts)
     assert {"lie_isogeny.d_iso2", "lie_isogeny.hodge_split", "lie_isogeny.HiggsBlockField.as_matrix"} <= set(counts)
+    # the oracles and the fiber ledgers, whole
+    assert {"spectral_base.so4_oracle", "spectral_base.so6_oracle"} <= set(counts)
+    assert {"covers_prym.ramification_check", "covers_prym.twist_ledger"} <= set(counts)
 
 
 def test_a_kernel_that_changes_is_reported(tmp_path):

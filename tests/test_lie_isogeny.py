@@ -155,6 +155,11 @@ def test_derivatives_reject_trace():
         d_iso2(RingMatrix.identity(2), RingMatrix([[0, 0], [0, 0]]))
     with pytest.raises(ValidationError):
         d_iso3(RingMatrix.identity(4))
+    # a polynomial diagonal with a nonzero constant sum
+    with pytest.raises(ValidationError, match="traceless"):
+        d_iso2(RingMatrix([[Z, 0], [0, 1 - Z]]), RingMatrix([[Z, 0], [0, -Z]]))
+    with pytest.raises(ValidationError, match="traceless"):
+        d_iso3(RingMatrix.diagonal([Z, -Z, 1, 0]))
 
 
 def test_identity_is_neither_traceless_nor_skew():

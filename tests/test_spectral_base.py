@@ -78,7 +78,7 @@ def test_so6_oracle_is_the_square_root_of_the_pairwise_resultant(a2, a3, a4):
     base = BaseSL4(a2, a3, a4)
     coeffs = [a4, a3, a2, Fraction(0), Fraction(1)]
     shifted = sum((c * UniPoly("x", [ETA, -1]) ** k for k, c in enumerate(coeffs)), Fraction(0))
-    ordered_sums = resultant(UniPoly("x", coeffs), shifted, var="x")
+    ordered_sums = resultant(UniPoly("x", coeffs), shifted)
     equal_index = 16 * sum((c * (ETA * Fraction(1, 2)) ** k for k, c in enumerate(coeffs)), Fraction(0))
     sextic = so6_oracle(base)
     assert ordered_sums == equal_index * sextic * sextic
@@ -309,7 +309,7 @@ def test_so4_oracle_equals_the_shift_squared_construction(a1, a2):
     pair = BaseSL2Pair(a1, a2)
     shift = UniPoly("x", [ETA, Fraction(-1)])
     fx = UniPoly("x", [pair.a1, Fraction(0), Fraction(1)])
-    expected = resultant(fx, shift * shift + pair.a2, var="x")
+    expected = resultant(fx, shift * shift + pair.a2)
     quartic = so4_oracle(pair)
     assert quartic == expected and repr(quartic) == repr(expected)
 

@@ -17,7 +17,9 @@ orientation -1 must flip, and whose restrictions to the eigenspaces must
 be symmetric and non-degenerate.  The fiber builders' references are the
 definitions too: each square-root twist row doubled is the self-product
 row (criterion 7), and a pushed divisor pulled back to the self-product is
-the sum of the two projections' pullbacks (criterion 8).
+the sum of the two projections' pullbacks (criterion 8).  ``twist_ledger``
+reads its self-product degrees from the ledger of ``ramification_check``,
+so a wrong ledger reaches both, and each criterion 7 comparison has a case.
 
 Each case swaps one function for a variant that breaks exactly one
 identity, in every isolab module namespace that holds the function, and
@@ -91,6 +93,32 @@ def _halved_up(ledger, context):
         return ledger
     up = lambda row: (row[0] + 1, row[1] + 1, row[2])
     return replace(ledger, regular=up(ledger.regular), branch=up(ledger.branch))
+
+
+def _quotient_once(checked, *_):
+    """The right-hand side with the quotient ramification counted once, the
+    verdict recomputed: unchanged on a regular fiber, where it is zero."""
+    _, ledger = checked
+    rhs = ledger["rhs"] - ledger["quotient_ramification"]
+    return ledger["lhs"] == rhs, {**ledger, "rhs": rhs}
+
+
+def _quotient_doubled(checked, *_):
+    """The ledger's quotient ramification doubled, its verdict kept: the
+    self-product branch row read from it is (6, 2, 4), which still adds up."""
+    ok, ledger = checked
+    return ok, {**ledger, "quotient_ramification": ledger["quotient_ramification"].scale(2)}
+
+
+def _two_factor_doubled(ledger, context):
+    """The two-factor branch row doubled: its two columns still agree."""
+    return replace(ledger, branch=(4, 4)) if context == "so4" else ledger
+
+
+def _square_root_identity_dropped(ledger, context):
+    """The square-root twist rows kept, the identity they satisfy reported
+    false."""
+    return replace(ledger, identity_holds=False) if context == "so6" else ledger
 
 
 def _undivided(pushed, d, f):
@@ -175,6 +203,20 @@ CASES = {
     ),
     "square-root twist rows are the halved self-product rows": (
         7, "twist_ledger", _halved_up, "square-root twist rows are not the halved self-product rows",
+    ),
+    "ramification identity counts the quotient twice": (
+        7, "ramification_check", _quotient_once,
+        "generic_branch: Divisor(2*('y1', 'y1') + 1*('y1', 'y2') + 1*('y1', 'y3') + 1*('y2', 'y1') + 1*('y3', 'y1'))"
+        " != Divisor(1*('y1', 'y1') + 1*('y1', 'y2') + 1*('y1', 'y3') + 1*('y2', 'y1') + 1*('y3', 'y1'))",
+    ),
+    "self-product twist degrees read the ramification ledger": (
+        7, "ramification_check", _quotient_doubled, "self-product twist degrees",
+    ),
+    "two-factor twist degrees": (
+        7, "twist_ledger", _two_factor_doubled, "two-factor twist degrees",
+    ),
+    "square-root twist identity": (
+        7, "twist_ledger", _square_root_identity_dropped, "square-root twist degrees",
     ),
     "push descends to the quotient": (
         8, "correspondence_push", _undivided, "branch fiber weights (-2, 0, 2): push does not descend",

@@ -4,23 +4,26 @@
 
 Each tree is a source checkout with the package under ``src/``.  One child
 process imports ``isolab`` from the parent tree and runs ``DRIVER``
-(``verify.run_all`` at seeds 0 and 7, then every ``matrix-laws`` op of seeds
-0-9, built by ``perfbench/workloads.py`` of this checkout) with each call of
-the ``RingMatrix`` methods in ``METHODS`` and of the functions in
-``FUNCTIONS`` recorded: its arguments, pickled, and the type and ``repr`` of
-its result, or the type and text of the error it raised.  Calls made inside
-a recorded call are recorded too.  A second child imports ``isolab`` from the
-change tree, replays each recorded call there and reports its result the
-same way.  The tool prints the number of calls of each kernel and the
-differences (the first ``SHOWN`` in full), and exits 1 when some call
-differs.
+(``verify.run_all`` at seeds 0 and 7, then every ``matrix-laws`` and
+``oracle-high`` op of seeds 0-9, built by ``perfbench/workloads.py`` of this
+checkout) with each call of the ``RingMatrix`` methods in ``METHODS`` and
+of the functions in ``FUNCTIONS`` recorded: its arguments, pickled, and the
+type and ``repr`` of its result, or the type and text of the error it
+raised.  Calls made inside a recorded call are recorded too.  A second
+child imports ``isolab`` from the change tree, replays each recorded call
+there and reports its result the same way.  The tool prints the number of
+calls of each kernel and the differences (the first ``SHOWN`` in full), and
+exits 1 when some call differs.
 
 ``__init__`` in ``METHODS`` records the constructor, as ``RingMatrix``, and a
 classmethod such as ``blocks`` is recorded without its class; a method that
 the parent tree lacks is not recorded.  A name in ``FUNCTIONS`` is a function
 of ``exact_algebra``, or a dotted path from the package, such as
 ``lie_isogeny.d_iso2`` or ``lie_isogeny.HiggsBlockField.as_matrix``, so a map
-built on the kernels is compared whole as well as call by call.
+built on the kernels is compared whole as well as call by call.  The oracles
+are recorded whole and ``resultant`` is not: a call replays the keyword
+arguments it was recorded with, so a keyword that the change tree drops
+would show as a difference where the oracle's result is the same.
 
 Both children register ``copyreg`` reducers that rebuild a ``RingMatrix``
 from its ``entries`` and a ``UniPoly`` from its variable and coefficients,
@@ -55,7 +58,8 @@ METHODS = (
 )
 FUNCTIONS = (
     "exterior_square", "pfaffian", "kronecker", "lie_isogeny.d_iso2", "lie_isogeny.hodge_split",
-    "lie_isogeny.HiggsBlockField.as_matrix",
+    "lie_isogeny.HiggsBlockField.as_matrix", "spectral_base.so4_oracle", "spectral_base.so6_oracle",
+    "covers_prym.ramification_check", "covers_prym.twist_ledger",
 )
 
 #: Runs in the recording child, with ``isolab``, ``sys`` and ``PERFBENCH`` bound.
@@ -68,6 +72,8 @@ import workloads
 for seed in range(10):
     for case in workloads.matrix_laws_cases(isolab, seed):
         workloads.matrix_laws_op(isolab, "", case)
+    for case in workloads.oracle_high_cases(isolab, seed):
+        workloads.oracle_high_op(isolab, "", case)
 """
 
 #: Shared by both children: the reducers, ``resolve``, which returns the
