@@ -246,6 +246,13 @@ def _divisor_push(doc: _Input, orientation: int) -> dict:
     return {"divisor": ser.divisor_to_json(cp.correspondence_push(divisor, fiber), "sym")}
 
 
+def _covering(doc: _Input) -> str:
+    covering = doc.text("covering")
+    if covering not in ("pi", "sigma", "sigma4"):
+        raise ValidationError("covering: expected pi, sigma, or sigma4")
+    return covering
+
+
 def _norm_context(doc: _Input, covering: str):
     from . import covers_prym as cp
     if covering == "pi":
@@ -253,15 +260,13 @@ def _norm_context(doc: _Input, covering: str):
     if covering == "sigma":
         sym = cp.symmetrize(cp.self_product_minus_diagonal(_fiber(doc, "fiber")))
         return sym, _divisor(doc, "sym")
-    if covering == "sigma4":
-        pf = cp.fiber_product(_fiber(doc, "fiber1"), _fiber(doc, "fiber2"))
-        return pf, _divisor(doc, "ordered")
-    raise ValidationError("covering: expected pi, sigma, or sigma4")
+    pf = cp.fiber_product(_fiber(doc, "fiber1"), _fiber(doc, "fiber2"))
+    return pf, _divisor(doc, "ordered")
 
 
 def _divisor_norm(doc: _Input, orientation: int) -> dict:
     from . import covers_prym as cp, serialize as ser
-    covering = doc.text("covering")
+    covering = _covering(doc)
     carrier, divisor = _norm_context(doc, covering)
     result = cp.norm(divisor, carrier, covering)
     kind = {"pi": "point", "sigma": "orbit", "sigma4": "orbit"}[covering]
@@ -270,7 +275,7 @@ def _divisor_norm(doc: _Input, orientation: int) -> dict:
 
 def _divisor_prym_test(doc: _Input, orientation: int) -> dict:
     from . import covers_prym as cp
-    covering = doc.text("covering")
+    covering = _covering(doc)
     entries = doc.raw("entries")
     if not isinstance(entries, list):
         raise ValidationError("entries: expected an array of {fiber(s), divisor} objects")

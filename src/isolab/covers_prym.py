@@ -468,7 +468,9 @@ def norm(divisor: Divisor, carrier, covering: str) -> Divisor:
 
 
 def prym_test(family: Iterable[Tuple[object, Divisor]], covering: str) -> bool:
-    """True iff the norm vanishes on every fiber of the family."""
+    """True iff the norm vanishes on every fiber of the family, after the covering is checked."""
+    if covering not in ("pi", "sigma", "sigma4"):
+        raise ValidationError(f"unknown covering {covering!r}")
     return all(norm(d, carrier, covering).is_zero for carrier, d in family)
 
 

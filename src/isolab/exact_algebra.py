@@ -35,8 +35,8 @@ and the methods ``det`` and ``char_poly`` of ``RingMatrix``, the second
 with ``eta`` packed on the diagonal; one integer Bareiss elimination),
 ``exterior_square`` (one integer 2x2 minor per entry), ``pfaffian`` (the
 first-row expansion on the packed entries), ``_rref_int`` (fraction-free
-Gauss-Jordan under ``inverse``, ``nullspace`` and ``eigenvectors``, which
-divide only the entries they return by the last pivot) and
+Gauss-Jordan under ``inverse``, which divides only the entries it returns by
+the last pivot, and ``eigenvectors``, which returns integer vectors) and
 ``pairwise_sum_poly`` (Newton's identities as plain integer loops).
 
 A rational ``RingMatrix`` stays in the integer form between calls: it
@@ -537,14 +537,8 @@ def products(rows, cols):
     largest column bound, and its degree in each variable at most the largest
     row degree plus the largest column degree in it.  An entry that is not a
     Fraction, int or polynomial is read by ``as_element``.  A polynomial
-    product is the 1x1 table of ``(a,)`` and ``(b,)``; ``RingMatrix.of_products``
-    reads the same table as a matrix."""
-    prows, pcols, rs, cs, names, shifts = _packed(rows, cols)
-    return [[_unpack(sum(map(mul, r, c)), names, shifts, s * t) for c, t in zip(pcols, cs)] for r, s in zip(prows, rs)]
-
-
-def _packed(rows, cols):
-    """The entry of ``products``: its rows and columns packed with their scales, the scales, names and shifts."""
+    product is the 1x1 table of ``(a,)`` and ``(b,)``, and a matrix product
+    with a polynomial entry the table of its rows and columns."""
     lines = [*rows, *cols]
     try:
         names, scales, accs = _survey(lines)
@@ -559,8 +553,8 @@ def _packed(rows, cols):
         for acc in accs[n:-1]:
             col = [a if a > b else b for a, b in zip(col, acc)]
         shifts = _shifts(names, row[-1] * col[-1], list(map(add, row, col)))
-    packed = [[_pack(e, shifts, scale) for e in line] for line, scale in zip(lines, scales)]
-    return packed[:n], packed[n:], scales[:n], scales[n:], names, shifts
+    packed = [([_pack(e, shifts, scale) for e in line], scale) for line, scale in zip(lines, scales)]
+    return [[_unpack(sum(map(mul, r, c)), names, shifts, s * t) for c, t in packed[n:]] for r, s in packed[:n]]
 
 
 def _rref_int(rows):
@@ -590,29 +584,12 @@ def _rref_int(rows):
     return work, tuple(pivots), prev
 
 
-def _kernel(rows):
-    """The kernel of integer ``rows``, one int vector over the last pivot ``d``
-    per free column (``d`` there, minus its reduced entry at each pivot), and ``d``."""
-    work, pivots, d = _rref_int(rows)
-    basis = []
-    for fc in (c for c in range(len(work[0])) if c not in pivots):
-        at_pivots = {pc: -row[fc] for row, pc in zip(work, pivots)}
-        basis.append([d if c == fc else at_pivots.get(c, 0) for c in range(len(work[0]))])
-    return basis, d
-
-
 def _check_shape(grid):
     if not grid:
         raise ValidationError("matrix needs at least one row")
     if not grid[0] or any(len(r) != len(grid[0]) for r in grid):
         raise ValidationError("matrix rows must be non-empty and equal length")
     return grid
-
-
-def _reduced_rows(pairs):
-    """Rows of pairs (p, q), q > 0, as stored ints over the lcm of the q's (canonical if each pair is)."""
-    dens = [lcm(*[q for _, q in row]) for row in pairs]
-    return tuple(tuple([p * (d // q) for p, q in row]) for row, d in zip(pairs, dens)), tuple(dens)
 
 
 def _from_rows(lines, dens) -> "RingMatrix":
@@ -637,10 +614,9 @@ class RingMatrix:
     on each read without keeping them.  Its kernels read rows and return
     rows, and no ``Fraction`` is built on the way in: the constructor reads an
     int or ``Fraction`` entry by ``as_integer_ratio`` (any other by
-    ``as_element``), ``blocks`` concatenates stored rows over their lcm, and
-    ``of_products`` reduces each int dot product of ``products`` by its gcd.
-    A matrix with a polynomial entry stores ``entries`` in ``_grid``
-    and crosses in through ``_survey`` and ``_pack``."""
+    ``as_element``), and ``blocks`` concatenates stored rows over their lcm.  A
+    matrix with a polynomial entry stores ``entries`` in ``_grid``, crosses in
+    through ``_survey`` and ``_pack``, and multiplies by ``products``."""
 
     __slots__ = ("rows", "cols", "_grid", "_ints", "_dens")
 
@@ -649,7 +625,9 @@ class RingMatrix:
         if UniPoly in {e.__class__ for row in grid for e in row}:
             self._store(tuple(tuple(map(as_element, row)) for row in grid), None, None)
         else:
-            self._store(None, *_reduced_rows([[e.as_integer_ratio() for e in row] for row in grid]))
+            pairs = [[e.as_integer_ratio() for e in row] for row in grid]
+            dens = [lcm(*[q for _, q in row]) for row in pairs]
+            self._store(None, tuple(tuple([p * (d // q) for p, q in row]) for row, d in zip(pairs, dens)), tuple(dens))
 
     def _store(self, grid, ints, dens):
         lines = grid or ints
@@ -699,16 +677,6 @@ class RingMatrix:
         rows = [(line, i, lcm(*[m._dens[i] for m in line])) for line in grid for i in range(line[0].rows)]
         ints = [tuple([x * (big // m._dens[i]) for m in line for x in m._ints[i]]) for line, i, big in rows]
         return cls.__new__(cls)._store(None, tuple(_check_shape(ints)), tuple([big for _, _, big in rows]))
-
-    @classmethod
-    def of_products(cls, rows, cols) -> "RingMatrix":
-        """``products(rows, cols)`` as a matrix; over Q each entry is reduced by its own gcd, with no ``Fraction``."""
-        prows, pcols, rs, cs, names, shifts = _packed(rows, cols)
-        table = [[(sum(map(mul, r, c)), s * t) for c, t in zip(pcols, cs)] for r, s in zip(prows, rs)]
-        if names:
-            return cls([[_unpack(x, names, shifts, d) for x, d in line] for line in table])
-        pairs = [[(x // g, d // g) for x, d in line for g in [gcd(x, d)]] for line in table]
-        return cls.__new__(cls)._store(None, *_reduced_rows(_check_shape(pairs)))
 
     # -- access ------------------------------------------------------------
 
@@ -776,7 +744,7 @@ class RingMatrix:
         if self.cols != other.rows:
             raise ValidationError("matrix shape mismatch in product")
         if self._ints is None or other._ints is None:
-            return RingMatrix.of_products(self.entries, list(zip(*other.entries)))
+            return RingMatrix(products(self.entries, list(zip(*other.entries))))
         lines, big = other._over()
         cols = list(zip(*lines))
         return _from_rows([[sum(map(mul, r, c)) for c in cols] for r in self._ints], [d * big for d in self._dens])
@@ -832,23 +800,22 @@ class RingMatrix:
             raise ValidationError("matrix is singular")
         return _from_rows([row[n:] for row in work], [d] * n)
 
-    def nullspace(self):
-        """Canonical rational kernel basis: unit in each free column."""
-        self._require_rational("row reduction")
-        basis, d = _kernel(self._ints)
-        return [tuple(Fraction(x, d) for x in vec) for vec in basis]
-
     def eigenvectors(self, v: int) -> list:
-        """Integer vectors spanning the kernel of self - v I, for an int ``v``:
-        the ``nullspace`` basis of self - v I times the last pivot, reduced
-        from the stored rows with v d_i taken from the diagonal."""
+        """The kernel of self - v I, for an int ``v``, by ``_rref_int`` of the stored rows less v d_i
+        on the diagonal: per free column, the last pivot d there, 0 in the other free columns, and
+        minus the reduced entry of that column at each pivot; over d, the canonical basis."""
         self._require_rational("row reduction")
         if not self.is_square:
             raise ValidationError("eigenvectors require a square matrix")
+        if v.__class__ is not int:
+            raise ValidationError("eigenvalue must be an int")
         rows = [list(r) for r in self._ints]
         for i, d in enumerate(self._dens):
             rows[i][i] -= v * d
-        return _kernel(rows)[0]
+        work, pivots, d = _rref_int(rows)
+        at = dict(zip(pivots, work))  # the reduced row of each pivot column
+        n = self.cols
+        return [[d if c == fc else -at[c][fc] if c in at else 0 for c in range(n)] for fc in range(n) if fc not in at]
 
     # -- characteristic polynomial -------------------------------------------
 

@@ -27,6 +27,7 @@ from .exact_algebra import (
     exterior_square,
     fraction_sqrt,
     kronecker,
+    products,
     ring_is_zero,
 )
 
@@ -297,7 +298,7 @@ def hodge_split(q: QuadraticForm, orientation: int = 1) -> HodgeSplit:
 
     def restrict(basis):  # the basis against its images under Q6, their signed reversals
         images = [[c if s > 0 else -c for s, c in zip(_Q6_SIGNS, reversed(v))] for v in basis]
-        return QuadraticForm(RingMatrix.of_products(basis, images))
+        return QuadraticForm(RingMatrix(products(basis, images)))
 
     plus, minus = _canonical_basis(star.eigenvectors(1)), _canonical_basis(star.eigenvectors(-1))
     return HodgeSplit(star, plus, minus, restrict(plus), restrict(minus))

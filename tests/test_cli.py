@@ -219,6 +219,12 @@ def test_divisor_prym_test(capsys, monkeypatch):
     assert json.loads(out)["prym"] is False
 
 
+@pytest.mark.parametrize("entries", [[], "not an array"], ids=["empty", "not-an-array"])
+def test_divisor_prym_test_checks_the_covering_before_the_entries(capsys, monkeypatch, entries):
+    code, out, err = run_cli(capsys, ["divisor", "prym-test"], {"covering": "bogus", "entries": entries}, monkeypatch)
+    assert (code, out, err) == (1, "", "error: covering: expected pi, sigma, or sigma4\n")
+
+
 def test_invariants_commands(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["invariants", "map"], {"d1": 2, "d2": 1, "g": 2}, monkeypatch)
     assert code == 0 and json.loads(out) == {

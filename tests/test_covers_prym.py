@@ -395,6 +395,12 @@ def test_prym_test_family():
     assert not prym_test(bad, "sigma")
 
 
+@pytest.mark.parametrize("family", [[], [(sym_of(REG4), Divisor({}))]], ids=["empty", "one-fiber"])
+def test_prym_test_refuses_an_unknown_covering_even_for_an_empty_family(family):
+    with pytest.raises(ValidationError, match="^unknown covering 'bogus'$"):
+        prym_test(family, "bogus")
+
+
 def test_prym_preservation_exhaustive():
     reg_sym, br_sym = sym_of(REG4), sym_of(BR4)
     for weights in itertools.product(range(-2, 3), repeat=4):

@@ -876,6 +876,17 @@ def naive_rref(rows):
     return work, tuple(pivots)
 
 
+def naive_kernel(rows):
+    """The canonical kernel basis of ``naive_rref``: unit in each free column."""
+    work, pivots = naive_rref(rows)
+    n = len(work[0])
+    return [
+        tuple(Fraction(int(c == fc)) if c not in pivots else -work[pivots.index(c)][fc] for c in range(n))
+        for fc in range(n)
+        if fc not in pivots
+    ]
+
+
 def grid(entries, rows, cols):
     return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
 
@@ -938,7 +949,7 @@ def test_rref_and_nullspace_match_fraction_gauss_jordan(rows):
     reduced, got_pivots = rref(rows)
     assert got_pivots == pivots
     assert reduced == RingMatrix(work) and repr(reduced) == repr(RingMatrix(work))
-    kernel = m.nullspace()
+    kernel = (m.transpose() * m).eigenvectors(0)  # the kernel of M^T M is the kernel of M over Q
     assert len(kernel) == m.cols - len(pivots)
     for v in kernel:
         assert m * RingMatrix([[e] for e in v]) == RingMatrix([[0]] * m.rows)
@@ -947,7 +958,7 @@ def test_rref_and_nullspace_match_fraction_gauss_jordan(rows):
 def test_rref_of_zero_and_wide_matrices():
     zero = RingMatrix([[0, 0, 0], [0, 0, 0]])
     assert rref(zero.entries) == (zero, ())
-    assert len(zero.nullspace()) == 3
+    assert (zero.transpose() * zero).eigenvectors(0) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     wide = RingMatrix([[2, 4, 1, 3], [1, 2, 0, 1]])
     assert rref(wide.entries) == (RingMatrix([[1, 2, 0, 1], [0, 0, 1, 1]]), (0, 2))
 
@@ -1328,11 +1339,11 @@ def test_scaled_rows_match_the_monomial_matrix_product(rows, data):
 @given(st.one_of(rational_grids(), low_rank(st.integers(1, 6).map(lambda n: (n, n)), huge_rationals)), st.integers(-2, 2))
 @settings(max_examples=60, deadline=None)
 def test_eigenvectors_are_the_nullspace_of_the_shifted_matrix_scaled_to_integers(rows, v):
-    """``eigenvectors(v)`` of B + vI against ``nullspace`` of B, which for a
-    singular B is not empty."""
+    """``eigenvectors(v)`` of B + vI against the Fraction Gauss-Jordan kernel
+    of B, which for a singular B is not empty."""
     n = len(rows)
     moved = RingMatrix([[e + v if i == j else e for j, e in enumerate(row)] for i, row in enumerate(rows)])
-    got, want = moved.eigenvectors(v), RingMatrix(rows).nullspace()
+    got, want = moved.eigenvectors(v), naive_kernel(rows)
     assert len(got) == len(want)
     for vec, canonical in zip(got, want):
         assert all(x.__class__ is int for x in vec) and len(vec) == n
@@ -1356,6 +1367,13 @@ def test_linear_images_scaled_rows_and_eigenvectors_refuse_what_is_outside_their
         m.scaled_rows([], [])
     with pytest.raises(ValidationError, match="^eigenvectors require a square matrix$"):
         m.block(0, 0, 1, 2).eigenvectors(0)
+
+
+@pytest.mark.parametrize("v", [2.5, Fraction(5, 2), Fraction(1), True, "1", None], ids=repr)
+def test_eigenvectors_refuse_an_eigenvalue_that_is_not_an_int(v):
+    """An exact toolkit returns no float vector and no ``Fraction`` entry, and ``True`` is not 1."""
+    with pytest.raises(ValidationError, match="^eigenvalue must be an int$"):
+        RingMatrix([[3, 1], [0, Fraction(5, 2)]]).eigenvectors(v)
 
 
 @given(st.tuples(*(st.integers(1, 7) for _ in range(3))).flatmap(
@@ -1409,11 +1427,15 @@ def test_rational_det_trace_and_char_poly_match_the_cofactor_expansion(rows):
 def test_rational_inverse_and_nullspace_match_fraction_gauss_jordan(rows):
     n = len(rows)
     m = RingMatrix(rows)
-    work, pivots = naive_rref(rows)
-    kernel = m.nullspace()
+    pivots = naive_rref(rows)[1]
+    kernel, want = m.eigenvectors(0), naive_kernel(rows)
     free = [c for c in range(n) if c not in pivots]
-    want = [tuple(Fraction(int(c == fc)) if c not in pivots else -work[pivots.index(c)][fc] for c in range(n)) for fc in free]
-    assert kernel == want and repr(kernel) == repr(want)
+    assert len(kernel) == len(want) and all(x.__class__ is int for vec in kernel for x in vec)
+    # the last pivot d in its own free column, 0 in the others; divided by d, the canonical basis
+    assert len({vec[fc] for vec, fc in zip(kernel, free)}) <= 1
+    assert all(vec[c] == 0 for vec, fc in zip(kernel, free) for c in free if c != fc)
+    got = [tuple(Fraction(x, vec[fc]) for x in vec) for vec, fc in zip(kernel, free)]
+    assert got == want and repr(got) == repr(want)
     if pivots == tuple(range(n)):
         ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         inverse = m.inverse()
@@ -1636,21 +1658,15 @@ def test_blocks_refuse_ragged_block_rows():
 @pytest.mark.parametrize("names", [[], ["z"], ["z", "eta"]], ids=["Q", "Qz", "Qzeta"])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_of_products_is_the_matrix_of_products(names, data):
+def test_matrix_product_is_the_matrix_of_products(names, data):
     """1x1 to 3x3 tables over lines of length 1 to 3, zero lines and int
-    entries included, against the constructor on ``products``."""
+    entries included: the rows times the transposed columns (over Q the
+    stored-row product) against the constructor on ``products``."""
     entries = st.one_of(st.integers(-10**15, 10**15), operand_coeffs(names))
     m, k, n = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)), label="shape")
     rows, cols = data.draw(grid(entries, m, k), label="rows"), data.draw(grid(entries, n, k), label="cols")
     if data.draw(st.booleans(), label="zero row"):
         rows[0] = [0] * k
-    got, want = RingMatrix.of_products(rows, cols), RingMatrix(products(rows, cols))
+    got, want = RingMatrix(rows) * RingMatrix(list(zip(*cols))), RingMatrix(products(rows, cols))
     assert got == want and repr(got) == repr(want)
     assert (got._grid, got._ints, got._dens) == (want._grid, want._ints, want._dens)
-
-
-def test_of_products_needs_rows_and_columns():
-    with pytest.raises(ValidationError, match="^matrix needs at least one row$"):
-        RingMatrix.of_products([], [(1, 2)])
-    with pytest.raises(ValidationError, match="^matrix rows must be non-empty and equal length$"):
-        RingMatrix.of_products([(1, 2)], [])

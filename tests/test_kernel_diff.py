@@ -12,8 +12,14 @@ SPEC = importlib.util.spec_from_file_location("kernel_diff", TOOL)
 kernel_diff = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(kernel_diff)
 
-#: One sample per verify criterion: every traced kernel but ``nullspace``, ``__sub__`` and ``__rmul__``.
-SMALL_DRIVER = "from isolab import verify\nverify.run_all(seed=0, samples=1)\n"
+#: One sample per verify criterion, every traced kernel but ``__sub__`` and ``__rmul__``, and one
+#: ``genericity_report``, for ``poly_gcd``.
+SMALL_DRIVER = """
+import random
+from isolab import spectral_base, verify
+verify.run_all(seed=0, samples=1)
+spectral_base.genericity_report(spectral_base.BaseSL4(*(verify.rand_section(random.Random(k), 3) for k in range(3))))
+"""
 
 
 def test_a_tree_against_itself_has_no_differences():
@@ -21,7 +27,9 @@ def test_a_tree_against_itself_has_no_differences():
     assert (differing, shown) == (0, [])
     assert {"__mul__", "det", "inverse", "char_poly", "exterior_square", "pfaffian", "kronecker", "block"} <= set(counts)
     # the constructor, the classmethods, maps given as lambdas, and the maps built on them
-    assert {"RingMatrix", "blocks", "of_products", "linear_image", "scaled_rows", "eigenvectors"} <= set(counts)
+    assert {"RingMatrix", "blocks", "linear_image", "scaled_rows", "eigenvectors"} <= set(counts)
+    # the polynomial kernels
+    assert {"resultant", "poly_gcd", "products", "pairwise_sum_poly"} <= set(counts)
     assert {"lie_isogeny.d_iso2", "lie_isogeny.hodge_split", "lie_isogeny.HiggsBlockField.as_matrix"} <= set(counts)
     # the oracles and the fiber ledgers, whole
     assert {"spectral_base.so4_oracle", "spectral_base.so6_oracle"} <= set(counts)

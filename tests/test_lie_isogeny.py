@@ -33,6 +33,7 @@ from isolab.lie_isogeny import (
 from isolab.lie_isogeny import _canonical_basis
 from isolab.spectral_base import quartic_of_char_pair, sextic_of_quartic
 from isolab.verify import rand_symmetric_traceless, rand_traceless, rand_unimodular
+from test_exact_algebra import naive_kernel
 
 Z = UniPoly.variable("z")
 
@@ -302,7 +303,8 @@ def test_hodge_split_orientation_must_be_the_int_one_or_minus_one(orientation):
 
 def closed_form_hodge_split(q, orientation):
     """The star as the product Q6 * Lambda^2(q), scaled, its eigenspaces as
-    the kernels of star -/+ I, and each restricted form as B^T Q6 B."""
+    the Fraction Gauss-Jordan kernels of star -/+ I, and each restricted
+    form as B^T Q6 B."""
     gram = q.gram
     induced = exterior_square(gram)
     induced._require_rational("matrix inversion")
@@ -314,7 +316,7 @@ def closed_form_hodge_split(q, orientation):
         b = RingMatrix([[vec[i] for vec in basis] for i in range(6)])
         return QuadraticForm(b.transpose() * q6().gram * b)
 
-    plus, minus = _canonical_basis((star - ident).nullspace()), _canonical_basis((star + ident).nullspace())
+    plus, minus = (_canonical_basis(naive_kernel((star + sign * ident).entries)) for sign in (-1, 1))
     return HodgeSplit(star, plus, minus, restrict(plus), restrict(minus))
 
 

@@ -1,13 +1,15 @@
-"""Differential test of the matrix kernels between two source trees.
+"""Differential test of the matrix and polynomial kernels between two source trees.
 
     python3 tools/kernel_diff.py PARENT_TREE CHANGE_TREE
 
 Each tree is a source checkout with the package under ``src/``.  One child
 process imports ``isolab`` from the parent tree and runs ``DRIVER``
-(``verify.run_all`` at seeds 0 and 7, then every ``matrix-laws`` and
+(``verify.run_all`` at seeds 0 and 7, every ``matrix-laws`` and
 ``oracle-high`` op of seeds 0-9, built by ``perfbench/workloads.py`` of this
-checkout) with each call of the ``RingMatrix`` methods in ``METHODS`` and
-of the functions in ``FUNCTIONS`` recorded: its arguments, pickled, and the
+checkout, and ``spectral_base.genericity_report`` on seeded sections of
+degree 0-3, so that ``poly_gcd`` is called) with each call of the
+``RingMatrix`` methods in ``METHODS`` and of the functions in ``FUNCTIONS``
+recorded: its arguments, pickled, and the
 type and ``repr`` of its result, or the type and text of the error it
 raised.  Calls made inside a recorded call are recorded too.  A second
 child imports ``isolab`` from the change tree, replays each recorded call
@@ -20,10 +22,11 @@ classmethod such as ``blocks`` is recorded without its class; a method that
 the parent tree lacks is not recorded.  A name in ``FUNCTIONS`` is a function
 of ``exact_algebra``, or a dotted path from the package, such as
 ``lie_isogeny.d_iso2`` or ``lie_isogeny.HiggsBlockField.as_matrix``, so a map
-built on the kernels is compared whole as well as call by call.  The oracles
-are recorded whole and ``resultant`` is not: a call replays the keyword
-arguments it was recorded with, so a keyword that the change tree drops
-would show as a difference where the oracle's result is the same.
+built on the kernels is compared whole as well as call by call: the
+polynomial kernels ``resultant``, ``poly_gcd``, ``products`` and
+``pairwise_sum_poly`` are recorded, and so are the oracles that call them.
+A call replays the keyword arguments it was recorded with, so a keyword
+that the change tree drops shows as a difference.
 
 Both children register ``copyreg`` reducers that rebuild a ``RingMatrix``
 from its ``entries`` and a ``UniPoly`` from its variable and coefficients,
@@ -53,13 +56,12 @@ SHOWN = 20
 
 METHODS = (
     "__init__", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__eq__", "scale", "scaled_rows", "transpose",
-    "trace", "is_zero", "is_symmetric", "block", "blocks", "of_products", "linear_image", "det", "inverse", "nullspace",
-    "eigenvectors", "char_poly",
+    "trace", "is_zero", "is_symmetric", "block", "blocks", "linear_image", "det", "inverse", "eigenvectors", "char_poly",
 )
 FUNCTIONS = (
-    "exterior_square", "pfaffian", "kronecker", "lie_isogeny.d_iso2", "lie_isogeny.hodge_split",
-    "lie_isogeny.HiggsBlockField.as_matrix", "spectral_base.so4_oracle", "spectral_base.so6_oracle",
-    "covers_prym.ramification_check", "covers_prym.twist_ledger",
+    "resultant", "poly_gcd", "products", "pairwise_sum_poly", "exterior_square", "pfaffian", "kronecker",
+    "lie_isogeny.d_iso2", "lie_isogeny.hodge_split", "lie_isogeny.HiggsBlockField.as_matrix",
+    "spectral_base.so4_oracle", "spectral_base.so6_oracle", "covers_prym.ramification_check", "covers_prym.twist_ledger",
 )
 
 #: Runs in the recording child, with ``isolab``, ``sys`` and ``PERFBENCH`` bound.
@@ -74,6 +76,10 @@ for seed in range(10):
         workloads.matrix_laws_op(isolab, "", case)
     for case in workloads.oracle_high_cases(isolab, seed):
         workloads.oracle_high_op(isolab, "", case)
+import random
+rng = random.Random("kernel_diff genericity")
+for _ in range(40):
+    isolab.spectral_base.genericity_report(isolab.spectral_base.BaseSL4(*(verify.rand_section(rng, 3) for _ in range(3))))
 """
 
 #: Shared by both children: the reducers, ``resolve``, which returns the
