@@ -8,6 +8,10 @@ over one base point.  Only the two generic ramification profiles are
 supported: all points simple ("regular"), or exactly one double point
 listed first ("generic branch").  Anything else raises, deliberately.
 
+Product fibers follow the product rule: (a, b) has multiplicity
+m1(a) m2(b), less m1(a) at (a, a), the point over a of the diagonal
+component that a self-product removes (distinct covers share no label).
+
 Multiplicity bookkeeping is derived, not postulated, from one rule for a
 fiber map ``up -> down`` sending a point k to image(k): its ramification
 index is e(k) = m_up(k) / m_down(image(k)), and the pullback of a divisor
@@ -305,6 +309,14 @@ class Divisor:
         return f"Divisor({body})"
 
 
+def _product_points(f1: FiberModel, f2: FiberModel) -> Tuple[Tuple[PairKey, int], ...]:
+    """The points of f1 x f2 by the product rule, in row-major order; a
+    point of multiplicity 0 is dropped."""
+    return tuple(
+        ((a, b), m) for a, m1 in f1.points for b, m2 in f2.points if (m := m1 * m2 - (m1 if a == b else 0))
+    )
+
+
 def fiber_product(f1: FiberModel, f2: FiberModel) -> PairFiber:
     """Fiber of the product of two distinct double covers over a common
     base point.  Point multiplicities multiply; if exactly one factor is
@@ -320,37 +332,16 @@ def fiber_product(f1: FiberModel, f2: FiberModel) -> PairFiber:
         )
     if f1.kind == GENERIC_BRANCH and f2.kind == GENERIC_BRANCH:
         raise ValidationError("non-generic fiber: both factors branch over the same point")
-    points = []
-    for l1, m1 in f1.points:
-        for l2, m2 in f2.points:
-            points.append(((l1, l2), m1 * m2))
-    return PairFiber(f1.base_label, tuple(points), (f1, f2))
+    return PairFiber(f1.base_label, _product_points(f1, f2), (f1, f2))
 
 
 def self_product_minus_diagonal(f: FiberModel) -> PairFiber:
     """Fiber of the non-diagonal component of the self-product of a 4-fold
-    cover.  On a regular fiber these are the 12 ordered pairs of distinct
-    points; on a generic branch fiber the double point y1 contributes the
-    pair (y1, y1) with multiplicity 2 (the anti-diagonal local branch) and
-    multiplicity 2 on every mixed pair containing y1."""
+    cover, by the product rule: on a branch fiber the double point y1 keeps
+    (y1, y1) with multiplicity 4 - 2 = 2, the anti-diagonal local branch."""
     if f.degree != 4:
         raise ValidationError("self product expects a degree-4 fiber")
-    if f.kind == REGULAR:
-        pts = [((a, b), 1) for a in f.labels for b in f.labels if a != b]
-        return PairFiber(f.base_label, tuple(pts), (f, f))
-    if f.kind != GENERIC_BRANCH or len(f.labels) != 3:
-        raise ValidationError("non-generic fiber")
-    y1, y2, y3 = f.labels
-    pts = [
-        ((y1, y1), 2),
-        ((y1, y2), 2),
-        ((y2, y1), 2),
-        ((y1, y3), 2),
-        ((y3, y1), 2),
-        ((y2, y3), 1),
-        ((y3, y2), 1),
-    ]
-    return PairFiber(f.base_label, tuple(pts), (f, f))
+    return PairFiber(f.base_label, _product_points(f, f), (f, f))
 
 
 def symmetrize(pf: PairFiber) -> SymFiber:

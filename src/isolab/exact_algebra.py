@@ -935,10 +935,6 @@ def resultant(f: UniPoly, g: UniPoly):
     m, n = f.degree, g.degree
     if m == 0 and n == 0:
         return Fraction(1)
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
     return _det(_sylvester(f, g))
 
 

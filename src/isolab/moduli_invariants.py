@@ -2,18 +2,20 @@
 
 Degree labels (Toledo-type invariants) and their bounds, the lifting
 criteria for the two orthogonal split forms, counting of isogeny
-preimages over the model 2-torsion group, the component census, and the
+preimages by their defining equation, the component census, and the
 assembly of split rank-2 pair data into a 4-dimensional block Higgs
 field.
 
-The 2-torsion of the Jacobian of a genus-g surface is modeled as the
-abstract group (Z/2)^(2g); every counting statement here is purely
+The 4-torsion of the Jacobian of a genus-g surface is modeled as the
+group (Z/4)^(2g), and a preimage count is the number of its x with 2x = c
+for a c with entries 0 and 2; every counting statement here is purely
 group-theoretic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from . import Record, ValidationError
@@ -26,7 +28,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ToledoPair",
     "W2Label",
-    "TorsionVector",
     "PreimageCount",
     "CensusSO33",
     "CensusSO22",
@@ -62,6 +63,8 @@ class ToledoPair(Record):
 
     def __post_init__(self):
         check_genus(self.g)
+        if self.d1.__class__ is not int or self.d2.__class__ is not int:
+            raise ValidationError("degree labels must be integers")
 
 
 class W2Label(Record):
@@ -70,31 +73,8 @@ class W2Label(Record):
     value: int
 
     def __post_init__(self):
-        if self.value not in (0, 1):
+        if self.value.__class__ is not int or self.value not in (0, 1):
             raise ValidationError("a Z/2 label is 0 or 1")
-
-
-class TorsionVector(Record):
-    """An element of the model 2-torsion group (Z/2)^(2g)."""
-
-    bits: Tuple[int, ...]
-    g: int
-
-    def __post_init__(self):
-        if len(self.bits) != 2 * self.g:
-            raise ValidationError("a torsion vector has length 2g")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValidationError("torsion vector entries are 0 or 1")
-
-    def __add__(self, other: "TorsionVector") -> "TorsionVector":
-        if self.g != other.g:
-            raise ValidationError("torsion vectors must share a genus")
-        return TorsionVector(tuple(a ^ b for a, b in zip(self.bits, other.bits)), self.g)
-
-    @classmethod
-    def enumerate(cls, g: int):
-        for bits in itertools.product((0, 1), repeat=2 * g):
-            yield cls(bits, g)
 
 
 def toledo_map(d: ToledoPair) -> ToledoPair:
@@ -127,12 +107,10 @@ def liftable(label, which: str) -> bool:
         return (label.d1 - label.d2) % 2 == 0 and milnor_wood_check(label, "so22")
     if which == "so33":
         try:
-            b1, b2 = label
+            b1, b2 = (b.value if isinstance(b, W2Label) else b for b in label)
         except (TypeError, ValueError) as exc:
             raise ValidationError("the rank-3 lifting criterion takes a pair of Z/2 labels") from exc
-        b1 = b1.value if isinstance(b1, W2Label) else b1
-        b2 = b2.value if isinstance(b2, W2Label) else b2
-        if b1 not in (0, 1) or b2 not in (0, 1):
+        if any(b.__class__ is not int or b not in (0, 1) for b in (b1, b2)):
             raise ValidationError("Z/2 labels are 0 or 1")
         return b1 == b2
     raise ValidationError(f"unknown group {which!r} for the lifting criterion")
@@ -143,7 +121,7 @@ class PreimageCount(Record):
 
     ``stated`` is the covering degree claimed for the moduli-space map;
     ``proof_count`` the count appearing in its justification (rank 2
-    only); ``enumerated`` the size of the model-group solution set.  For
+    only); ``enumerated`` the number of solutions of its equation.  For
     the rank-2 isogeny the three numbers disagree and the discrepancy is
     reported rather than resolved: the stated degree is 2^(2g+1), the
     justification counts 2^(2g) solutions per line bundle, and ordered
@@ -153,41 +131,40 @@ class PreimageCount(Record):
     g: int
     stated: int
     proof_count: Optional[int]
-    enumerated: Optional[int]
+    enumerated: int
     discrepancy: bool
     note: str
 
 
+def _halvings(c: Tuple[int, ...]) -> int:
+    """The number of x in the model group (Z/4)^n with 2x = c.  The equation
+    holds coordinate by coordinate, so the count is the product over i of
+    the number of a in Z/4 with 2a = c_i (mod 4)."""
+    return math.prod(sum(1 for a in range(4) if 2 * a % 4 == b) for b in c)
+
+
 def preimage_count(which: str, g: int) -> PreimageCount:
-    """Stated and enumerated preimage counts; enumeration runs for g <= 3."""
+    """Stated preimage counts and the solutions of their equations."""
     check_genus(g)
     torsion_order = 2 ** (2 * g)
-    enumerable = g <= 3
+    zero = (0,) * (2 * g)
     if which == "rank3":
-        stated = torsion_order
-        enumerated = None
-        if enumerable:
-            # preimages of a fixed image point are the twists by 2-torsion
-            twists = {tv.bits for tv in TorsionVector.enumerate(g)}
-            enumerated = len(twists)
+        # preimages of a fixed image point are the twists by 2-torsion: 2x = 0
         return PreimageCount(
             isogeny="rank3",
             g=g,
-            stated=stated,
+            stated=torsion_order,
             proof_count=None,
-            enumerated=enumerated,
+            enumerated=_halvings(zero),
             discrepancy=False,
             note="stated covering degree matches the twist enumeration",
         )
     if which == "rank2":
         stated = 2 ** (2 * g + 1)
         proof_count = torsion_order
-        enumerated = None
-        if enumerable:
-            # each of the two square-root equations has a torsor of
-            # solutions over the 2-torsion group; enumerate ordered pairs
-            solutions = [tv.bits for tv in TorsionVector.enumerate(g)]
-            enumerated = sum(1 for _ in itertools.product(solutions, solutions))
+        # each of the two square-root equations 2x = c has a torsor of
+        # solutions over the 2-torsion group; count ordered pairs of them
+        enumerated = _halvings(zero) * _halvings((2,) + zero[1:])
         return PreimageCount(
             isogeny="rank2",
             g=g,
@@ -197,8 +174,7 @@ def preimage_count(which: str, g: int) -> PreimageCount:
             discrepancy=True,
             note=(
                 f"stated covering degree 2^{2*g+1}={stated}, per-bundle solution count "
-                f"2^{2*g}={proof_count}, ordered solution pairs 2^{4*g}="
-                f"{enumerated if enumerated is not None else 2 ** (4 * g)}; "
+                f"2^{2*g}={proof_count}, ordered solution pairs 2^{4*g}={enumerated}; "
                 "the intended identification is left open"
             ),
         )

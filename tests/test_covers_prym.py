@@ -105,6 +105,13 @@ def test_fiber_product_one_branched_factor():
     assert all(inv[k] != k for k in inv)
 
 
+@pytest.mark.parametrize("order", ["degree-4 second", "degree-4 first"])
+def test_fiber_product_refuses_one_factor_of_another_degree(order):
+    factors = (REG2B, REG4)
+    with pytest.raises(ValidationError, match="^fiber product expects two degree-2 fibers$"):
+        fiber_product(*(factors if order == "degree-4 second" else factors[::-1]))
+
+
 def test_fiber_product_guards():
     with pytest.raises(ValidationError):
         fiber_product(REG2A, FiberModel.regular("y", ("q1", "q2")))

@@ -347,6 +347,16 @@ def test_resultant_matches_permutation_expansion_over_polynomials(f, g):
     assert resultant(f, g) == naive_det(RingMatrix(_sylvester(f, g)))
 
 
+def test_resultant_with_a_constant_is_its_power():
+    """A constant c against a polynomial of degree n: the Sylvester matrix is
+    c times the n x n identity, in either order, and Res(c, d) = 1."""
+    g = UniPoly("x", [ETA, Z, 0, 1])
+    for c, expected in ((Fraction(-2, 3), Fraction(-8, 27)), (Z + ETA, (Z + ETA) ** 3)):
+        const = UniPoly("x", [c])
+        assert resultant(const, g) == expected and resultant(g, const) == expected
+    assert resultant(UniPoly("x", [Z]), UniPoly("x", [2])) == 1
+
+
 def test_resultant_rejects_zero_input():
     with pytest.raises(ValidationError):
         resultant(UniPoly("x"), UniPoly("x", [1, 1]))

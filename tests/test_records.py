@@ -13,7 +13,7 @@ import pytest
 from isolab.covers_prym import Divisor, FiberModel, twist_ledger
 from isolab.exact_algebra import Record, RingMatrix, UniPoly, ValidationError
 from isolab.lie_isogeny import QuadraticForm, hodge_split
-from isolab.moduli_invariants import ToledoPair, TorsionVector, W2Label
+from isolab.moduli_invariants import ToledoPair, W2Label
 from isolab.spectral_base import BaseSL2Pair, BaseSL4, BaseSO4, BaseSO6
 from isolab.verify import CheckResult, VerifyReport
 
@@ -133,7 +133,6 @@ REPRS = [
     (lambda: QuadraticForm(RingMatrix.identity(2)), "QuadraticForm(gram=RingMatrix(2x2: [1, 0]; [0, 1]))"),
     (lambda: ToledoPair(1, 0, 2), "ToledoPair(d1=1, d2=0, g=2)"),
     (lambda: W2Label(1), "W2Label(value=1)"),
-    (lambda: TorsionVector((0, 1, 1, 0), 2), "TorsionVector(bits=(0, 1, 1, 0), g=2)"),
     (
         lambda: VerifyReport(0, 1, "+1", (CheckResult("c", False, "no"),)),
         "VerifyReport(seed=0, samples=1, orientation='+1', "

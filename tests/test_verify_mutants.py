@@ -20,6 +20,8 @@ row (criterion 7), and a pushed divisor pulled back to the self-product is
 the sum of the two projections' pullbacks (criterion 8).  ``twist_ledger``
 reads its self-product degrees from the ledger of ``ramification_check``,
 so a wrong ledger reaches both, and each criterion 7 comparison has a case.
+The preimage counts of criterion 9 are solutions of one equation, and each
+count comparison has a case that rewrites that equation.
 
 Each case swaps one function for a variant that breaks exactly one
 identity, in every isolab module namespace that holds the function, and
@@ -31,13 +33,14 @@ from ``so6_base``, or a criterion 10 that compared the assembly only with
 """
 
 import importlib
+import inspect
 import pkgutil
 import random
 
 import pytest
 
 import isolab
-from isolab import verify
+from isolab import moduli_invariants, verify
 from isolab.covers_prym import Divisor, self_product_minus_diagonal, symmetrize
 from isolab.exact_algebra import RingMatrix, UniPoly
 from isolab.lie_isogeny import QuadraticForm, hodge_split
@@ -310,6 +313,34 @@ def test_wrong_builder_fails_its_criterion(case, monkeypatch):
     for module in MODULES:
         if getattr(module, builder, None) is real:
             monkeypatch.setattr(module, builder, wrong)
+    passed, actual = check(random.Random(case), 2)
+    assert not passed
+    assert actual == detail
+
+
+#: The count equation of ``moduli_invariants._halvings``, and the equations
+#: that replace it -> the criterion 9 comparison that each makes fail.
+COUNT_EQUATION = "2 * a % 4 == b"
+COUNT_CASES = {
+    "a = b (mod 4): one twist, not 2^(2g)": ("a % 4 == b", "rank-3 count at genus 2"),
+    "a^2 = b (mod 4): the twists kept, no square root of 2": ("a * a % 4 == b", "rank-2 count report"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_wrong_count_equation_fails_criterion_9(case, monkeypatch):
+    """``_halvings`` recompiled from its own source with only the equation
+    replaced: the counts of criterion 9 are solutions of that equation, not
+    the restated size of a group."""
+    equation, detail = COUNT_CASES[case]
+    check = _criterion(9)
+    assert check(random.Random(case), 2)[0]
+
+    source = inspect.getsource(moduli_invariants._halvings)
+    assert source.count(COUNT_EQUATION) == 1
+    namespace = dict(vars(moduli_invariants))
+    exec(source.replace(COUNT_EQUATION, equation), namespace)
+    monkeypatch.setattr(moduli_invariants, "_halvings", namespace["_halvings"])
     passed, actual = check(random.Random(case), 2)
     assert not passed
     assert actual == detail
